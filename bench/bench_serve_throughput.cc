@@ -1,24 +1,21 @@
-// Serving throughput: the transport-matrix benchmark (ISSUE 6; HTTP leg
-// from ISSUE 7).
+// Serving throughput: the framing-matrix benchmark.
 //
-// CI runs this binary four times — DISC_SERVE_LOOP=blocking,
-// DISC_SERVE_LOOP=event, DISC_SERVE_LOOP=http (the event loop's
-// HTTP/1.1 transport: same commands as POST /diversify bodies over
-// keep-alive connections), and DISC_SERVE_LOOP=batch (the event loop's
-// BATCH envelope: each client ships all its rounds as ONE frame, so
+// CI runs this binary three times — DISC_SERVE_LOOP=event (line
+// protocol), DISC_SERVE_LOOP=http (HTTP/1.1 framing: same commands as POST
+// /diversify bodies over keep-alive connections), and DISC_SERVE_LOOP=batch
+// (BATCH envelope: each client ships all its rounds as ONE frame, so
 // `req_ms` is the per-command latency *amortized* over the unit) — and
-// gates across the legs (bench/diff_bench_json.py):
-//   * correctness: `mismatches` must be 0 in every leg — every response a
-//     client received, coalesced or not, and whatever the transport, is
+// gates every leg on its own (bench/diff_bench_json.py):
+//   * correctness: `mismatches` must be 0 — every response a client
+//     received, coalesced or not, and whatever the framing, is
 //     byte-identical (minus the trailing wall_ms) to a direct DiscEngine
 //     call on a replica engine (for HTTP, the response *body* is exactly
 //     the protocol line);
-//   * speedup: the event leg must win mean per-request wall time by >= 2x
-//     (`:: req_ms`) — on the identical-request workload the event loop
-//     computes each round once and fans it out, while the blocking
-//     transport computes once per connection;
-//   * bounds: an absolute requests/sec floor and p99 ceiling on the event
-//     leg keep the numbers honest on their own, not just relatively.
+//   * coalescing: `computations` (the clients' STATS computations, summed)
+//     must be at most kRounds — the daemon computes each round once and
+//     fans it out, whichever framing carried the requests;
+//   * bounds: an absolute requests/sec floor and p99 ceiling keep the
+//     wall-clock numbers honest.
 //
 // The workload: kClients connections each OPEN the same clustered dataset
 // (separate engine leases — sessions never share a live engine), then run
@@ -26,8 +23,8 @@
 // concurrently. Fresh radii keep every round's computation cold (no
 // engine-cache hits); identical requests within a round are exactly what
 // the single-flight table coalesces. Per-request wall times feed
-// p50/p99; the leg is ambient (the env var), so both legs produce the
-// same table keys and google-benchmark names for the cross-leg diff.
+// p50/p99; the leg is ambient (the env var), so every leg produces the
+// same table keys and google-benchmark names.
 
 #include <cstdio>
 #include <cstdlib>
@@ -57,13 +54,10 @@ constexpr size_t kRounds = 6;
 constexpr size_t kN = 2000;
 constexpr uint64_t kSeed = 5;
 
-// The matrix leg this process runs. "blocking" and "event" pick the
-// transport loop; "http" runs the event loop but speaks its HTTP/1.1
-// framing from the clients (the server auto-detects per connection);
-// "batch" runs the event loop with each client shipping all its rounds as
-// one BATCH envelope.
+// The matrix leg this process runs: "event" (default) speaks the line
+// protocol, "http" the HTTP/1.1 framing (the server auto-detects per
+// connection), and "batch" ships each client's rounds as one BATCH frame.
 struct BenchLeg {
-  ServeLoop loop = ServeLoop::kEventLoop;
   bool http = false;
   bool batch = false;
 };
@@ -71,16 +65,13 @@ struct BenchLeg {
 BenchLeg BenchLoop() {
   static const BenchLeg leg = [] {
     const char* env = std::getenv("DISC_SERVE_LOOP");
-    if (env != nullptr && std::strcmp(env, "blocking") == 0) {
-      return BenchLeg{ServeLoop::kBlocking, false, false};
-    }
     if (env != nullptr && std::strcmp(env, "http") == 0) {
-      return BenchLeg{ServeLoop::kEventLoop, true, false};
+      return BenchLeg{true, false};
     }
     if (env != nullptr && std::strcmp(env, "batch") == 0) {
-      return BenchLeg{ServeLoop::kEventLoop, false, true};
+      return BenchLeg{false, true};
     }
-    return BenchLeg{ServeLoop::kEventLoop, false, false};
+    return BenchLeg{};
   }();
   return leg;
 }
@@ -152,8 +143,8 @@ TableCollector* ServeTable() {
   static TableCollector table(
       "Serve throughput (transport from DISC_SERVE_LOOP)",
       "serve_throughput.csv",
-      {"workload", "clients", "rounds", "requests", "mismatches", "rps",
-       "req_ms", "p50_ms", "p99_ms"});
+      {"workload", "clients", "rounds", "requests", "mismatches",
+       "computations", "rps", "req_ms", "p50_ms", "p99_ms"});
   return &table;
 }
 
@@ -203,11 +194,7 @@ void BM_ServeThroughput(benchmark::State& state) {
   const BenchLeg leg = BenchLoop();
   ServerOptions options;
   options.port = 0;
-  options.loop = leg.loop;
-  // Blocking: one thread per connection, so workers must cover every
-  // client. Event loop: a small fixed compute pool is the whole point.
-  options.workers =
-      options.loop == ServeLoop::kBlocking ? kClients : 4;
+  options.workers = 4;  // a small fixed compute pool is the whole point
   options.max_idle_engines = kClients;
   auto server_or = DiscServer::Start(options);
   if (!server_or.ok()) {
@@ -264,7 +251,6 @@ void BM_ServeThroughput(benchmark::State& state) {
     Stopwatch total;
     if (leg.batch) {
       // One BATCH frame per client carrying every round's command: the
-      // whole session costs one envelope and one admission slot, and the
       // per-command latency is the frame's wall time amortized over its
       // commands. Responses must still match the replica round by round.
       std::vector<std::string> commands;
@@ -328,7 +314,19 @@ void BM_ServeThroughput(benchmark::State& state) {
     }
   }
 
+  // Engine work the daemon actually did: every session's STATS
+  // computations, summed before the CLOSEs release the engines.
+  size_t computations = 0;
   for (size_t i = 0; i < kClients; ++i) {
+    auto stats = clients[i]->Roundtrip("STATS");
+    const std::string key = "\"computations\":";
+    const size_t at = stats.ok() ? stats->find(key) : std::string::npos;
+    if (at == std::string::npos) {
+      mismatches.fetch_add(1);
+    } else {
+      computations +=
+          std::strtoull(stats->c_str() + at + key.size(), nullptr, 10);
+    }
     auto response = clients[i]->Roundtrip("CLOSE");
     if (!response.ok()) mismatches.fetch_add(1);
   }
@@ -356,6 +354,7 @@ void BM_ServeThroughput(benchmark::State& state) {
 
   state.counters["requests"] = static_cast<double>(requests.load());
   state.counters["mismatches"] = static_cast<double>(mismatches.load());
+  state.counters["computations"] = static_cast<double>(computations);
   state.counters["rps"] = rps;
   state.counters["req_ms"] = req_ms;
   state.counters["p50_ms"] = p50;
@@ -363,7 +362,8 @@ void BM_ServeThroughput(benchmark::State& state) {
   ServeTable()->AddRow(
       {"clustered-identical", std::to_string(kClients),
        std::to_string(kRounds), std::to_string(requests.load()),
-       std::to_string(mismatches.load()), FormatDouble(rps, 4),
+       std::to_string(mismatches.load()), std::to_string(computations),
+       FormatDouble(rps, 4),
        FormatDouble(req_ms, 4), FormatDouble(p50, 4),
        FormatDouble(p99, 4)});
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -30,25 +29,6 @@ NeighborhoodGraph::NeighborhoodGraph(const MTree& tree, double radius,
                                      ThreadPool* pool)
     : radius_(radius), adjacency_(tree.size()) {
   BuildFromTree(tree, pool);
-}
-
-Result<NeighborhoodGraph> NeighborhoodGraph::Build(
-    const Dataset& dataset, const DistanceMetric& metric, double radius,
-    ThreadPool* pool, size_t max_brute_force_points) {
-  const size_t n = dataset.size();
-  const bool grid = GridCompatible(metric, dataset.dim(), n) && radius > 0;
-  if (!grid && max_brute_force_points > 0 && n > max_brute_force_points) {
-    return Status::InvalidArgument(
-        "neighborhood graph over " + std::to_string(n) + " points (" +
-        metric.name() + " metric, dim " + std::to_string(dataset.dim()) +
-        ") would fall back to the O(n^2) scan, above the cap of " +
-        std::to_string(max_brute_force_points) +
-        "; use an approximate neighbor backend (lsh, lsh-sharded)");
-  }
-  std::fprintf(stderr,
-               "NeighborhoodGraph: strategy=%s n=%zu dim=%zu radius=%g\n",
-               grid ? "grid" : "brute-force", n, dataset.dim(), radius);
-  return NeighborhoodGraph(dataset, metric, radius, pool);
 }
 
 Result<NeighborhoodGraph> NeighborhoodGraph::FromBackend(

@@ -58,17 +58,6 @@ class NeighborhoodGraph {
   explicit NeighborhoodGraph(const MTree& tree, double radius,
                              ThreadPool* pool = nullptr);
 
-  /// The guarded front door the daemon path uses instead of the direct
-  /// constructor: logs the chosen strategy (grid vs brute force) to stderr,
-  /// and — when the grid does not apply and max_brute_force_points > 0 —
-  /// refuses datasets above that cap with InvalidArgument rather than
-  /// letting the silent O(n^2) fallback exhaust memory.
-  static Result<NeighborhoodGraph> Build(const Dataset& dataset,
-                                         const DistanceMetric& metric,
-                                         double radius,
-                                         ThreadPool* pool = nullptr,
-                                         size_t max_brute_force_points = 0);
-
   /// Builds the graph through a pluggable neighbor backend
   /// (neighbor/backend.h). Exact backends produce exactly the graph the
   /// constructors above produce; approximate backends produce a subgraph

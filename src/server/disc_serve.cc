@@ -3,16 +3,15 @@
 // Listens on a TCP port and speaks the newline-delimited protocol of
 // server/protocol.h: each connection is one interactive session (OPEN,
 // then DIVERSIFY / ZOOM / STATS, then CLOSE), sharded across pooled
-// DiscEngine instances by server/session_manager.h. The event-loop
-// transport additionally auto-detects HTTP/1.1 per connection — one POST
+// DiscEngine instances by server/session_manager.h. The event loop
+// additionally auto-detects HTTP/1.1 per connection — one POST
 // per command (POST /diversify with "r=0.1" as the body), the protocol's
 // JSON line as the response body — see docs/PROTOCOL.md.
 //
 // Usage:
 //   disc_serve [--host=127.0.0.1] [--port=4817] [--workers=4]
 //              [--max-engines=8] [--threads=0] [--prewarm=<ds>[,<ds>...]]
-//              [--loop=event|blocking] [--max-pending=64]
-//              [--max-inflight=0]
+//              [--max-pending=64] [--max-inflight=0]
 //              [--neighbor-backend=exact|grid|lsh|sharded|lsh-sharded]
 //              [--max-exact-points=262144] [--help]
 //
@@ -43,8 +42,7 @@ constexpr const char* kUsage =
     "usage: disc_serve [--host=<ipv4>] [--port=<port>] [--workers=<count>]\n"
     "                  [--max-engines=<count>] [--threads=<count>]\n"
     "                  [--prewarm=<dataset>[,<dataset>...]]\n"
-    "                  [--loop=event|blocking] [--max-pending=<count>]\n"
-    "                  [--max-inflight=<count>]\n"
+    "                  [--max-pending=<count>] [--max-inflight=<count>]\n"
     "                  [--neighbor-backend=exact|grid|lsh|sharded|"
     "lsh-sharded]\n"
     "                  [--max-exact-points=<count>] [--help]\n"
@@ -64,15 +62,13 @@ constexpr const char* kUsage =
     "--prewarm: comma-separated dataset names (the OPEN dataset= values,\n"
     "           default n/dim/seed/metric) whose engines are pre-built\n"
     "           concurrently into the idle pool before serving starts.\n"
-    "--loop:    transport: 'event' (default) is the epoll event loop with\n"
-    "           request coalescing, admission control, and per-connection\n"
-    "           HTTP/1.1 auto-detection (POST /open, /diversify, /zoom,\n"
-    "           /close; GET or POST /stats; see docs/PROTOCOL.md);\n"
-    "           'blocking' is the thread-per-connection baseline\n"
-    "           (line protocol only).\n"
-    "--max-pending:  event loop only: compute requests queued beyond the\n"
-    "           executing ones before new requests get a BUSY error.\n"
-    "--max-inflight: event loop only: computations executing concurrently\n"
+    "--workers: compute worker threads of the epoll event loop, which\n"
+    "           coalesces identical requests and auto-detects HTTP/1.1 per\n"
+    "           connection (POST /open, /diversify, /zoom, /close, /batch;\n"
+    "           GET or POST /stats; see docs/PROTOCOL.md).\n"
+    "--max-pending:  compute requests (OPEN builds included) queued beyond\n"
+    "           the executing ones before new requests get a BUSY error.\n"
+    "--max-inflight: computations executing concurrently\n"
     "           (0 = one per worker thread).\n"
     "\n"
     "Line protocol (one command per line, one JSON response per line):\n"
@@ -84,17 +80,16 @@ constexpr const char* kUsage =
     "  DIVERSIFY r=<radius> [algo=basic|greedy|greedy-white|lazy-grey|\n"
     "            lazy-white|greedy-c|fast-c] [pruned=<bool>]\n"
     "            [quality=<bool>] [adapt=<bool>]\n"
-    "            (adapt: event loop only — allow serving from a memoized\n"
+    "            (adapt: allow serving from a memoized or in-flight\n"
     "            solution at another radius via zoom adaptation)\n"
     "  ZOOM to=<radius> [greedy=<bool>] [variant=arbitrary|greedy-a|\n"
     "       greedy-b|greedy-c] [center=<id>] [distances=auto|exact]\n"
     "       [quality=<bool>]\n"
     "  STATS\n"
     "  CLOSE\n"
-    "  BATCH n=<k>   (envelope: the next k lines execute as one unit —\n"
-    "       k responses in order, per-command error isolation; the event\n"
-    "       loop plans one cold solve per adapt family and adapts the\n"
-    "       rest. HTTP: POST /batch with a JSON array of command "
+    "  BATCH n=<k>   (envelope: the next k lines run in order, each like\n"
+    "       a single command, and their k responses are written as one\n"
+    "       unit. HTTP: POST /batch with a JSON array of command "
     "strings)\n";
 
 [[noreturn]] void Fail(const std::string& message) {
@@ -108,7 +103,7 @@ int main(int argc, char** argv) {
   auto flags_or = ParseFlagArgs(
       argc, argv,
       {"host", "port", "workers", "max-engines", "threads", "prewarm",
-       "loop", "max-pending", "max-inflight", "neighbor-backend",
+       "max-pending", "max-inflight", "neighbor-backend",
        "max-exact-points", "help"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n%s", flags_or.status().message().c_str(),
@@ -154,15 +149,6 @@ int main(int argc, char** argv) {
     }
     options.default_backend = *backend;
   }
-  const std::string loop = FlagOr(flags, "loop", "event");
-  if (loop == "event") {
-    options.loop = ServeLoop::kEventLoop;
-  } else if (loop == "blocking") {
-    options.loop = ServeLoop::kBlocking;
-  } else {
-    Fail("--loop must be 'event' or 'blocking', got '" + loop + "'");
-  }
-
   // --prewarm=cities,clustered: each name is an OPEN dataset= value with
   // the protocol's default knobs (n=10000 dim=2 seed=42, default metric).
   std::string prewarm_list = FlagOr(flags, "prewarm", "");

@@ -1,4 +1,4 @@
-// The epoll event-loop transport (ServeLoop::kEventLoop).
+// The epoll event loop: DiscServer's one transport.
 //
 // One loop thread owns every connection: non-blocking sockets registered
 // edge-triggered, a per-connection read buffer split into protocol lines,
@@ -30,13 +30,13 @@
 // Backpressure, outermost first:
 //  * admission control: at most max_inflight executing + max_pending
 //    queued jobs; beyond that a request is answered with a BUSY error
-//    line (flight followers and capsule adoptions are exempt — they
+//    line (flight followers and memo-hit adoptions are exempt — they
 //    consume no compute slot);
 //  * pipelining cap: a connection with kMaxQueuedLines parsed-but-
 //    unserved lines stops being read — bytes back up into the kernel
 //    buffer and TCP flow control stalls the client until we catch up;
 //  * read cap: kMaxLineBytes without a newline tears the connection down
-//    (same memory-DoS rule as the blocking transport's LineChannel);
+//    (same memory-DoS rule as LineChannel's);
 //  * write cap: a client that never reads accumulates responses until
 //    kMaxOutBytes, then is torn down.
 //
@@ -72,12 +72,13 @@
 //
 // BATCH: "BATCH n=<k>" frames the next k lines as one request unit
 // (POST /batch with a JSON string-array body is the HTTP equivalent). The
-// frame becomes one job under one admission slot; a worker executes it
-// through server/batch.h's planner (one cold solve per adapt family, the
-// rest adapted) and the completion carries k response lines written in
-// command order — as a 200-status joined body over HTTP. Envelope-level
-// failures (bad n, busy admission, malformed JSON) answer a single error
-// line under cmd "BATCH".
+// frame is framing only: once complete it expands into k slots on the
+// connection's pending queue, and each slot runs through the same
+// admission, single-flight, memo, and adaptation path as a single command
+// — so a slot may follow another connection's flight or answer BUSY. The
+// connection collects the k answers and writes them as one unit: k lines,
+// or one 200-status body over HTTP. Envelope-level failures (bad n,
+// malformed JSON) answer a single error line under cmd "BATCH".
 //
 // Shutdown drains: accepting stops, idle connections close immediately,
 // queued and executing jobs run to completion, their responses are
@@ -104,7 +105,6 @@
 #include <utility>
 #include <vector>
 
-#include "server/batch.h"
 #include "server/handlers.h"
 #include "server/http.h"
 #include "server/net.h"
@@ -112,7 +112,6 @@
 #include "server/server.h"
 
 namespace disc {
-namespace internal {
 namespace {
 
 /// Same no-newline memory cap as LineChannel.
@@ -132,6 +131,8 @@ class EventLoopServer final : public DiscServer {
  public:
   explicit EventLoopServer(ServerOptions options)
       : DiscServer(std::move(options)),
+        ctx_{&manager_, options_.engine_threads, options_.default_backend,
+             options_.max_exact_points},
         max_inflight_(options_.max_inflight == 0 ? options_.workers
                                                  : options_.max_inflight) {}
 
@@ -193,13 +194,12 @@ class EventLoopServer final : public DiscServer {
   /// request's resolved Connection semantics, and `prefailed` marks an
   /// entry whose `line` already holds the serialized error response (a
   /// framing or endpoint-mapping failure that never reaches HandleLine).
-  /// `is_batch` marks a complete BATCH envelope (line protocol) or a
-  /// POST /batch (HTTP): `batch` holds its command lines and `line` is
-  /// unused — the unit is answered with one response line per command.
+  /// `batch_size` > 0 marks the first slot of a complete BATCH frame (or
+  /// POST /batch): that many consecutive entries are slots whose answers
+  /// are written as one unit.
   struct Pending {
     std::string line;
-    std::vector<std::string> batch;
-    bool is_batch = false;
+    size_t batch_size = 0;
     bool keep_alive = true;
     bool prefailed = false;
   };
@@ -229,37 +229,38 @@ class EventLoopServer final : public DiscServer {
     /// EPOLLOUT currently registered.
     bool want_write = false;
     /// Line-protocol BATCH framing: while batch_expect > 0, arriving lines
-    /// are collected into batch_lines instead of becoming individual
-    /// Pendings; the frame closes into one is_batch Pending when full. EOF
-    /// mid-frame drops the incomplete batch (like a partial line).
+    /// are collected into batch_lines instead of becoming Pendings; the
+    /// full frame expands into its slots. EOF mid-frame drops the
+    /// incomplete batch (like a partial line).
     size_t batch_expect = 0;
     std::vector<std::string> batch_lines;
+    /// The batch unit being served: slots still unanswered, and the
+    /// answers so far (newline-terminated). While batch_left > 0, Respond
+    /// collects instead of writing.
+    size_t batch_left = 0;
+    std::string batch_out;
   };
 
   struct Job {
-    enum class Kind { kOpen, kCompute, kLeader, kAdopt, kBatch };
+    enum class Kind { kOpen, kCompute, kLeader, kAdopt };
     Kind kind = Kind::kCompute;
     uint64_t conn_id = 0;
     Request request;                // kOpen
-    ComputePlan plan;               // kCompute / kLeader
+    ComputePlan plan;               // kCompute / kLeader (kAdopt: verb)
     DiscEngine* engine = nullptr;   // kCompute / kLeader / kAdopt
-    std::string flight_key;         // kLeader
     FlightOutcome outcome;          // kAdopt
-    std::vector<std::string> batch;  // kBatch: the command lines
-    /// kBatch: the connection's lease, mutated in place (OPEN installs,
-    /// CLOSE releases). The pointer is stable: Conns are heap-allocated
-    /// and never destroyed while busy.
-    EngineLease* lease = nullptr;
   };
+
+  /// Whether a job holds an admission slot from Dispatch to completion:
+  /// every kind but a memo-hit adoption, which computes nothing.
+  static bool HoldsSlot(Job::Kind kind) { return kind != Job::Kind::kAdopt; }
 
   struct Completion {
     uint64_t conn_id = 0;
     std::string response;
-    std::vector<std::string> batch;  // is_batch: one line per command
     EngineLease lease;       // valid => install (a successful OPEN)
-    bool is_batch = false;
     bool coalesced = false;  // produced by another connection's flight
-    bool counts = false;     // consumed an admission slot
+    bool counts = false;     // releases an admission slot (HoldsSlot)
   };
 
   // ---- loop thread ----
@@ -386,8 +387,8 @@ class EventLoopServer final : public DiscServer {
         continue;
       }
       if (got == 0) {
-        // EOF: the lines already received still get answers (matching the
-        // blocking transport); the partial tail, if any, is dropped.
+        // EOF: the lines already received still get answers; the partial
+        // tail, if any, is dropped.
         conn->no_more_input = true;
         return;
       }
@@ -449,20 +450,26 @@ class EventLoopServer final : public DiscServer {
       switch (step) {
         case HttpParser::Step::kRequest: {
           http_requests_.fetch_add(1);
-          Pending pending;
-          pending.keep_alive = request.keep_alive;
           if (request.target == "/batch") {
-            MakeHttpBatchPending(request, &pending);
+            Result<std::vector<std::string>> slots = HttpBatchSlots(request);
+            if (slots.ok()) {
+              QueueBatch(conn, std::move(*slots), request.keep_alive);
+            } else {
+              QueuePrefailed(conn, SerializeError("BATCH", slots.status()),
+                             request.keep_alive);
+            }
           } else {
             Result<std::string> line = HttpRequestToCommandLine(request);
             if (line.ok()) {
+              Pending pending;
               pending.line = std::move(*line);
+              pending.keep_alive = request.keep_alive;
+              conn->lines.push_back(std::move(pending));
             } else {
-              pending.prefailed = true;
-              pending.line = SerializeError("?", line.status());
+              QueuePrefailed(conn, SerializeError("?", line.status()),
+                             request.keep_alive);
             }
           }
-          conn->lines.push_back(std::move(pending));
           if (conn->lines.size() >= kMaxQueuedLines) {
             conn->read_paused = true;
             return;
@@ -470,11 +477,8 @@ class EventLoopServer final : public DiscServer {
           continue;
         }
         case HttpParser::Step::kError: {
-          Pending pending;
-          pending.prefailed = true;
-          pending.keep_alive = false;
-          pending.line = SerializeError("?", conn->http.error());
-          conn->lines.push_back(std::move(pending));
+          QueuePrefailed(conn, SerializeError("?", conn->http.error()),
+                         /*keep_alive=*/false);
           conn->no_more_input = true;  // DrainSocket stops reading
           conn->in.clear();
           return;
@@ -485,38 +489,50 @@ class EventLoopServer final : public DiscServer {
     }
   }
 
-  /// POST /batch: the JSON string-array body becomes the batch's command
-  /// lines. Envelope-level failures (wrong method, malformed JSON, size
-  /// out of bounds) are answered with ONE error line under cmd "BATCH" —
-  /// mapped to a 4xx status by HttpStatusForProtocolLine like any other
-  /// error line; per-command failures stay in the 200 body.
-  static void MakeHttpBatchPending(const HttpRequest& request,
-                                   Pending* pending) {
+  /// POST /batch: the JSON string-array body becomes the batch's slots.
+  /// Envelope-level failures (wrong method, malformed JSON, size out of
+  /// bounds) fail the whole request — the caller answers ONE error line
+  /// under cmd "BATCH", mapped to a 4xx status like any other error line;
+  /// per-slot failures stay in the 200 body.
+  static Result<std::vector<std::string>> HttpBatchSlots(
+      const HttpRequest& request) {
     if (request.method != "POST") {
-      pending->prefailed = true;
-      pending->line = SerializeError(
-          "BATCH", Status::InvalidArgument("/batch requires POST"));
-      return;
+      return Status::InvalidArgument("/batch requires POST");
     }
-    Result<std::vector<std::string>> lines =
-        ParseJsonStringArray(request.body);
-    if (!lines.ok()) {
-      pending->prefailed = true;
-      pending->line = SerializeError("BATCH", lines.status());
-      return;
+    DISC_ASSIGN_OR_RETURN(std::vector<std::string> slots,
+                          ParseJsonStringArray(request.body));
+    if (slots.empty() || slots.size() > kMaxBatchCommands) {
+      return Status::InvalidArgument(
+          "/batch body must contain between 1 and " +
+          std::to_string(kMaxBatchCommands) + " commands, got " +
+          std::to_string(slots.size()));
     }
-    if (lines->empty() || lines->size() > kMaxBatchCommands) {
-      pending->prefailed = true;
-      pending->line = SerializeError(
-          "BATCH",
-          Status::InvalidArgument(
-              "/batch body must contain between 1 and " +
-              std::to_string(kMaxBatchCommands) + " commands, got " +
-              std::to_string(lines->size())));
-      return;
+    return slots;
+  }
+
+  /// Queues an already-serialized error answer; it waits in the queue only
+  /// so responses stay in request order.
+  static void QueuePrefailed(Conn* conn, std::string response,
+                             bool keep_alive) {
+    Pending pending;
+    pending.line = std::move(response);
+    pending.keep_alive = keep_alive;
+    pending.prefailed = true;
+    conn->lines.push_back(std::move(pending));
+  }
+
+  /// Expands a complete batch frame into its slots on the pending queue.
+  /// Each slot is an ordinary submission; the first carries the frame size
+  /// so the k answers are written as one unit.
+  static void QueueBatch(Conn* conn, std::vector<std::string> slots,
+                         bool keep_alive) {
+    for (std::string& slot : slots) {
+      Pending pending;
+      pending.line = std::move(slot);
+      pending.keep_alive = keep_alive;
+      conn->lines.push_back(std::move(pending));
     }
-    pending->is_batch = true;
-    pending->batch = std::move(*lines);
+    conn->lines[conn->lines.size() - slots.size()].batch_size = slots.size();
   }
 
   /// Moves complete lines out of the read buffer; tears down on the
@@ -556,12 +572,9 @@ class EventLoopServer final : public DiscServer {
       // envelope owes exactly n responses).
       conn->batch_lines.push_back(std::move(line));
       if (conn->batch_lines.size() == conn->batch_expect) {
-        Pending pending;
-        pending.is_batch = true;
-        pending.batch = std::move(conn->batch_lines);
+        QueueBatch(conn, std::move(conn->batch_lines), /*keep_alive=*/true);
         conn->batch_lines.clear();
         conn->batch_expect = 0;
-        conn->lines.push_back(std::move(pending));
       }
       return;
     }
@@ -574,10 +587,8 @@ class EventLoopServer final : public DiscServer {
                                    ? DecodeBatchSize(*request)
                                    : Result<size_t>(request.status());
       if (!n.ok()) {
-        Pending pending;
-        pending.prefailed = true;
-        pending.line = SerializeError("BATCH", n.status());
-        conn->lines.push_back(std::move(pending));
+        QueuePrefailed(conn, SerializeError("BATCH", n.status()),
+                       /*keep_alive=*/true);
         return;
       }
       conn->batch_expect = *n;
@@ -594,130 +605,61 @@ class EventLoopServer final : public DiscServer {
       Pending pending = std::move(conn->lines.front());
       conn->lines.pop_front();
       conn->cur_keep_alive = pending.keep_alive;
+      if (pending.batch_size > 0) conn->batch_left = pending.batch_size;
       if (pending.prefailed) {
-        // The error response was serialized at framing time; it only
-        // waited here so responses stay in request order.
         Respond(conn, pending.line);
         continue;
       }
-      if (pending.is_batch) {
-        HandleBatch(conn, std::move(pending.batch));
-        continue;  // BUSY answered, or busy set — the loop guard breaks
+      // Skip blank lines so `printf '...\n\n'`-style clients are harmless
+      // — except a batch slot, which owes its answer (the parse error).
+      if (conn->batch_left == 0 &&
+          pending.line.find_first_not_of(" \t") == std::string::npos) {
+        continue;
       }
-      const std::string line = std::move(pending.line);
-      // Skip blank lines so `printf '...\n\n'`-style drivers are harmless.
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
       try {
-        HandleLine(conn, line);
+        HandleLine(conn, pending.line);
       } catch (const std::exception& e) {
-        // Same barrier as the blocking transport: a stray exception must
-        // not take down the loop thread (and with it the whole daemon).
-        Respond(conn, SerializeError("?", Status::IOError(
-                                              std::string("internal error: ") +
-                                              e.what())));
+        // A stray exception must not take down the loop thread (and with
+        // it the whole daemon).
+        Respond(conn, InternalErrorLine(e));
       }
     }
   }
 
+  /// One command, single or batch slot: answered in place when no engine
+  /// job is needed (DispatchFastPath — STATS reads the engine and CLOSE
+  /// releases it here, safe because the conn is not busy), otherwise
+  /// admitted and dispatched.
   void HandleLine(Conn* conn, const std::string& line) {
     Result<Request> request = ParseRequest(line);
     if (!request.ok()) {
       Respond(conn, SerializeError("?", request.status()));
       return;
     }
-    const char* cmd = VerbToString(request->verb);
-    switch (request->verb) {
-      case Verb::kOpen: {
-        if (conn->lease.valid()) {
-          Respond(conn,
-                  SerializeError(
-                      cmd, Status::FailedPrecondition(
-                               "a session is already open on this "
-                               "connection; CLOSE it first")));
-          return;
-        }
-        if (!Admit()) {
-          RejectBusy(conn, cmd);
-          return;
-        }
-        Job job;
-        job.kind = Job::Kind::kOpen;
-        job.conn_id = conn->id;
-        job.request = std::move(*request);
-        Dispatch(conn, std::move(job));
-        return;
-      }
-      case Verb::kDiversify:
-      case Verb::kZoom: {
-        if (!conn->lease.valid()) {
-          Respond(conn, SerializeError(cmd, Status::FailedPrecondition(
-                                                "no session open; OPEN "
-                                                "first")));
-          return;
-        }
-        Result<ComputePlan> plan = PlanCompute(*request, conn->lease);
-        if (!plan.ok()) {
-          Respond(conn, SerializeError(cmd, plan.status()));
-          return;
-        }
-        DispatchCompute(conn, std::move(*plan));
-        return;
-      }
-      case Verb::kStats: {
-        // Cheap and engine-read-only; the conn is not busy, so the loop
-        // thread is the only toucher of this engine right now.
-        if (!conn->lease.valid()) {
-          Respond(conn, SerializeError(cmd, Status::FailedPrecondition(
-                                                "no session open; OPEN "
-                                                "first")));
-          return;
-        }
-        Respond(conn, SerializeSnapshot(conn->lease.engine().Snapshot()));
-        return;
-      }
-      case Verb::kClose: {
-        if (!conn->lease.valid()) {
-          Respond(conn, SerializeError(
-                            cmd, Status::FailedPrecondition(
-                                     "no session open")));
-          return;
-        }
-        conn->lease.Release();
-        Respond(conn, SerializeClose());
-        return;
-      }
-      case Verb::kBatch: {
-        // Unreachable in practice — AddLine intercepts BATCH envelopes
-        // before they become pending commands — but mirror the shared
-        // pipeline's nested-BATCH answer for robustness.
-        Respond(conn, SerializeError(
-                          cmd, Status::InvalidArgument(
-                                   "BATCH is a framing envelope and "
-                                   "cannot be nested")));
-        return;
-      }
-    }
-    Respond(conn, SerializeError(cmd, Status::InvalidArgument(
-                                          "unhandled verb")));
-  }
-
-  /// Dispatches a complete batch as ONE job: the envelope buys one
-  /// admission slot however many commands it carries (the amortization a
-  /// batch exists for), and refusal is envelope-level — a single BUSY line
-  /// under cmd "BATCH", since none of the commands started. The worker
-  /// runs server/batch.h's planner-backed executor against the conn's
-  /// lease; the `busy` flag makes that worker the lease's only toucher.
-  void HandleBatch(Conn* conn, std::vector<std::string> lines) {
-    if (!Admit()) {
-      RejectBusy(conn, "BATCH");
+    std::string response;
+    if (DispatchFastPath(*request, &conn->lease, &response)) {
+      Respond(conn, response);
       return;
     }
-    Job job;
-    job.kind = Job::Kind::kBatch;
-    job.conn_id = conn->id;
-    job.batch = std::move(lines);
-    job.lease = &conn->lease;
-    Dispatch(conn, std::move(job));
+    const char* cmd = VerbToString(request->verb);
+    if (request->verb == Verb::kOpen) {
+      if (!Admit()) {
+        RejectBusy(conn, cmd);
+        return;
+      }
+      Job job;
+      job.kind = Job::Kind::kOpen;
+      job.conn_id = conn->id;
+      job.request = std::move(*request);
+      Dispatch(conn, std::move(job));
+      return;
+    }
+    Result<ComputePlan> plan = PlanCompute(*request, conn->lease);
+    if (!plan.ok()) {
+      Respond(conn, SerializeError(cmd, plan.status()));
+      return;
+    }
+    DispatchCompute(conn, std::move(*plan));
   }
 
   void DispatchCompute(Conn* conn, ComputePlan plan) {
@@ -807,7 +749,6 @@ class EventLoopServer final : public DiscServer {
         Job job;
         job.kind = Job::Kind::kLeader;
         job.conn_id = conn->id;
-        job.flight_key = std::move(plan.flight_key);
         job.plan = std::move(plan);
         job.engine = engine;
         conn->busy = false;  // Dispatch re-marks it
@@ -845,6 +786,14 @@ class EventLoopServer final : public DiscServer {
                           "retry later"));
   }
 
+  /// The exception barriers' answer: the library is Status-based and
+  /// should never throw, but a stray exception (e.g. bad_alloc under
+  /// memory pressure) must neither escape a thread nor strand a client.
+  static std::string InternalErrorLine(const std::exception& e) {
+    return SerializeError(
+        "?", Status::IOError(std::string("internal error: ") + e.what()));
+  }
+
   void RejectBusy(Conn* conn, const char* cmd) {
     busy_rejections_.fetch_add(1);
     Respond(conn, BusyLine(cmd));
@@ -852,7 +801,7 @@ class EventLoopServer final : public DiscServer {
 
   void Dispatch(Conn* conn, Job job) {
     conn->busy = true;
-    ++jobs_in_system_;
+    if (HoldsSlot(job.kind)) ++jobs_in_system_;
     {
       std::lock_guard<std::mutex> lock(work_mutex_);
       jobs_.push_back(std::move(job));
@@ -880,15 +829,8 @@ class EventLoopServer final : public DiscServer {
         Destroy(conn->id);
         continue;
       }
-      if (completion.is_batch) {
-        RespondBatch(conn, completion.batch);
-      } else {
-        Respond(conn, completion.response);
-      }
-      if (draining) {
-        conn->no_more_input = true;
-        conn->lines.clear();
-      }
+      Respond(conn, completion.response);
+      if (draining) DropQueuedInput(conn);
       if (conn->dead) {
         MaybeDestroy(conn);
       } else {
@@ -901,61 +843,55 @@ class EventLoopServer final : public DiscServer {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
     std::vector<uint64_t> idle;
     for (auto& [id, conn] : conns_) {
-      conn->no_more_input = true;
-      conn->lines.clear();
+      DropQueuedInput(conn.get());
       if (!conn->busy && conn->out.empty()) idle.push_back(id);
     }
     for (uint64_t id : idle) Destroy(id);
   }
 
-  // ---- writing ----
-
-  void Respond(Conn* conn, const std::string& line) {
-    if (conn->proto == Proto::kHttp) {
-      // The body is exactly the protocol line + newline; the status is
-      // derived from the line itself, so HTTP clients see proper codes
-      // (Busy -> 503 with Retry-After) while the JSON stays authoritative.
-      const int status = HttpStatusForProtocolLine(line);
-      conn->out += WriteHttpResponse(status, line + "\n",
-                                     conn->cur_keep_alive,
-                                     status == 503 ? 1 : 0);
-      if (!conn->cur_keep_alive) {
-        // This response ends the connection: drop unserved pipelined
-        // requests and close once the write buffer flushes.
-        conn->no_more_input = true;
-        conn->lines.clear();
-      }
-    } else {
-      conn->out += line;
-      conn->out += '\n';
-    }
-    FlushOut(conn);
-    if (!conn->dead && conn->out.size() > kMaxOutBytes) Teardown(conn);
+  /// Stops reading and forgets unserved commands — except the remaining
+  /// slots of a batch unit in progress, which still owe their answers (a
+  /// busy conn's in-flight command is one of them).
+  void DropQueuedInput(Conn* conn) {
+    conn->no_more_input = true;
+    size_t owed = conn->batch_left;
+    if (owed > 0 && conn->busy) --owed;
+    if (conn->lines.size() > owed) conn->lines.resize(owed);
   }
 
-  /// Writes a batch's response unit: the line protocol appends each line
-  /// in command order; HTTP wraps the joined lines as one 200 body — the
-  /// envelope succeeded, and per-command failures stay in-body exactly as
-  /// the line protocol reports them (an envelope-level failure never
-  /// reaches here; it is a prefailed single line with a mapped status).
-  void RespondBatch(Conn* conn, const std::vector<std::string>& lines) {
+  // ---- writing ----
+
+  /// Answers the command being served. A batch slot's answer joins its
+  /// unit, which is written once the last slot answers.
+  void Respond(Conn* conn, const std::string& line) {
+    if (conn->batch_left == 0) {
+      // HTTP status is derived from the line itself, so HTTP clients see
+      // proper codes (Busy -> 503 with Retry-After) while the JSON stays
+      // authoritative.
+      WriteUnit(conn, line + "\n",
+                conn->proto == Proto::kHttp ? HttpStatusForProtocolLine(line)
+                                            : 200);
+      return;
+    }
+    conn->batch_out += line;
+    conn->batch_out += '\n';
+    if (--conn->batch_left > 0) return;
+    // The envelope succeeded: per-slot failures stay in-body exactly as
+    // the line protocol reports them.
+    WriteUnit(conn, std::exchange(conn->batch_out, std::string()), 200);
+  }
+
+  /// Queues one response unit — newline-terminated protocol lines, sent
+  /// as they are or as the body of one HTTP response — and flushes.
+  void WriteUnit(Conn* conn, const std::string& body, int http_status) {
     if (conn->proto == Proto::kHttp) {
-      std::string body;
-      for (const std::string& line : lines) {
-        body += line;
-        body += '\n';
-      }
-      conn->out +=
-          WriteHttpResponse(200, body, conn->cur_keep_alive, 0);
-      if (!conn->cur_keep_alive) {
-        conn->no_more_input = true;
-        conn->lines.clear();
-      }
+      conn->out += WriteHttpResponse(http_status, body, conn->cur_keep_alive,
+                                     http_status == 503 ? 1 : 0);
+      // This response ends the connection: drop unserved pipelined
+      // requests and close once the write buffer flushes.
+      if (!conn->cur_keep_alive) DropQueuedInput(conn);
     } else {
-      for (const std::string& line : lines) {
-        conn->out += line;
-        conn->out += '\n';
-      }
+      conn->out += body;
     }
     FlushOut(conn);
     if (!conn->dead && conn->out.size() > kMaxOutBytes) Teardown(conn);
@@ -1041,73 +977,63 @@ class EventLoopServer final : public DiscServer {
   }
 
   void ExecuteJob(Job& job) {
-    const CommandContext ctx{&manager_, options_.engine_threads,
-                             options_.default_backend,
-                             options_.max_exact_points};
     Completion completion;
     completion.conn_id = job.conn_id;
-    completion.counts = job.kind != Job::Kind::kAdopt;
+    completion.counts = HoldsSlot(job.kind);
     try {
       switch (job.kind) {
         case Job::Kind::kOpen: {
           EngineLease lease;
-          completion.response = ExecuteOpen(ctx, job.request, &lease);
+          completion.response = ExecuteOpen(ctx_, job.request, &lease);
           completion.lease = std::move(lease);
           break;
         }
-        case Job::Kind::kCompute: {
-          completion.response =
-              RunCompute(job.plan, *job.engine).response;
+        case Job::Kind::kCompute:
+          completion.response = RunCompute(job.plan, *job.engine).response;
           break;
-        }
-        case Job::Kind::kLeader: {
-          const ComputeResult result = RunCompute(job.plan, *job.engine);
-          FlightOutcome outcome;
-          outcome.response = result.response;
-          if (result.ok) {
-            outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
-                job.engine->ExportSession());
-            if (result.seedable) {
-              // A cold DisC-family DIVERSIFY: its capsule can seed
-              // adapted answers at other radii in this family.
-              outcome.adapt_family = job.plan.adapt_family;
-              outcome.radius = job.plan.diversify.radius;
-            }
-          }
-          manager_.FinishFlight(job.flight_key, std::move(outcome),
-                                /*memoize=*/result.ok);
-          completion.response = result.response;
+        case Job::Kind::kLeader:
+          completion.response = LeadFlight(job.plan, *job.engine);
           break;
-        }
-        case Job::Kind::kAdopt: {
+        case Job::Kind::kAdopt:
           completion.response = AdoptOutcome(job.engine, job.plan.verb,
                                              job.outcome);
           completion.coalesced = true;
           break;
-        }
-        case Job::Kind::kBatch: {
-          // ExecuteBatch never throws (per-command isolation happens
-          // inside it) and finishes every flight it leads.
-          completion.batch = ExecuteBatch(ctx, job.batch, job.lease,
-                                          /*coalesce=*/true);
-          completion.is_batch = true;
-          break;
-        }
       }
     } catch (const std::exception& e) {
-      // Keep the flight honest even when the leader's computation threw:
-      // followers must be released with the same error line.
-      completion.response = SerializeError(
-          "?",
-          Status::IOError(std::string("internal error: ") + e.what()));
-      if (job.kind == Job::Kind::kLeader) {
-        FlightOutcome failed;
-        failed.response = completion.response;
-        manager_.FinishFlight(job.flight_key, std::move(failed),
-                              /*memoize=*/false);
-      }
+      completion.response = InternalErrorLine(e);
     }
     PushCompletion(std::move(completion));
+  }
+
+  /// A flight leader's duty, shared by leader jobs and adapt-followers:
+  /// run the computation, export the session capsule (a seedable cold
+  /// solve also carries its family and radius, so later requests can adapt
+  /// from it), and finish the flight — with the error line when the
+  /// computation throws, so followers are never stranded. Returns the
+  /// leader's own response line.
+  std::string LeadFlight(const ComputePlan& plan, DiscEngine& engine) {
+    FlightOutcome outcome;
+    bool memoize = false;
+    try {
+      const ComputeResult result = RunCompute(plan, engine);
+      outcome.response = result.response;
+      if (result.ok) {
+        outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
+            engine.ExportSession());
+        if (result.seedable) {
+          outcome.adapt_family = plan.adapt_family;
+          outcome.radius = plan.diversify.radius;
+        }
+      }
+      memoize = result.ok;
+    } catch (const std::exception& e) {
+      outcome = FlightOutcome{};
+      outcome.response = InternalErrorLine(e);
+    }
+    std::string response = outcome.response;
+    manager_.FinishFlight(plan.flight_key, std::move(outcome), memoize);
+    return response;
   }
 
   /// Installs a flight outcome into a follower/memo-hit engine and returns
@@ -1131,13 +1057,10 @@ class EventLoopServer final : public DiscServer {
     Completion completion;
     completion.conn_id = conn_id;
     completion.coalesced = true;
-    completion.counts = false;
     try {
       completion.response = AdoptOutcome(engine, verb, outcome);
     } catch (const std::exception& e) {
-      completion.response = SerializeError(
-          VerbToString(verb),
-          Status::IOError(std::string("internal error: ") + e.what()));
+      completion.response = InternalErrorLine(e);
     }
     PushCompletion(std::move(completion));
   }
@@ -1155,38 +1078,17 @@ class EventLoopServer final : public DiscServer {
   void AdaptFollowerComplete(uint64_t conn_id, DiscEngine* engine,
                              ComputePlan plan,
                              const FlightOutcome& leader) {
+    if (leader.capsule != nullptr && !leader.adapt_family.empty()) {
+      plan.seed = leader.capsule;
+      plan.seed_radius = leader.radius;
+    }
     Completion completion;
     completion.conn_id = conn_id;
     completion.coalesced = true;
-    completion.counts = false;
     try {
-      if (leader.capsule != nullptr && !leader.adapt_family.empty()) {
-        plan.seed = leader.capsule;
-        plan.seed_radius = leader.radius;
-      }
-      const ComputeResult result = RunCompute(plan, *engine);
-      FlightOutcome outcome;
-      outcome.response = result.response;
-      if (result.ok) {
-        outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
-            engine->ExportSession());
-        if (result.seedable) {
-          // The cold-fallback path can itself seed later adaptations.
-          outcome.adapt_family = plan.adapt_family;
-          outcome.radius = plan.diversify.radius;
-        }
-      }
-      manager_.FinishFlight(plan.flight_key, std::move(outcome),
-                            /*memoize=*/result.ok);
-      completion.response = result.response;
+      completion.response = LeadFlight(plan, *engine);
     } catch (const std::exception& e) {
-      completion.response = SerializeError(
-          VerbToString(plan.verb),
-          Status::IOError(std::string("internal error: ") + e.what()));
-      FlightOutcome failed;
-      failed.response = completion.response;
-      manager_.FinishFlight(plan.flight_key, std::move(failed),
-                            /*memoize=*/false);
+      completion.response = InternalErrorLine(e);
     }
     PushCompletion(std::move(completion));
   }
@@ -1211,6 +1113,7 @@ class EventLoopServer final : public DiscServer {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
   }
 
+  const CommandContext ctx_;
   const size_t max_inflight_;
 
   int epoll_fd_ = -1;
@@ -1246,12 +1149,13 @@ class EventLoopServer final : public DiscServer {
 
 }  // namespace
 
-Result<std::unique_ptr<DiscServer>> StartEventLoopServer(
-    ServerOptions options) {
+Result<std::unique_ptr<DiscServer>> DiscServer::Start(ServerOptions options) {
+  if (options.workers == 0) {
+    return Status::InvalidArgument("workers must be positive");
+  }
   auto server = std::make_unique<EventLoopServer>(std::move(options));
   DISC_RETURN_NOT_OK(server->Run());
   return std::unique_ptr<DiscServer>(std::move(server));
 }
 
-}  // namespace internal
 }  // namespace disc

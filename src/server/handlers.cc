@@ -157,9 +157,8 @@ ComputeResult RunCompute(const ComputePlan& plan, DiscEngine& engine) {
   return result;
 }
 
-bool DispatchFastPath(const CommandContext& ctx, const Request& request,
-                      EngineLease* lease, std::string* response) {
-  (void)ctx;
+bool DispatchFastPath(const Request& request, EngineLease* lease,
+                      std::string* response) {
   const char* cmd = VerbToString(request.verb);
   switch (request.verb) {
     case Verb::kOpen: {
@@ -200,10 +199,9 @@ bool DispatchFastPath(const CommandContext& ctx, const Request& request,
       *response = SerializeClose();
       return true;
     }
-    case Verb::kBatch: {
-      // The transports intercept BATCH at framing time; one reaching
-      // per-command dispatch is a batch inside a batch (or a caller
-      // bypassing framing).
+    case Verb::kBatchEnvelope: {
+      // The loop intercepts BATCH at framing time; one reaching command
+      // execution is a batch inside a batch.
       *response = SerializeError(
           cmd, Status::InvalidArgument(
                    "BATCH is a framing envelope and cannot be nested"));
@@ -212,25 +210,6 @@ bool DispatchFastPath(const CommandContext& ctx, const Request& request,
   }
   *response = SerializeError(cmd, Status::InvalidArgument("unhandled verb"));
   return true;
-}
-
-std::string DispatchCommand(const CommandContext& ctx, const Request& request,
-                            EngineLease* lease) {
-  std::string response;
-  if (DispatchFastPath(ctx, request, lease, &response)) return response;
-  if (request.verb == Verb::kOpen) return ExecuteOpen(ctx, request, lease);
-  Result<ComputePlan> plan = PlanCompute(request, *lease);
-  if (!plan.ok()) {
-    return SerializeError(VerbToString(request.verb), plan.status());
-  }
-  return RunCompute(*plan, lease->engine()).response;
-}
-
-std::string ExecuteLine(const CommandContext& ctx, const std::string& line,
-                        EngineLease* lease) {
-  Result<Request> request = ParseRequest(line);
-  if (!request.ok()) return SerializeError("?", request.status());
-  return DispatchCommand(ctx, *request, lease);
 }
 
 }  // namespace disc

@@ -1,13 +1,11 @@
-// Shared per-verb execution for the two DiscServer transports.
+// Per-verb execution for the DiscServer event loop.
 //
-// The blocking transport consumes ExecuteLine wholesale (parse, dispatch,
-// run, serialize — one call per request line). The event loop needs the
-// pieces individually so it can thread the single-flight table between
-// them: PlanCompute derives a request's coalescing key *before* any engine
-// work, and RunCompute is what a flight leader executes on a worker
-// thread. Keeping both transports on these functions is what guarantees a
-// coalesced response is byte-identical to the blocking server's answer for
-// the same request.
+// The loop threads the single-flight table between the pieces, so they
+// stay separate: DispatchFastPath answers every command that needs no
+// engine job, PlanCompute derives a request's coalescing key *before* any
+// engine work, and ExecuteOpen / RunCompute are what a compute worker
+// executes. A single command and a BATCH slot run through the same
+// pieces, which is what makes a batch's bytes equal sequential bytes.
 
 #ifndef DISC_SERVER_HANDLERS_H_
 #define DISC_SERVER_HANDLERS_H_
@@ -98,29 +96,15 @@ struct ComputeResult {
 /// Runs the planned computation on `engine` and serializes the outcome.
 ComputeResult RunCompute(const ComputePlan& plan, DiscEngine& engine);
 
-/// The synchronous half of per-command dispatch, shared verbatim by the
-/// line, HTTP, and batch paths: answers every command that needs no engine
-/// job — precondition failures (OPEN with a session open, compute/STATS/
-/// CLOSE without one), STATS, CLOSE, and a stray BATCH envelope reaching
-/// single-command execution — and returns true with `*response` set.
-/// Returns false (response untouched) exactly when the command is an OPEN
-/// or a DIVERSIFY/ZOOM whose preconditions hold: the caller runs
-/// ExecuteOpen or PlanCompute+RunCompute, inline or on a worker.
-bool DispatchFastPath(const CommandContext& ctx, const Request& request,
-                      EngineLease* lease, std::string* response);
-
-/// The complete per-command request->handler->response pipeline with no
-/// coalescing: DispatchFastPath, else ExecuteOpen / PlanCompute+RunCompute
-/// inline. The single entry point the blocking transport and the batch
-/// executor's sequential path consume; the event loop composes
-/// DispatchFastPath with its own job dispatch instead.
-std::string DispatchCommand(const CommandContext& ctx, const Request& request,
-                            EngineLease* lease);
-
-/// ParseRequest + DispatchCommand: the complete request path for one raw
-/// line. Used by the blocking transport wholesale.
-std::string ExecuteLine(const CommandContext& ctx, const std::string& line,
-                        EngineLease* lease);
+/// The synchronous half of per-command dispatch: answers every command
+/// that needs no engine job — precondition failures (OPEN with a session
+/// open, compute/STATS/CLOSE without one), STATS, CLOSE, and a BATCH
+/// envelope reaching command execution (a nested frame) — and returns true
+/// with `*response` set. Returns false (response untouched) exactly when
+/// the command is an OPEN or a DIVERSIFY/ZOOM whose preconditions hold:
+/// the caller runs ExecuteOpen or PlanCompute+RunCompute on a worker.
+bool DispatchFastPath(const Request& request, EngineLease* lease,
+                      std::string* response);
 
 }  // namespace disc
 

@@ -18,9 +18,8 @@
 //
 // POST /batch is the exception to one-request-one-command: its body is a
 // JSON array of command strings and its 200 response body is one protocol
-// line per command, in order (the event loop frames it into a batch unit
-// directly — see server/batch.h — so it never flows through the
-// one-command mapping below). Envelope-level failures answer a single
+// line per command, in order (the event loop expands it into batch slots
+// directly, so it never flows through the one-command mapping below). Envelope-level failures answer a single
 // error line under cmd "BATCH" with the usual status mapping.
 //
 // The HTTP status code is derived from the response line itself

@@ -1,4 +1,4 @@
-// Blocking TCP primitives for the disc_serve transport: listen/connect
+// Blocking TCP primitives for disc_serve and its clients: listen/connect
 // helpers plus a buffered newline-delimited channel. POSIX sockets only —
 // the daemon targets Linux; nothing here is performance-critical (the
 // engine work dominates every request by orders of magnitude).
@@ -27,7 +27,7 @@ Result<int> ConnectTcp(const std::string& host, int port);
 void CloseSocket(int* fd);
 
 /// Puts a file descriptor into non-blocking mode (O_NONBLOCK). Used by the
-/// event-loop server; the blocking transport below never calls it.
+/// event-loop server.
 Status SetNonBlocking(int fd);
 
 /// A buffered line channel over a connected socket. Does NOT own the fd.

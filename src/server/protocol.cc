@@ -41,7 +41,7 @@ constexpr VerbInfo kVerbs[] = {
      "to"},
     {Verb::kStats, "STATS", {nullptr}, nullptr},
     {Verb::kClose, "CLOSE", {nullptr}, nullptr},
-    {Verb::kBatch, "BATCH", {"n", nullptr}, "n"},
+    {Verb::kBatchEnvelope, "BATCH", {"n", nullptr}, "n"},
 };
 
 const VerbInfo* FindVerb(const std::string& upper) {

@@ -42,17 +42,17 @@ namespace disc {
 
 /// The five session commands plus the BATCH framing envelope. kClose both
 /// answers and ends the lease; a client dropping the connection is an
-/// implicit CLOSE. kBatch is not a session command: it frames the next n
-/// command lines as one request unit (the transports intercept it before
-/// per-command dispatch; a BATCH line reaching single-command execution —
-/// e.g. nested inside another batch — is an error).
+/// implicit CLOSE. kBatchEnvelope is not a session command: it frames the
+/// next n command lines as one request unit (the event loop intercepts it
+/// at framing time; a BATCH line reaching command execution — nested
+/// inside another batch — is an error).
 enum class Verb {
   kOpen,
   kDiversify,
   kZoom,
   kStats,
   kClose,
-  kBatch,
+  kBatchEnvelope,
 };
 
 /// "OPEN" / "DIVERSIFY" / "ZOOM" / "STATS" / "CLOSE" / "BATCH".
@@ -101,19 +101,18 @@ Result<DiversifyRequest> DecodeDiversify(const Request& request);
 /// DIVERSIFY adapt= (default false): whether the serving layer may answer
 /// this request by *adapting* a compatible memoized outcome at a different
 /// radius (the paper's §5.2 zoom path) instead of computing cold. Not part
-/// of DiversifyRequest — the engine never sees it; the serving planner
+/// of DiversifyRequest — the engine never sees it; PlanCompute
 /// (server/handlers.h) decodes it separately. Purely an allowance: with no
-/// compatible outcome available the request computes cold, and the
-/// blocking transport always computes cold.
+/// compatible outcome available the request computes cold.
 Result<bool> DecodeDiversifyAdapt(const Request& request);
 
 /// ZOOM -> ZoomRequest. greedy defaults to true, variant to greedy-a
 /// (kGreedyMostRed), distances to auto; center switches to local zooming.
 Result<ZoomRequest> DecodeZoom(const Request& request);
 
-/// Commands one BATCH envelope may frame (DoS bound: a batch consumes one
-/// admission slot, so its compute work must stay bounded; larger workloads
-/// pipeline multiple batches).
+/// Commands one BATCH envelope may frame (memory bound: a frame is
+/// buffered whole before its slots run; larger workloads pipeline multiple
+/// batches).
 inline constexpr size_t kMaxBatchCommands = 64;
 
 /// BATCH n= -> the framed command count. InvalidArgument when n is 0 or

@@ -1,37 +1,13 @@
-// DiscServer::Start dispatch, the shared Listen() path, and the blocking
-// transport. The event-loop transport lives in event_server.cc.
+// DiscServer::Listen: bind, listen, and prewarm. DiscServer::Start and
+// the event loop it runs live in event_server.cc.
 
 #include "server/server.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "server/batch.h"
-#include "server/handlers.h"
 #include "server/net.h"
-#include "server/protocol.h"
 
 namespace disc {
-
-Result<std::unique_ptr<DiscServer>> DiscServer::Start(ServerOptions options) {
-  if (options.workers == 0) {
-    return Status::InvalidArgument("workers must be positive");
-  }
-  return options.loop == ServeLoop::kBlocking
-             ? internal::StartBlockingServer(std::move(options))
-             : internal::StartEventLoopServer(std::move(options));
-}
 
 Status DiscServer::Listen() {
   DISC_ASSIGN_OR_RETURN(listen_fd_, ListenTcp(options_.host, options_.port));
@@ -58,186 +34,5 @@ Status DiscServer::Listen() {
   }
   return Status::OK();
 }
-
-namespace internal {
-namespace {
-
-/// True when the line's first token is the BATCH envelope verb.
-bool IsBatchEnvelope(const std::string& line) {
-  const size_t begin = line.find_first_not_of(" \t");
-  if (begin == std::string::npos) return false;
-  size_t end = line.find_first_of(" \t", begin);
-  if (end == std::string::npos) end = line.size();
-  return line.compare(begin, end - begin, "BATCH") == 0;
-}
-
-/// Blocking-transport BATCH: reads the n framed lines off the channel and
-/// executes them as one unit through server/batch.h — with coalesce=false,
-/// a plain sequential dispatch, because this transport never coalesces
-/// per-command either. A bad envelope answers ONE error line under cmd
-/// "BATCH" and skips no input (the frame never started). Returns false
-/// when the connection should end (EOF mid-frame or a write error).
-bool HandleBatchFrame(LineChannel& channel, const CommandContext& ctx,
-                      const std::string& envelope, EngineLease* lease) {
-  const Result<Request> request = ParseRequest(envelope);
-  const Result<size_t> n = request.ok()
-                               ? DecodeBatchSize(*request)
-                               : Result<size_t>(request.status());
-  if (!n.ok()) {
-    return channel.WriteLine(SerializeError("BATCH", n.status())).ok();
-  }
-  std::vector<std::string> lines;
-  lines.reserve(*n);
-  for (size_t i = 0; i < *n; ++i) {
-    Result<std::string> line = channel.ReadLine();
-    if (!line.ok()) return false;  // EOF mid-frame: drop the batch
-    lines.push_back(std::move(*line));
-  }
-  for (const std::string& response :
-       ExecuteBatch(ctx, lines, lease, /*coalesce=*/false)) {
-    if (!channel.WriteLine(response).ok()) return false;
-  }
-  return true;
-}
-
-/// The original transport: a blocking accept loop feeds accepted
-/// connections to a fixed pool of worker threads; each worker speaks the
-/// line protocol with one client at a time and holds at most one exclusive
-/// EngineLease for it. No coalescing, no admission control — the accept
-/// backlog is the only queue. Kept as the throughput-bench baseline and
-/// the simplest reference implementation of the protocol.
-class BlockingServer final : public DiscServer {
- public:
-  explicit BlockingServer(ServerOptions options)
-      : DiscServer(std::move(options)) {}
-
-  ~BlockingServer() override { Shutdown(); }
-
-  Status Run() {
-    DISC_RETURN_NOT_OK(Listen());
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-    workers_.reserve(options_.workers);
-    for (size_t i = 0; i < options_.workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-    return Status::OK();
-  }
-
-  void Shutdown() override {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;
-      stopping_ = true;
-      // Unblock the accept loop and every in-flight recv; the fds are
-      // closed by whichever loop owns them once it observes stopping_.
-      if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-      for (int fd : active_) ::shutdown(fd, SHUT_RDWR);
-    }
-    queue_cv_.notify_all();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    CloseSocket(&listen_fd_);
-    for (int fd : pending_) ::close(fd);  // accepted but never served
-    pending_.clear();
-  }
-
-  ServerStats server_stats() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ServerStats stats = stats_;
-    stats.active_connections = active_.size();
-    return stats;
-  }
-
- private:
-  void AcceptLoop() {
-    while (true) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_) {
-          if (fd >= 0) ::close(fd);
-          return;
-        }
-        if (fd < 0) continue;  // transient accept error
-        ++stats_.connections_accepted;
-        pending_.push_back(fd);
-      }
-      queue_cv_.notify_one();
-    }
-  }
-
-  void WorkerLoop() {
-    while (true) {
-      int fd = -1;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        queue_cv_.wait(lock,
-                       [this] { return stopping_ || !pending_.empty(); });
-        if (stopping_) return;
-        fd = pending_.front();
-        pending_.pop_front();
-        active_.insert(fd);
-      }
-      HandleConnection(fd);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        active_.erase(fd);
-      }
-      ::close(fd);
-    }
-  }
-
-  void HandleConnection(int fd) {
-    LineChannel channel(fd);
-    const CommandContext ctx{&manager_, options_.engine_threads,
-                             options_.default_backend,
-                             options_.max_exact_points};
-    EngineLease lease;  // released (engine pooled) when the connection ends
-    while (true) {
-      Result<std::string> line = channel.ReadLine();
-      if (!line.ok()) return;  // EOF or socket error: implicit CLOSE
-      // Skip blank lines so `printf '...\n\n'`-style drivers are harmless.
-      if (line->find_first_not_of(" \t") == std::string::npos) continue;
-      if (IsBatchEnvelope(*line)) {
-        if (!HandleBatchFrame(channel, ctx, *line, &lease)) return;
-        continue;
-      }
-      std::string response;
-      try {
-        response = ExecuteLine(ctx, *line, &lease);
-      } catch (const std::exception& e) {
-        // The library is Status-based and should never throw; this barrier
-        // keeps a stray exception (e.g. bad_alloc under memory pressure)
-        // from escaping the worker thread and terminating the daemon.
-        response = SerializeError(
-            "?", Status::IOError(std::string("internal error: ") + e.what()));
-      }
-      if (!channel.WriteLine(response).ok()) return;
-    }
-  }
-
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<int> pending_;         // accepted fds awaiting a worker
-  std::unordered_set<int> active_;  // fds currently inside a worker
-  ServerStats stats_;
-  bool stopping_ = false;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<DiscServer>> StartBlockingServer(
-    ServerOptions options) {
-  auto server = std::make_unique<BlockingServer>(std::move(options));
-  DISC_RETURN_NOT_OK(server->Run());
-  return std::unique_ptr<DiscServer>(std::move(server));
-}
-
-}  // namespace internal
 
 }  // namespace disc

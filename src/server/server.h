@@ -1,31 +1,25 @@
 // DiscServer: the long-lived disc_serve daemon core.
 //
-// Two transports share one protocol and one session model:
-//
-//  * kEventLoop (default): a single epoll-driven loop thread owns every
-//    connection (non-blocking sockets, per-connection read/write buffers)
-//    and hands engine work — OPEN builds plus DIVERSIFY/ZOOM
-//    computations — to a fixed pool of compute workers. Identical
-//    concurrent computations are *coalesced* through the session manager's
-//    single-flight table: one leader computes, every follower receives the
-//    byte-identical response line and adopts the leader's session state.
-//    DIVERSIFY adapt=true widens this radius-aware: a memoized compatible
-//    outcome at another radius seeds the answer through the engine's §5.2
-//    zoom adaptation (docs/PROTOCOL.md). Admission control bounds the work
-//    the loop will queue (max_pending / max_inflight); excess requests are
-//    answered with a BUSY error line instead of growing an unbounded
-//    backlog. The loop also speaks HTTP/1.1 (server/http.h), auto-detected
-//    per connection: one POST per command, same JSON per response body,
-//    BUSY as 503 + Retry-After.
-//
-//  * kBlocking: the original accept/worker transport — one worker thread
-//    per live connection, blocking reads, no coalescing. Kept as the
-//    baseline the throughput bench compares against, and as the simplest
-//    possible reference implementation of the protocol.
+// One transport: a single epoll-driven loop thread owns every connection
+// (non-blocking sockets, per-connection read/write buffers) and hands
+// engine work — OPEN builds plus DIVERSIFY/ZOOM computations — to a fixed
+// pool of compute workers. Identical concurrent computations are
+// *coalesced* through the session manager's single-flight table: one
+// leader computes, every follower receives the byte-identical response
+// line and adopts the leader's session state. DIVERSIFY adapt=true widens
+// this radius-aware: a memoized or in-flight compatible outcome at another
+// radius seeds the answer through the engine's §5.2 zoom adaptation
+// (docs/PROTOCOL.md). Admission control bounds the work the loop will
+// queue (max_pending / max_inflight); excess requests — OPEN builds
+// included — are answered with a BUSY error line instead of growing an
+// unbounded backlog. The loop speaks the line protocol and HTTP/1.1
+// (server/http.h), auto-detected per connection: one POST per command,
+// same JSON per response body, BUSY as 503 + Retry-After. A BATCH frame is
+// framing only: its slots run through the same per-command path.
 //
 // Concurrency model in one sentence: sessions are sharded across engines,
 // an engine is never shared while leased, and all cross-thread state lives
-// in the session manager (pool + single-flight table) or the transport's
+// in the session manager (pool + single-flight table) or the event loop's
 // own mutex-guarded queues.
 //
 // The server runs entirely in background threads: Start() returns once the
@@ -49,19 +43,11 @@
 
 namespace disc {
 
-/// Which transport Start() builds.
-enum class ServeLoop {
-  kEventLoop,
-  kBlocking,
-};
-
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via port().
   int port = 0;
-  /// kEventLoop: compute worker threads (connection count is unbounded by
-  /// threads). kBlocking: worker threads == maximum concurrent client
-  /// connections; further connections queue in the accept backlog.
+  /// Compute worker threads (connection count is unbounded by threads).
   size_t workers = 4;
   /// Idle engines kept warm by the session manager (LRU beyond this).
   size_t max_idle_engines = 8;
@@ -75,16 +61,15 @@ struct ServerOptions {
   /// leases a warm engine instead of paying the index build. The builds
   /// run concurrently, so warm-up costs max(build), not sum.
   std::vector<EngineConfig> prewarm;
-  /// Which transport to run.
-  ServeLoop loop = ServeLoop::kEventLoop;
-  /// kEventLoop admission control: compute jobs (OPEN builds and leader
+  /// Admission control: compute jobs (OPEN builds and leader
   /// DIVERSIFY/ZOOM computations) the loop will hold beyond the ones
   /// currently executing. A request arriving with max_inflight executing
   /// and max_pending queued is answered with a BUSY error line. Followers
-  /// joining an in-flight computation are exempt — they consume no compute
-  /// slot.
+  /// joining an in-flight computation and memo hits are exempt — they
+  /// consume no compute slot. A BATCH slot is admitted like a single
+  /// command.
   size_t max_pending = 64;
-  /// kEventLoop: computations allowed to execute concurrently; 0 means
+  /// Computations allowed to execute concurrently; 0 means
   /// `workers` (one per worker thread).
   size_t max_inflight = 0;
   /// The neighbor backend applied to OPENs that carry no backend= key
@@ -109,15 +94,14 @@ struct ServerStats {
   /// followers plus memoized-outcome hits).
   size_t coalesced_responses = 0;
   size_t active_connections = 0;
-  /// Requests framed over the HTTP transport (event loop only; the
-  /// blocking transport is line-protocol only).
+  /// Requests framed over HTTP.
   size_t http_requests = 0;
 };
 
 class DiscServer {
  public:
-  /// Binds, listens, prewarms, and spawns the transport chosen by
-  /// `options.loop`. Fails with the socket error (e.g. a taken port).
+  /// Binds, listens, prewarms, and spawns the event loop and its workers.
+  /// Fails with the socket error (e.g. a taken port).
   static Result<std::unique_ptr<DiscServer>> Start(ServerOptions options);
 
   DiscServer(const DiscServer&) = delete;
@@ -143,8 +127,7 @@ class DiscServer {
       : options_(std::move(options)),
         manager_(options_.max_idle_engines) {}
 
-  /// Binds + listens and runs the configured prewarm; shared by both
-  /// transports' Start paths.
+  /// Binds + listens and runs the configured prewarm.
   Status Listen();
 
   ServerOptions options_;
@@ -153,14 +136,6 @@ class DiscServer {
   int listen_fd_ = -1;
   int port_ = 0;
 };
-
-namespace internal {
-/// Per-transport factories behind DiscServer::Start; exposed so the bench
-/// can force a transport regardless of option defaults.
-Result<std::unique_ptr<DiscServer>> StartBlockingServer(ServerOptions options);
-Result<std::unique_ptr<DiscServer>> StartEventLoopServer(
-    ServerOptions options);
-}  // namespace internal
 
 }  // namespace disc
 

@@ -85,6 +85,9 @@ void ExerciseLine(const std::string& line, size_t iteration) {
     case Verb::kZoom:
       (void)DecodeZoom(*request);
       break;
+    case Verb::kBatchEnvelope:
+      (void)DecodeBatchSize(*request);
+      break;
     case Verb::kStats:
     case Verb::kClose:
       break;

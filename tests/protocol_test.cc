@@ -34,7 +34,7 @@ TEST(ParseRequestTest, ParsesEveryVerb) {
   EXPECT_EQ(MustParse("ZOOM to=0.01").verb, Verb::kZoom);
   EXPECT_EQ(MustParse("STATS").verb, Verb::kStats);
   EXPECT_EQ(MustParse("CLOSE").verb, Verb::kClose);
-  EXPECT_EQ(MustParse("BATCH n=4").verb, Verb::kBatch);
+  EXPECT_EQ(MustParse("BATCH n=4").verb, Verb::kBatchEnvelope);
 }
 
 TEST(ParseRequestTest, VerbIsCaseInsensitive) {

@@ -592,6 +592,38 @@ TEST(ServerCoalescingTest, WarmEngineRepeatStaysAnHonestCacheHit) {
   EXPECT_NE(repeat.find("\"node_accesses\":0"), std::string::npos) << repeat;
 }
 
+TEST(ServerCoalescingTest, MemoHitsReleaseTheirAdmissionSlot) {
+  // A memo hit runs a capsule adoption on a worker but is exempt from
+  // admission; it must not keep a slot either. With a budget of two jobs,
+  // two leaked slots would refuse every later computation as BUSY.
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  options.max_inflight = 1;
+  options.max_pending = 1;
+  auto server_or = DiscServer::Start(std::move(options));
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).value();
+
+  LineClient a = ConnectTo(*server);
+  LineClient b = ConnectTo(*server);
+  MustRoundtrip(a, "OPEN dataset=clustered n=400 dim=2 seed=9");
+  MustRoundtrip(b, "OPEN dataset=clustered n=400 dim=2 seed=9");
+  const std::string r1 = MustRoundtrip(a, "DIVERSIFY r=0.07");
+  const std::string r2 = MustRoundtrip(a, "DIVERSIFY r=0.08");
+
+  // B holds its own engine (A's is still leased), so both answers come
+  // from the memo: A's exact bytes, no computation.
+  EXPECT_EQ(MustRoundtrip(b, "DIVERSIFY r=0.07"), r1);
+  EXPECT_EQ(MustRoundtrip(b, "DIVERSIFY r=0.08"), r2);
+  EXPECT_EQ(ExtractUint(MustRoundtrip(b, "STATS"), "computations"), 0u);
+
+  const std::string fresh = MustRoundtrip(b, "DIVERSIFY r=0.09");
+  EXPECT_NE(fresh.find("\"ok\":true"), std::string::npos) << fresh;
+  EXPECT_EQ(server->server_stats().busy_rejections, 0u);
+  EXPECT_EQ(server->manager_stats().flights_memoized, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Radius-aware coalescing (ISSUE 7): DIVERSIFY adapt=true may be served
 // from a memoized solution at another radius through the engine's §5.2
@@ -1025,8 +1057,8 @@ TEST(ServerHttpTest, BusyRejectionIsA503WithRetryAfter) {
 // ---------------------------------------------------------------------------
 // The BATCH envelope (the batch-first API): k commands, one unit, k
 // responses in order — byte-identical to running the commands one at a
-// time, with per-command error isolation and a planner that runs one cold
-// solve per adapt family.
+// time, with per-command error isolation, one cold solve per adapt family,
+// and slots that coalesce with other connections' flights.
 // ---------------------------------------------------------------------------
 
 /// Ships one well-formed BATCH frame over the line transport and reads the
@@ -1187,6 +1219,37 @@ TEST(ServerBatchTest, PlannerRunsOneColdSolvePerAdaptFamily) {
   EXPECT_EQ(ExtractUint(responses[4], "computations"), 3u) << responses[4];
   EXPECT_EQ(ExtractUint(responses[4], "coalesced"), 2u) << responses[4];
   EXPECT_EQ(server->manager_stats().flights_adapted, 2u);
+}
+
+TEST(ServerBatchTest, BatchSlotJoinsAnotherConnectionsFlight) {
+  // A batch slot is an ordinary submission: when another connection is
+  // already computing the same request, the slot follows that flight —
+  // the leader's exact bytes (wall_ms included), no computation of its own.
+  auto server = StartServer();
+  LineClient leader = ConnectTo(*server);
+  LineClient batcher = ConnectTo(*server);
+  MustRoundtrip(leader, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  MustRoundtrip(batcher, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+
+  // The leader's cold solve takes >100ms at this n; the frame lands
+  // inside it.
+  std::string leader_wire;
+  std::thread leader_thread(
+      [&] { leader_wire = MustRoundtrip(leader, "DIVERSIFY r=0.004"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const std::vector<std::string> responses =
+      RunLineBatch(batcher, {"DIVERSIFY r=0.004", "STATS"});
+  leader_thread.join();
+
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_NE(leader_wire.find("\"ok\":true"), std::string::npos)
+      << leader_wire;
+  EXPECT_EQ(responses[0], leader_wire);
+  EXPECT_EQ(ExtractUint(responses[1], "computations"), 0u) << responses[1];
+  EXPECT_EQ(ExtractUint(responses[1], "coalesced"), 1u) << responses[1];
+
+  MustRoundtrip(leader, "CLOSE");
+  MustRoundtrip(batcher, "CLOSE");
 }
 
 TEST(ServerBatchTest, BatchIsolatesPerCommandErrors) {
