@@ -10,7 +10,8 @@
 //     index, and counts passes are reported for trend watching but not
 //     gated — they are memory/allocator-bound and noisier on CI runners).
 //
-// The benchmarks cover the three NeighborhoodGraph build paths plus the
+// The benchmarks cover the NeighborhoodGraph build paths (brute, grid, and
+// the index-backed FromBackend path over ExactMTreeBackend) plus the
 // engine's neighborhood-count pass — the passes rewired onto
 // util/parallel.h. Wall times land in google-benchmark's real_time; the
 // deterministic counters double as the cross-leg identity proof.
@@ -22,6 +23,7 @@
 
 #include "bench/common.h"
 #include "graph/neighborhood.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -103,31 +105,38 @@ void BM_GraphGrid(benchmark::State& state, size_t n) {
   AddParallelRow("grid", n, ms, edges, 0);
 }
 
-// Index-backed path (one range query per object) over a bulk-loaded tree;
-// node accesses must be bit-identical across legs (per-thread sinks summed).
+// Index-backed path (one range query per object) through ExactMTreeBackend
+// over a bulk-loaded tree (the backend's default options: capacity 50,
+// MinOverlap, seed 42); node accesses must be bit-identical across legs
+// (per-thread sinks summed).
 void BM_GraphIndex(benchmark::State& state, size_t n) {
   const Dataset& dataset = Clustered(n, 2);
-  MTreeOptions options;
-  options.build.strategy = BuildStrategy::kBulkLoad;
-  MTree* tree = CachedTree(dataset, Euclidean(), options);
+  auto backend = ExactMTreeBackend::Create(dataset, Euclidean());
+  if (!backend.ok()) {
+    state.SkipWithError(backend.status().ToString().c_str());
+    return;
+  }
   const double radius = 0.03;
   double ms = 0.0;
   uint64_t edges = 0;
-  uint64_t accesses = 0;
   for (auto _ : state) {
-    tree->ResetStats();
+    (*backend)->ResetStats();
     Stopwatch watch;
-    NeighborhoodGraph graph(*tree, radius, BenchPool());
+    auto graph =
+        NeighborhoodGraph::FromBackend(**backend, radius, BenchPool());
     ms = watch.ElapsedMillis();
-    edges = graph.num_edges();
-    accesses = tree->stats().node_accesses;
-    benchmark::DoNotOptimize(graph.num_edges());
+    if (!graph.ok()) {
+      state.SkipWithError(graph.status().ToString().c_str());
+      return;
+    }
+    edges = graph->num_edges();
+    benchmark::DoNotOptimize(graph->num_edges());
   }
+  const AccessStats& stats = (*backend)->stats();
   state.counters["edges"] = static_cast<double>(edges);
-  state.counters["node_accesses"] = static_cast<double>(accesses);
-  state.counters["range_queries"] =
-      static_cast<double>(tree->stats().range_queries);
-  AddParallelRow("index", n, ms, edges, accesses);
+  state.counters["node_accesses"] = static_cast<double>(stats.node_accesses);
+  state.counters["range_queries"] = static_cast<double>(stats.range_queries);
+  AddParallelRow("index", n, ms, edges, stats.node_accesses);
 }
 
 // The engine's CountsForRadius pass (Greedy-DisC initialization): one range

@@ -1,27 +1,21 @@
-// Speculative parallel greedy selection: the threads-matrix benchmark.
+// Greedy selection and the parallel bulk load: the threads-matrix benchmark.
 //
 // CI runs this binary twice — DISC_THREADS=1 and DISC_THREADS=4 — and
-// gates two properties across the legs (bench/diff_bench_json.py):
-//   * determinism: every counter reported here (solution sizes, node
-//     accesses, speculation commit/discard counters, tree checksums) must
-//     be bit-identical across legs. The speculation width is pinned to 4 on
-//     both legs precisely so the counters are leg-independent: the 1-thread
-//     leg evaluates the same batches sequentially.
-//   * speedup: the 4-thread leg must win greedy selection wall time by
-//     >= 1.3x at n >= 10k (the Select/Greedy row; the other algorithm rows
-//     are reported for trend watching but not hard-gated).
+// gates determinism across the legs (bench/diff_bench_json.py): every
+// counter reported here (solution sizes and checksums, node accesses,
+// distance computations, tree checksums) must be bit-identical across legs.
 //
-// The benchmarks cover the selection loops rewired onto core/speculation.h
-// (speculative candidate evaluation + parallel maintenance fan-outs), the
-// parallel M-tree bulk load, and the A/B rows for the greedy zoom-in
-// observe-all variant (core/zoom.h) that decide whether observing every
-// neighbor during selection beats recomputing closest-black distances
-// before each chained zoom-in.
+// The Select rows time the greedy selection loops, which are serial (each
+// step's range query depends on the colors the previous step changed), so
+// they run without the pool and read the same on both legs.
+// The BulkLoad row times the parallel M-tree bulk load, and the ZoomChain
+// rows are the A/B for the greedy zoom-in observe-all variant (core/zoom.h)
+// that decide whether observing every neighbor during selection beats
+// recomputing closest-black distances before each chained zoom-in.
 
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -32,9 +26,6 @@
 namespace disc {
 namespace bench {
 namespace {
-
-// Pinned on both legs so speculation counters are cross-leg identical.
-constexpr size_t kSpeculationWidth = 4;
 
 // The matrix leg this process runs: worker threads for every parallel pass.
 size_t BenchThreads() {
@@ -59,10 +50,8 @@ ThreadPool* BenchPool() {
 // bench_parallel_build.cc: cross-leg gates key rows by label).
 TableCollector* SelectTable() {
   static TableCollector table(
-      "Speculative greedy selection (threads from DISC_THREADS)",
-      "parallel_select.csv",
-      {"pass", "n", "select_ms", "solution", "node_accesses", "committed",
-       "discarded"});
+      "Greedy selection (threads from DISC_THREADS)", "parallel_select.csv",
+      {"pass", "n", "select_ms", "solution", "node_accesses"});
   return &table;
 }
 
@@ -75,18 +64,13 @@ uint64_t SolutionChecksum(const std::vector<ObjectId>& solution) {
 }
 
 // Greedy-family selection at n=10k with construction-time counts: the
-// measured region is exactly the selection loop (speculation + maintenance
-// fan-outs), the paper's Figures 7-9 cost center. `speculate` distinguishes
-// the gated parallel row (width 4) from the serial-reference row (width 1,
-// reported on both legs for the overhead trend).
-void BM_Select(benchmark::State& state, Algorithm algorithm, size_t n,
-               size_t speculate) {
+// measured region is exactly the selection loop, the paper's Figures 7-9
+// cost center.
+void BM_Select(benchmark::State& state, Algorithm algorithm, size_t n) {
   const Dataset& dataset = Clustered(n, 2);
   const double radius = 0.03;
   TreeWithCounts cached = CachedTreeWithCounts(dataset, Euclidean(), radius);
   AlgorithmRunOptions options;
-  options.speculate = speculate;
-  options.pool = speculate > 1 ? BenchPool() : nullptr;
   options.initial_counts = cached.counts;
   DiscResult result;
   double ms = 0.0;
@@ -104,19 +88,9 @@ void BM_Select(benchmark::State& state, Algorithm algorithm, size_t n,
       static_cast<double>(result.stats.node_accesses);
   state.counters["distance_computations"] =
       static_cast<double>(result.stats.distance_computations);
-  state.counters["spec_batches"] =
-      static_cast<double>(result.speculation.batches);
-  state.counters["spec_committed"] =
-      static_cast<double>(result.speculation.committed);
-  state.counters["spec_discarded"] =
-      static_cast<double>(result.speculation.discarded);
-  const std::string pass = std::string(AlgorithmToString(algorithm)) +
-                           (speculate > 1 ? "" : "-serial");
-  SelectTable()->AddRow({pass, std::to_string(n), FormatDouble(ms, 4),
-                         std::to_string(result.size()),
-                         std::to_string(result.stats.node_accesses),
-                         std::to_string(result.speculation.committed),
-                         std::to_string(result.speculation.discarded)});
+  SelectTable()->AddRow({AlgorithmToString(algorithm), std::to_string(n),
+                         FormatDouble(ms, 4), std::to_string(result.size()),
+                         std::to_string(result.stats.node_accesses)});
 }
 
 // Parallel bulk load: the whole Build through the pool. The tree must be
@@ -141,7 +115,7 @@ void BM_BulkLoad(benchmark::State& state, size_t n) {
   state.counters["num_nodes"] = static_cast<double>(num_nodes);
   state.counters["leaf_checksum"] = static_cast<double>(leaf_checksum);
   SelectTable()->AddRow({"bulk-load", std::to_string(n), FormatDouble(ms, 4),
-                         "0", std::to_string(num_nodes), "0", "0"});
+                         "0", std::to_string(num_nodes)});
 }
 
 // The greedy zoom-in quirk, A/B. Both rows run the same chain — pruned
@@ -151,8 +125,7 @@ void BM_BulkLoad(benchmark::State& state, size_t n) {
 // current policy after a greedy pass); row B widens the selection queries
 // (observe_all) so the second recompute is skipped. Whichever chain is
 // cheaper decides the engine default; both run serial (zooming is not a
-// parallel pass), so the rows are identical across legs and not
-// speedup-gated.
+// parallel pass), so the rows are identical across legs.
 void BM_ZoomChain(benchmark::State& state, size_t n, bool observe_all) {
   const Dataset& dataset = Clustered(n, 2);
   const double r0 = 0.05, r1 = 0.03, r2 = 0.02;
@@ -181,7 +154,7 @@ void BM_ZoomChain(benchmark::State& state, size_t n, bool observe_all) {
   SelectTable()->AddRow(
       {observe_all ? "zoom-observe-all" : "zoom-recompute", std::to_string(n),
        FormatDouble(ms, 4), std::to_string(final_zoom.size()),
-       std::to_string(tree->stats().node_accesses), "0", "0"});
+       std::to_string(tree->stats().node_accesses)});
 }
 
 [[maybe_unused]] const bool registered = [] {
@@ -189,19 +162,16 @@ void BM_ZoomChain(benchmark::State& state, size_t n, bool observe_all) {
   const Algorithm kAlgos[] = {Algorithm::kGreedy, Algorithm::kLazyWhite,
                               Algorithm::kGreedyC, Algorithm::kFastC};
   for (Algorithm algorithm : kAlgos) {
-    for (size_t speculate : {kSpeculationWidth, size_t{1}}) {
-      std::string bench_name = "Select/" +
-                               std::string(AlgorithmToString(algorithm)) +
-                               (speculate > 1 ? "" : "-serial") +
-                               "/n=" + std::to_string(kN);
-      benchmark::RegisterBenchmark(
-          bench_name.c_str(),
-          [algorithm, speculate](benchmark::State& state) {
-            BM_Select(state, algorithm, kN, speculate);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
+    std::string bench_name = "Select/" +
+                             std::string(AlgorithmToString(algorithm)) +
+                             "/n=" + std::to_string(kN);
+    benchmark::RegisterBenchmark(
+        bench_name.c_str(),
+        [algorithm](benchmark::State& state) {
+          BM_Select(state, algorithm, kN);
+        })
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
   }
   benchmark::RegisterBenchmark(
       ("BulkLoad/n=" + std::to_string(kN)).c_str(),

@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "core/internal.h"
-#include "core/speculation.h"
 #include "util/indexed_heap.h"
-#include "util/parallel.h"
 #include "util/status.h"
 
 namespace disc {
@@ -79,7 +77,6 @@ DiscResult RunGreedy(MTree* tree, double radius, GreedyVariant variant,
   greedy.pruned = options.pruned;
   greedy.initial_counts = options.initial_counts;
   greedy.pool = options.pool;
-  greedy.speculate = options.speculate;
   return GreedyDisc(tree, radius, greedy);
 }
 
@@ -99,11 +96,9 @@ DiscResult RunAlgorithm(MTree* tree, Algorithm algorithm, double radius,
     case Algorithm::kLazyWhite:
       return RunGreedy(tree, radius, GreedyVariant::kLazyWhite, options);
     case Algorithm::kGreedyC:
-      return GreedyC(tree, radius, options.initial_counts, options.pool,
-                     options.speculate);
+      return GreedyC(tree, radius, options.initial_counts, options.pool);
     case Algorithm::kFastC:
-      return FastC(tree, radius, options.initial_counts, options.pool,
-                   options.speculate);
+      return FastC(tree, radius, options.initial_counts, options.pool);
   }
   return DiscResult{};
 }
@@ -176,23 +171,10 @@ DiscResult GreedyDisc(MTree* tree, double radius,
   const bool grey_style = options.variant == GreedyVariant::kGrey ||
                           options.variant == GreedyVariant::kLazyGrey;
 
-  // Speculation: evaluate the heap's next few candidates' neighborhoods
-  // concurrently against the current colors, commit only evaluations whose
-  // traces still validate when the candidate is actually popped. Byte-
-  // identical to the serial loop at any (width, thread count).
-  const size_t width = ResolveSpeculationWidth(options.speculate, options.pool);
-  SelectionSpeculator speculator(tree, radius, filter, options.pruned,
-                                 SelectionSpeculator::QueryKind::kGreedyDisc,
-                                 width, options.pool);
-  ThreadPool* pool =
-      (options.pool != nullptr && options.pool->threads() > 1) ? options.pool
-                                                               : nullptr;
-
   std::vector<ObjectId> solution;
   std::vector<Neighbor> found, update_found;
   std::vector<ObjectId> newly_grey;
   while (!heap.empty()) {
-    speculator.MaybePrefetch(heap);
     // The heap holds exactly the white objects, so the top is the white
     // object with the largest (possibly stale, for lazy variants) count.
     ObjectId pi = heap.PopTop();
@@ -201,7 +183,7 @@ DiscResult GreedyDisc(MTree* tree, double radius,
     solution.push_back(pi);
 
     found.clear();
-    speculator.Take(pi, &found);
+    tree->RangeQueryAround(pi, radius, filter, options.pruned, &found);
     newly_grey.clear();
     for (const Neighbor& nb : found) {
       if (tree->color(nb.id) == Color::kWhite) {
@@ -214,109 +196,37 @@ DiscResult GreedyDisc(MTree* tree, double radius,
 
     if (grey_style) {
       // One query per newly-grey object: its white neighbors lost one white
-      // neighborhood member. Colors are fixed for the rest of this step, so
-      // the queries are a read-only fan-out; the heap adjustments apply on
-      // the calling thread in newly-grey order, exactly as the serial loop.
-      if (pool == nullptr || newly_grey.size() <= 1) {
-        for (ObjectId pj : newly_grey) {
-          update_found.clear();
-          tree->RangeQueryAround(pj, update_radius, filter, options.pruned,
-                                 &update_found);
-          for (const Neighbor& nb : update_found) {
-            if (tree->color(nb.id) == Color::kWhite && heap.contains(nb.id)) {
-              heap.Adjust(nb.id, -1);
-            }
+      // neighborhood member.
+      for (ObjectId pj : newly_grey) {
+        update_found.clear();
+        tree->RangeQueryAround(pj, update_radius, filter, options.pruned,
+                               &update_found);
+        for (const Neighbor& nb : update_found) {
+          if (tree->color(nb.id) == Color::kWhite && heap.contains(nb.id)) {
+            heap.Adjust(nb.id, -1);
           }
         }
-      } else {
-        struct UpdateResult {
-          std::vector<Neighbor> found;
-          AccessStats cost;
-        };
-        ParallelOrderedReduce<std::vector<UpdateResult>>(
-            pool, 0, newly_grey.size(), /*grain=*/1,
-            [&](size_t chunk_begin, size_t chunk_end) {
-              std::vector<UpdateResult> results(chunk_end - chunk_begin);
-              for (size_t j = chunk_begin; j < chunk_end; ++j) {
-                UpdateResult& r = results[j - chunk_begin];
-                MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
-                tree->RangeQueryAround(newly_grey[j], update_radius, filter,
-                                       options.pruned, &r.found);
-              }
-              return results;
-            },
-            [&](std::vector<UpdateResult>& results) {
-              for (UpdateResult& r : results) {
-                tree->ChargeStats(r.cost);
-                for (const Neighbor& nb : r.found) {
-                  if (tree->color(nb.id) == Color::kWhite &&
-                      heap.contains(nb.id)) {
-                    heap.Adjust(nb.id, -1);
-                  }
-                }
-              }
-            });
       }
     } else {
       // White-style: only white objects within 2r of pi can have lost white
       // neighbors. One query retrieves them; the per-object loss is counted
-      // against the newly-grey list with plain distance computations (fanned
-      // out over the retrieved candidates, losses applied in result order).
+      // against the newly-grey list with plain distance computations.
       update_found.clear();
       tree->RangeQueryAround(pi, update_radius, filter, options.pruned,
                              &update_found);
-      if (pool == nullptr || update_found.size() <= 1 || newly_grey.empty()) {
-        for (const Neighbor& nb : update_found) {
-          if (tree->color(nb.id) != Color::kWhite || !heap.contains(nb.id)) {
-            continue;
-          }
-          int64_t lost = 0;
-          for (ObjectId pj : newly_grey) {
-            if (tree->Distance(nb.id, pj) <= radius) ++lost;
-          }
-          if (lost > 0) heap.Adjust(nb.id, -lost);
+      for (const Neighbor& nb : update_found) {
+        if (tree->color(nb.id) != Color::kWhite || !heap.contains(nb.id)) {
+          continue;
         }
-      } else {
-        struct LossResult {
-          std::vector<std::pair<ObjectId, int64_t>> lost;
-          AccessStats cost;
-        };
-        const size_t grain =
-            RecommendedGrain(update_found.size(), pool->threads());
-        ParallelOrderedReduce<LossResult>(
-            pool, 0, update_found.size(), grain,
-            [&](size_t chunk_begin, size_t chunk_end) {
-              LossResult r;
-              MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
-              for (size_t j = chunk_begin; j < chunk_end; ++j) {
-                const Neighbor& nb = update_found[j];
-                // Membership never changes during the phase (Adjust moves
-                // priorities only), so reading it from the workers matches
-                // the serial loop's checks.
-                if (tree->color(nb.id) != Color::kWhite ||
-                    !heap.contains(nb.id)) {
-                  continue;
-                }
-                int64_t lost = 0;
-                for (ObjectId pj : newly_grey) {
-                  if (tree->Distance(nb.id, pj) <= radius) ++lost;
-                }
-                if (lost > 0) r.lost.emplace_back(nb.id, lost);
-              }
-              return r;
-            },
-            [&](LossResult& r) {
-              tree->ChargeStats(r.cost);
-              for (const auto& [id, lost] : r.lost) {
-                heap.Adjust(id, -lost);
-              }
-            });
+        int64_t lost = 0;
+        for (ObjectId pj : newly_grey) {
+          if (tree->Distance(nb.id, pj) <= radius) ++lost;
+        }
+        if (lost > 0) heap.Adjust(nb.id, -lost);
       }
     }
   }
-  DiscResult result = scope.Finish(std::move(solution));
-  result.speculation = speculator.Finish();
-  return result;
+  return scope.Finish(std::move(solution));
 }
 
 }  // namespace disc

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/speculation.h"
 #include "mtree/mtree.h"
 #include "util/status.h"
 
@@ -79,15 +78,24 @@ bool IsDiscFamily(Algorithm algorithm);
 /// counts (every algorithm except Basic-DisC).
 bool AlgorithmUsesNeighborCounts(Algorithm algorithm);
 
+/// Always zero (selection is serial); kept only for perfbench/replay.cc.
+struct SpeculationStats {
+  uint64_t evaluated = 0;
+  uint64_t committed = 0;
+
+  SpeculationStats& operator+=(const SpeculationStats& other) {
+    evaluated += other.evaluated;
+    committed += other.committed;
+    return *this;
+  }
+};
+
 /// The output of a diversification run: the selected objects in selection
-/// order plus the index work the run consumed. `speculation` reports the
-/// selection-loop speculation outcome (all-zero for non-greedy algorithms
-/// and for width <= 1); it is diagnostics only — never part of the stats,
-/// the wire protocol, or any cache identity.
+/// order plus the index work the run consumed.
 struct DiscResult {
   std::vector<ObjectId> solution;
   AccessStats stats;
-  SpeculationStats speculation;
+  SpeculationStats speculation;  // always zero (see SpeculationStats)
   double wall_ms = 0.0;
 
   size_t size() const { return solution.size(); }
@@ -104,19 +112,10 @@ struct GreedyDiscOptions {
   /// (either build strategy; the counts are identical for both). When null,
   /// a post-build counting pass runs (and is charged to stats).
   const std::vector<uint32_t>* initial_counts = nullptr;
-  /// Parallelizes the run across this pool: the initial counting pass (only
-  /// taken when initial_counts is null), speculative candidate evaluation
-  /// in the selection loop, and the per-step neighborhood-maintenance
-  /// queries (committed in canonical order). Solutions, stats, and the
-  /// tree's end state are byte-identical to a serial run for every thread
-  /// count (core/speculation.h).
+  /// Parallelizes the initial counting pass (only taken when
+  /// initial_counts is null). The selection loop itself is serial: each
+  /// step's range query depends on the colors the previous step changed.
   ThreadPool* pool = nullptr;
-  /// Selection-speculation batch width: 0 resolves to the pool's thread
-  /// count (1 without a pool — the exact pre-speculation code path); an
-  /// explicit width forces that batch size even without a pool, which
-  /// evaluates the batch sequentially with identical commit/discard
-  /// counters (ResolveSpeculationWidth).
-  size_t speculate = 0;
 };
 
 /// Basic-DisC. `pruned` additionally skips all-grey leaves during the scan.
@@ -131,29 +130,25 @@ DiscResult GreedyDisc(MTree* tree, double radius,
 /// `initial_counts` (optional) supplies neighborhood sizes computed by
 /// MTree::BuildWithNeighborCounts; otherwise a post-build pass runs (fanned
 /// out across `pool` when given) and is charged to the result's stats.
-/// `speculate` as in GreedyDiscOptions.
 DiscResult GreedyC(MTree* tree, double radius,
                    const std::vector<uint32_t>* initial_counts = nullptr,
-                   ThreadPool* pool = nullptr, size_t speculate = 0);
+                   ThreadPool* pool = nullptr);
 
 /// Fast-C: the cheaper Greedy-C using grey-stopping bottom-up queries and
 /// lazy candidate re-validation instead of exact count maintenance.
 DiscResult FastC(MTree* tree, double radius,
                  const std::vector<uint32_t>* initial_counts = nullptr,
-                 ThreadPool* pool = nullptr, size_t speculate = 0);
+                 ThreadPool* pool = nullptr);
 
 /// Options for RunAlgorithm, the knobs shared by every algorithm. `pruned`
 /// is ignored by Greedy-C / Fast-C (they are never pruned; see GreedyC).
-/// `pool` parallelizes the counting pass, the speculative selection
-/// queries, and the maintenance fan-outs of the greedy algorithms;
-/// solutions and stats totals are identical to a serial run for every
-/// thread count. `speculate` as in GreedyDiscOptions (Basic-DisC has no
-/// selection heap and ignores it).
+/// `pool` parallelizes the greedy algorithms' counting pass when
+/// initial_counts is null; solutions and stats totals are identical to a
+/// serial run for every thread count.
 struct AlgorithmRunOptions {
   bool pruned = true;
   const std::vector<uint32_t>* initial_counts = nullptr;
   ThreadPool* pool = nullptr;
-  size_t speculate = 0;
 };
 
 /// Runs any Algorithm against the tree — the single dispatch point used by

@@ -15,9 +15,7 @@
 
 #include "core/disc_algorithms.h"
 #include "core/internal.h"
-#include "core/speculation.h"
 #include "util/indexed_heap.h"
-#include "util/parallel.h"
 
 namespace disc {
 
@@ -26,7 +24,7 @@ namespace {
 // Shared implementation; `fast` toggles the Fast-C query strategy.
 DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
                           const std::vector<uint32_t>* initial_counts,
-                          ThreadPool* pool, size_t speculate) {
+                          ThreadPool* pool) {
   internal::RunScope scope(tree);
   tree->ResetColors();
   const size_t n = tree->size();
@@ -48,32 +46,25 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
     heap.Push(id, static_cast<int64_t>(counts[id]) + 1);
   }
 
-  // Selection queries re-measure a candidate's gain; Fast-C uses the
-  // grey-stopping bottom-up search there, which exits almost immediately for
-  // candidates whose region has gone grey. Greedy-C needs unfiltered queries
-  // because grey candidates' counts must stay exact. The speculator mirrors
-  // these queries for the heap's top candidates and commits cached results
-  // whose traces still validate (Greedy-C's are color-independent and never
-  // invalidate; Fast-C's grey-stopping climbs can).
-  const size_t width = ResolveSpeculationWidth(speculate, pool);
-  SelectionSpeculator speculator(
-      tree, radius, fast ? QueryFilter::kWhiteOnly : QueryFilter::kAll,
-      /*pruned=*/fast, fast ? SelectionSpeculator::QueryKind::kFastC
-                            : SelectionSpeculator::QueryKind::kGreedyC,
-      width, pool);
-  ThreadPool* fanout_pool =
-      (pool != nullptr && pool->threads() > 1) ? pool : nullptr;
-
   std::vector<ObjectId> solution;
   std::vector<Neighbor> found, update_found;
   std::vector<ObjectId> newly_grey;
   while (tree->white_count() > 0 && !heap.empty()) {
-    speculator.MaybePrefetch(heap);
     ObjectId pi = heap.PopTop();
     const bool was_white = tree->color(pi) == Color::kWhite;
 
+    // The selection query re-measures the candidate's gain; Fast-C uses the
+    // grey-stopping bottom-up search, which exits almost immediately for
+    // candidates whose region has gone grey. Greedy-C needs unfiltered
+    // queries because grey candidates' counts must stay exact.
     found.clear();
-    speculator.Take(pi, &found);
+    if (fast) {
+      tree->RangeQueryBottomUp(pi, radius, QueryFilter::kWhiteOnly,
+                               /*pruned=*/true, /*stop_at_grey=*/true, &found);
+    } else {
+      tree->RangeQueryAround(pi, radius, QueryFilter::kAll, /*pruned=*/false,
+                             &found);
+    }
     newly_grey.clear();
     for (const Neighbor& nb : found) {
       if (tree->color(nb.id) == Color::kWhite) newly_grey.push_back(nb.id);
@@ -118,76 +109,36 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
     // replaces it with a one-access look at pj's own leaf (most affected
     // candidates are leaf-mates, by M-tree locality) and lets the lazy
     // re-validation above absorb the remaining staleness: this is where its
-    // access savings come from. Colors and heap membership are fixed for the
-    // rest of this step, so the queries fan out read-only; the heap
-    // adjustments apply on the calling thread in newly-grey order.
-    if (fanout_pool == nullptr || newly_grey.size() <= 1) {
-      for (ObjectId pj : newly_grey) {
-        if (heap.contains(pj)) heap.Adjust(pj, -1);
-        update_found.clear();
-        if (fast) {
-          tree->LeafMatesWithin(pj, radius, &update_found);
-        } else {
-          tree->RangeQueryAround(pj, radius, QueryFilter::kAll,
-                                 /*pruned=*/false, &update_found);
-        }
-        for (const Neighbor& nb : update_found) {
-          if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-        }
+    // access savings come from.
+    for (ObjectId pj : newly_grey) {
+      if (heap.contains(pj)) heap.Adjust(pj, -1);
+      update_found.clear();
+      if (fast) {
+        tree->LeafMatesWithin(pj, radius, &update_found);
+      } else {
+        tree->RangeQueryAround(pj, radius, QueryFilter::kAll,
+                               /*pruned=*/false, &update_found);
       }
-    } else {
-      struct UpdateResult {
-        std::vector<Neighbor> found;
-        AccessStats cost;
-      };
-      size_t update_index = 0;
-      ParallelOrderedReduce<std::vector<UpdateResult>>(
-          fanout_pool, 0, newly_grey.size(), /*grain=*/1,
-          [&](size_t chunk_begin, size_t chunk_end) {
-            std::vector<UpdateResult> results(chunk_end - chunk_begin);
-            for (size_t j = chunk_begin; j < chunk_end; ++j) {
-              UpdateResult& r = results[j - chunk_begin];
-              MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
-              if (fast) {
-                tree->LeafMatesWithin(newly_grey[j], radius, &r.found);
-              } else {
-                tree->RangeQueryAround(newly_grey[j], radius, QueryFilter::kAll,
-                                       /*pruned=*/false, &r.found);
-              }
-            }
-            return results;
-          },
-          [&](std::vector<UpdateResult>& results) {
-            for (UpdateResult& r : results) {
-              tree->ChargeStats(r.cost);
-              ObjectId pj = newly_grey[update_index++];
-              if (heap.contains(pj)) heap.Adjust(pj, -1);
-              for (const Neighbor& nb : r.found) {
-                if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-              }
-            }
-          });
+      for (const Neighbor& nb : update_found) {
+        if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
+      }
     }
   }
-  DiscResult result = scope.Finish(std::move(solution));
-  result.speculation = speculator.Finish();
-  return result;
+  return scope.Finish(std::move(solution));
 }
 
 }  // namespace
 
 DiscResult GreedyC(MTree* tree, double radius,
                    const std::vector<uint32_t>* initial_counts,
-                   ThreadPool* pool, size_t speculate) {
-  return CoverageGreedy(tree, radius, /*fast=*/false, initial_counts, pool,
-                        speculate);
+                   ThreadPool* pool) {
+  return CoverageGreedy(tree, radius, /*fast=*/false, initial_counts, pool);
 }
 
 DiscResult FastC(MTree* tree, double radius,
                  const std::vector<uint32_t>* initial_counts,
-                 ThreadPool* pool, size_t speculate) {
-  return CoverageGreedy(tree, radius, /*fast=*/true, initial_counts, pool,
-                        speculate);
+                 ThreadPool* pool) {
+  return CoverageGreedy(tree, radius, /*fast=*/true, initial_counts, pool);
 }
 
 }  // namespace disc

@@ -267,12 +267,9 @@ Result<DiversifyResponse> DiscEngine::Diversify(
   const AccessStats before = tree_->stats();
   AlgorithmRunOptions run_options;
   run_options.pruned = key.pruned;
-  // Counts come from the cache (parallel inside CountsForRadius); the pool
-  // additionally drives speculative candidate evaluation and the per-step
-  // maintenance fan-outs inside the greedy loops. Solutions and stats are
-  // byte-identical at any thread count (core/speculation.h), so the cache
-  // key stays thread-independent.
-  run_options.pool = pool();
+  // Counts come from the cache (parallel inside CountsForRadius) and the
+  // selection loop is serial, so solutions and stats are byte-identical at
+  // any thread count and the cache key stays thread-independent.
   if (AlgorithmUsesNeighborCounts(request.algorithm)) {
     run_options.initial_counts = &CountsForRadius(request.radius);
   }

@@ -8,10 +8,10 @@
 // Construction is the r-neighborhood computation that dominates every DisC
 // pass (N_r(p) for all p, §4–§6). The direct constructor delegates to the
 // shared adjacency builders in neighbor/adjacency.h (grid accelerator or
-// exact O(n^2) scan); the tree constructor issues one index range query per
-// object; and FromBackend builds the graph through any pluggable
-// NeighborBackend (neighbor/backend.h), which is how approximate (LSH) and
-// sharded engines plug into everything defined on this graph. All paths
+// exact O(n^2) scan), and FromBackend builds the graph through any pluggable
+// NeighborBackend (neighbor/backend.h): the index-backed path (one M-tree
+// range query per object, ExactMTreeBackend) and the approximate (LSH) and
+// sharded engines all plug into everything defined on this graph. Both paths
 // accept an optional util/parallel.h thread pool: the object range is
 // partitioned into chunks, each chunk collects edges (or adjacency rows)
 // into private buffers, and the buffers are merged on the calling thread in
@@ -28,7 +28,6 @@
 
 #include "data/dataset.h"
 #include "metric/metric.h"
-#include "mtree/mtree.h"
 #include "neighbor/backend.h"
 #include "util/status.h"
 
@@ -47,20 +46,9 @@ class NeighborhoodGraph {
   NeighborhoodGraph(const Dataset& dataset, const DistanceMetric& metric,
                     double radius, ThreadPool* pool = nullptr);
 
-  /// Builds the graph from a built M-tree with one range query per object —
-  /// the index-backed path for workloads where the grid accelerator does not
-  /// apply (high dimensionality, non-Minkowski metrics). Produces exactly
-  /// the same graph as the direct constructors; cost scales with the tree's
-  /// clustering quality, so bulk-loaded trees (MTree::BulkLoad) pay off
-  /// here. The queries are charged to tree.stats() — with a pool, each
-  /// worker queries under a private sink (MTree::ThreadStatsScope) and the
-  /// sinks are summed back, so the totals equal the serial build's.
-  explicit NeighborhoodGraph(const MTree& tree, double radius,
-                             ThreadPool* pool = nullptr);
-
   /// Builds the graph through a pluggable neighbor backend
   /// (neighbor/backend.h). Exact backends produce exactly the graph the
-  /// constructors above produce; approximate backends produce a subgraph
+  /// constructor above produces; approximate backends produce a subgraph
   /// (every reported edge is distance-verified, some true edges may be
   /// missing — the recall the CI quality gate measures). Accounting goes to
   /// the backend's stats().
@@ -91,8 +79,6 @@ class NeighborhoodGraph {
       : radius_(radius),
         num_edges_(num_edges),
         adjacency_(std::move(adjacency)) {}
-
-  void BuildFromTree(const MTree& tree, ThreadPool* pool);
 
   double radius_;
   size_t num_edges_ = 0;

@@ -274,46 +274,23 @@ void MTree::RangeQueryAround(ObjectId center, double radius,
                   center, out);
 }
 
-// Speculation bookkeeping for the *Speculative query flavors: the trace
-// being recorded plus the assume_black simulation (the candidate's leaf-to-
-// root ancestor path, empty when no assumption applies — the candidate was
-// not white, or the query has no assume_black flavor).
-struct MTree::SpecState {
-  QueryTrace* trace = nullptr;
-  std::vector<const Node*> black_path;
-};
-
-uint32_t MTree::EffectiveWhiteCount(const Node* node,
-                                    const SpecState* spec) const {
-  uint32_t wc = node->white_count;
-  if (spec != nullptr && wc > 0) {
-    for (const Node* p : spec->black_path) {
-      if (p == node) return wc - 1;
-    }
-  }
-  return wc;
-}
-
 void MTree::RangeSearchNode(const Node* node, const Point& center,
                             double radius, double dist_center_to_node_pivot,
                             QueryFilter filter, bool pruned, ObjectId exclude,
-                            std::vector<Neighbor>* out, SpecState* spec) const {
+                            std::vector<Neighbor>* out) const {
   ++LiveStats().node_accesses;
   const bool have_parent_dist = !std::isnan(dist_center_to_node_pivot);
   if (node->is_leaf) {
     for (const LeafEntry& entry : node->objects) {
       if (entry.object == exclude) continue;
-      const bool white_gated = filter == QueryFilter::kWhiteOnly;
-      if (white_gated && colors_[entry.object] != Color::kWhite) continue;
+      if (filter == QueryFilter::kWhiteOnly &&
+          colors_[entry.object] != Color::kWhite) {
+        continue;
+      }
       // Triangle-inequality shortcut via the precomputed parent distance.
-      // Objects it skips never cost a distance computation whatever their
-      // color, so only objects surviving it go into the trace.
       if (have_parent_dist &&
           std::fabs(dist_center_to_node_pivot - entry.parent_dist) > radius) {
         continue;
-      }
-      if (white_gated && spec != nullptr) {
-        spec->trace->whites.push_back(entry.object);
       }
       double d = DistanceToPoint(center, entry.object);
       if (d <= radius) out->push_back(Neighbor{entry.object, d});
@@ -321,30 +298,16 @@ void MTree::RangeSearchNode(const Node* node, const Point& center,
     return;
   }
   for (const RoutingEntry& entry : node->children) {
-    bool white_gated = false;
-    if (pruned) {
-      const uint32_t wc = spec == nullptr
-                              ? entry.child->white_count
-                              : EffectiveWhiteCount(entry.child.get(), spec);
-      if (wc == 0) continue;
-      white_gated = true;
-    }
+    if (pruned && entry.child->white_count == 0) continue;
     if (have_parent_dist &&
         std::fabs(dist_center_to_node_pivot - entry.parent_dist) >
             radius + entry.radius) {
       continue;
     }
-    // Past the geometric shortcut the pivot distance is computed
-    // unconditionally, so a white-gated child that loses its last white
-    // object invalidates the speculation (the plain query would skip the
-    // computation). Shortcut-skipped children cost nothing either way.
-    if (white_gated && spec != nullptr) {
-      spec->trace->nodes.push_back(entry.child.get());
-    }
     double d = DistanceToPoint(center, entry.pivot);
     if (d <= radius + entry.radius) {
       RangeSearchNode(entry.child.get(), center, radius, d, filter, pruned,
-                      exclude, out, spec);
+                      exclude, out);
     }
   }
 }
@@ -397,84 +360,6 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
     }
     node = parent;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Speculative queries
-// ---------------------------------------------------------------------------
-
-void MTree::RangeQueryAroundSpeculative(ObjectId center, double radius,
-                                        QueryFilter filter, bool pruned,
-                                        bool assume_black,
-                                        std::vector<Neighbor>* out,
-                                        QueryTrace* trace) const {
-  assert(built_);
-  ++LiveStats().range_queries;
-  SpecState spec;
-  spec.trace = trace;
-  if (assume_black && colors_[center] == Color::kWhite) {
-    for (const Node* n = leaf_of_[center]; n != nullptr; n = n->parent) {
-      spec.black_path.push_back(n);
-    }
-  }
-  RangeSearchNode(root_.get(), dataset_.point(center), radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  center, out, &spec);
-}
-
-void MTree::RangeQueryBottomUpSpeculative(ObjectId center, double radius,
-                                          QueryFilter filter, bool pruned,
-                                          bool stop_at_grey,
-                                          std::vector<Neighbor>* out,
-                                          QueryTrace* trace) const {
-  assert(built_);
-  ++LiveStats().range_queries;
-  const Point& q = dataset_.point(center);
-  SpecState spec;
-  spec.trace = trace;
-
-  Node* node = leaf_of_[center];
-  double d_node = node->pivot == kInvalidObject
-                      ? std::numeric_limits<double>::quiet_NaN()
-                      : DistanceToPoint(q, node->pivot);
-  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, out, &spec);
-
-  while (node->parent != nullptr) {
-    Node* parent = node->parent;
-    if (stop_at_grey) {
-      // A break here needs no trace entry: the counter can only fall
-      // further, so the plain query would break too. A climb-past is a
-      // commitment the validation must re-check.
-      if (parent->white_count == 0) break;
-      trace->nodes.push_back(parent);
-    }
-    ++LiveStats().node_accesses;  // reading the parent's entries
-    for (const RoutingEntry& entry : parent->children) {
-      if (entry.child.get() == node) continue;  // already covered below
-      if (pruned) {
-        if (entry.child->white_count == 0) continue;
-        // No geometric shortcut on this path — the pivot distance is
-        // computed right away, so the gate goes straight into the trace.
-        trace->nodes.push_back(entry.child.get());
-      }
-      double d = DistanceToPoint(q, entry.pivot);
-      if (d <= radius + entry.radius) {
-        RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
-                        center, out, &spec);
-      }
-    }
-    node = parent;
-  }
-}
-
-bool MTree::SpeculationValid(const QueryTrace& trace) const {
-  for (const Node* node : trace.nodes) {
-    if (node->white_count == 0) return false;
-  }
-  for (ObjectId id : trace.whites) {
-    if (colors_[id] != Color::kWhite) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

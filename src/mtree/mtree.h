@@ -241,51 +241,6 @@ class MTree {
                           bool pruned, bool stop_at_grey,
                           std::vector<Neighbor>* out) const;
 
-  // -- Speculative queries (core/speculation.h) --------------------------
-
-  struct Node;  // opaque outside mtree.cc; trace entries point at live nodes
-
-  /// Everything a range query's outcome depends on besides the immutable
-  /// tree geometry: the children it descended into *because* their white
-  /// counter was positive, and the leaf objects whose distance it computed
-  /// *because* they were white. During a greedy forward pass colors only
-  /// move away from white (and white counters only decrease), so a trace
-  /// recorded against an earlier color snapshot stays checkable forever:
-  /// SpeculationValid() compares it against the current state.
-  struct QueryTrace {
-    std::vector<const Node*> nodes;  // descended only because white_count > 0
-    std::vector<ObjectId> whites;    // distance computed only because white
-  };
-
-  /// RangeQueryAround plus a trace of every color-dependent decision. With
-  /// `assume_black`, the query behaves exactly as if `center` had already
-  /// been recolored black (its contribution is subtracted from the white
-  /// counter of each of its ancestors) — mirroring Greedy-DisC, which
-  /// blackens the selected object *before* its neighborhood query. If
-  /// SpeculationValid(trace) still holds later, `out` and the charged
-  /// AccessStats are byte-identical to running the plain query at that
-  /// later moment (with `center` black when assume_black was set).
-  void RangeQueryAroundSpeculative(ObjectId center, double radius,
-                                   QueryFilter filter, bool pruned,
-                                   bool assume_black,
-                                   std::vector<Neighbor>* out,
-                                   QueryTrace* trace) const;
-
-  /// RangeQueryBottomUp plus the same trace; the grey-stopping climb
-  /// decisions are traced too. No assume_black flavor: the coverage-greedy
-  /// callers query before recoloring the candidate.
-  void RangeQueryBottomUpSpeculative(ObjectId center, double radius,
-                                     QueryFilter filter, bool pruned,
-                                     bool stop_at_grey,
-                                     std::vector<Neighbor>* out,
-                                     QueryTrace* trace) const;
-
-  /// True while every decision the trace records would be taken the same
-  /// way against the current colors: all recorded nodes still hold white
-  /// objects and all recorded objects are still white. Sound only under the
-  /// forward-pass color monotonicity described at QueryTrace.
-  bool SpeculationValid(const QueryTrace& trace) const;
-
   // -- Colors (shared state with the DisC algorithms) -------------------
 
   /// The per-object session state a diversification run leaves behind:
@@ -359,16 +314,10 @@ class MTree {
   AccessStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = AccessStats{}; }
 
-  /// Adds a batch of externally accounted accesses to the calling thread's
-  /// live counters (ThreadStatsScope-aware, like every per-access
-  /// increment). The speculation layer publishes a committed evaluation's
-  /// privately-sunk cost through this.
-  void ChargeStats(const AccessStats& delta) const { LiveStats() += delta; }
-
   /// RAII redirect: while alive, every access this *thread* charges against
   /// this tree lands in `sink` instead of stats(). The enabling primitive
   /// for parallel read-only query fan-outs (ComputeNeighborCountsPostBuild
-  /// with a pool, the index-backed NeighborhoodGraph): each worker queries
+  /// with a pool, ExactMTreeBackend's batched builds): each worker queries
   /// under its own sink, and the caller sums the sinks into stats()
   /// afterwards in deterministic order — totals stay exactly the serial
   /// totals without the counters racing. Scopes nest (restores the previous
@@ -401,11 +350,9 @@ class MTree {
   Status Validate() const;
 
  private:
+  struct Node;
   struct RoutingEntry;
   struct LeafEntry;
-  // Speculation bookkeeping threaded through RangeSearchNode: the trace to
-  // fill plus the assume_black ancestor path (mtree.cc).
-  struct SpecState;
 
   Status CheckBuildPreconditions() const;
   /// The AccessStats the calling thread currently charges: the
@@ -423,12 +370,8 @@ class MTree {
                            std::vector<Neighbor>* out) const;
   void RangeSearchNode(const Node* node, const Point& center, double radius,
                        double dist_center_to_node_pivot, QueryFilter filter,
-                       bool pruned, ObjectId exclude, std::vector<Neighbor>* out,
-                       SpecState* spec = nullptr) const;
-  /// A child's white counter as the speculative query must see it: the
-  /// actual counter, minus one on the assume_black candidate's ancestor
-  /// path. Equals node->white_count when spec carries no assumption.
-  uint32_t EffectiveWhiteCount(const Node* node, const SpecState* spec) const;
+                       bool pruned, ObjectId exclude,
+                       std::vector<Neighbor>* out) const;
   void AdjustWhiteCount(Node* leaf, int delta);
   uint32_t RecomputeWhiteCounts(Node* node);
   double DistanceToPoint(const Point& q, ObjectId b) const;

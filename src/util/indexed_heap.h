@@ -13,7 +13,6 @@
 #ifndef DISC_UTIL_INDEXED_HEAP_H_
 #define DISC_UTIL_INDEXED_HEAP_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -100,37 +99,6 @@ class IndexedMaxHeap {
   void Clear() {
     for (const Entry& e : heap_) pos_[e.id] = kNotPresent;
     heap_.clear();
-  }
-
-  /// The ids of the k largest entries in pop order ((priority desc, id asc)),
-  /// without mutating the heap. TopK(k)[0] == Top(), and popping the heap k
-  /// times yields exactly this sequence (absent interleaved updates). Runs a
-  /// frontier search over the implicit heap array: O(k log k), independent of
-  /// size(). Returns fewer than k ids when size() < k.
-  std::vector<size_t> TopK(size_t k) const {
-    std::vector<size_t> out;
-    if (k == 0 || heap_.empty()) return out;
-    out.reserve(k < heap_.size() ? k : heap_.size());
-    // Frontier of heap-array indices ordered by Before(); the root dominates
-    // everything, and each extracted index exposes only its two children.
-    std::vector<size_t> frontier;
-    auto after = [this](size_t a, size_t b) {  // min-ordering for pop_heap
-      return Before(heap_[b], heap_[a]);
-    };
-    frontier.push_back(0);
-    while (!frontier.empty() && out.size() < k) {
-      std::pop_heap(frontier.begin(), frontier.end(), after);
-      const size_t i = frontier.back();
-      frontier.pop_back();
-      out.push_back(heap_[i].id);
-      for (size_t child : {2 * i + 1, 2 * i + 2}) {
-        if (child < heap_.size()) {
-          frontier.push_back(child);
-          std::push_heap(frontier.begin(), frontier.end(), after);
-        }
-      }
-    }
-    return out;
   }
 
  private:

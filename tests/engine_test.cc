@@ -6,14 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/disc_algorithms.h"
 #include "data/generators.h"
 #include "graph/properties.h"
+#include "metric/metric.h"
+#include "mtree/mtree.h"
+#include "server/protocol.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace disc {
@@ -726,6 +734,106 @@ TEST(EngineThreadedTest, RepeatedDiversifyAfterThreadedBuildIsCacheHit) {
   EXPECT_TRUE(third->from_cache);
   EXPECT_EQ(third->stats.node_accesses, 0u);
   EXPECT_EQ(engine->Snapshot().cache_hits, 2u);
+}
+
+// Wire level: engines at 1, 2, and 4 threads serve byte-identical response
+// lines (solution, stats, radius — everything but wall time).
+TEST(EngineThreadedTest, ResponseLinesIdenticalAcrossThreadCounts) {
+  auto run_engine = [](size_t threads) {
+    auto engine = MakeThreadedEngine(DatasetSpec::Clustered(800, 2, 3),
+                                     MetricKind::kEuclidean, threads);
+    std::vector<std::string> lines;
+    for (Algorithm algorithm :
+         {Algorithm::kGreedy, Algorithm::kLazyWhite, Algorithm::kFastC}) {
+      DiversifyRequest request;
+      request.algorithm = algorithm;
+      request.radius = 0.05;
+      auto response = engine->Diversify(request);
+      EXPECT_TRUE(response.ok()) << response.status().ToString();
+      lines.push_back(SerializeDiversifyResponse(Verb::kDiversify, *response,
+                                                 /*include_wall_ms=*/false));
+    }
+    return lines;
+  };
+  const std::vector<std::string> serial = run_engine(1);
+  for (size_t threads : {2u, 4u}) {
+    EXPECT_EQ(serial, run_engine(threads)) << "threads=" << threads;
+  }
+}
+
+// Wraps a metric and counts Distance calls; atomic because pooled passes
+// call it from the workers.
+class CountingMetric final : public DistanceMetric {
+ public:
+  explicit CountingMetric(const DistanceMetric& inner) : inner_(inner) {}
+
+  double Distance(const Point& a, const Point& b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.Distance(a, b);
+  }
+  MetricKind kind() const override { return inner_.kind(); }
+
+  uint64_t calls() const { return calls_.load(); }
+  void Reset() { calls_.store(0); }
+
+ private:
+  const DistanceMetric& inner_;
+  mutable std::atomic<uint64_t> calls_{0};
+};
+
+// A pool adds no work: the greedy selection loops are serial, so a 4-thread
+// pool reaches only the counting pass and must end every greedy-family run
+// in the no-pool run's solution, AccessStats, and color state, having made
+// exactly as many metric calls.
+TEST(EngineThreadedTest, PoolAddsNoSelectionWork) {
+  struct Output {
+    DiscResult result;
+    MTree::ColorState state;
+    uint64_t distance_calls = 0;
+  };
+  auto run = [](const Dataset& dataset, double radius, Algorithm algorithm,
+                ThreadPool* pool) {
+    EuclideanMetric euclid;
+    CountingMetric metric(euclid);
+    MTree tree(dataset, metric);
+    EXPECT_TRUE(tree.Build().ok());
+    metric.Reset();  // construction is out of scope
+    AlgorithmRunOptions options;
+    options.pool = pool;
+    Output out;
+    out.result = RunAlgorithm(&tree, algorithm, radius, options);
+    out.state = tree.SaveColorState();
+    out.distance_calls = metric.calls();
+    return out;
+  };
+  const struct {
+    const char* name;
+    Dataset dataset;
+    double radius;
+  } kWorkloads[] = {
+      {"uniform", MakeUniformDataset(600, 2, 11), 0.05},
+      {"clustered", MakeClusteredDataset(800, 2, 3), 0.05},
+      {"clustered_3d", MakeClusteredDataset(500, 3, 7), 0.12},
+  };
+  ThreadPool pool(4);
+  for (const auto& w : kWorkloads) {
+    for (Algorithm algorithm :
+         {Algorithm::kGreedy, Algorithm::kGreedyWhite, Algorithm::kLazyGrey,
+          Algorithm::kLazyWhite, Algorithm::kGreedyC, Algorithm::kFastC}) {
+      const std::string label =
+          std::string(AlgorithmToString(algorithm)) + "/" + w.name;
+      const Output serial = run(w.dataset, w.radius, algorithm, nullptr);
+      const Output pooled = run(w.dataset, w.radius, algorithm, &pool);
+      ASSERT_FALSE(serial.result.solution.empty()) << label;
+      EXPECT_EQ(serial.result.solution, pooled.result.solution) << label;
+      EXPECT_TRUE(serial.result.stats == pooled.result.stats) << label;
+      EXPECT_EQ(serial.state.colors, pooled.state.colors) << label;
+      EXPECT_EQ(serial.state.closest_black_dist,
+                pooled.state.closest_black_dist)
+          << label;
+      EXPECT_EQ(serial.distance_calls, pooled.distance_calls) << label;
+    }
+  }
 }
 
 }  // namespace

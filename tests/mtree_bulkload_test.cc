@@ -22,6 +22,7 @@
 #include "graph/properties.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -322,13 +323,14 @@ TEST(MTreeBulkLoad, IndexBackedNeighborhoodGraphMatchesDirectBuild) {
     MTreeOptions options;
     options.node_capacity = 16;
     options.build.strategy = strategy;
-    MTree tree(dataset, metric, options);
-    ASSERT_TRUE(tree.Build().ok());
-    const NeighborhoodGraph indexed(tree, radius);
-    ASSERT_EQ(indexed.num_vertices(), direct.num_vertices());
-    EXPECT_EQ(indexed.num_edges(), direct.num_edges());
+    auto backend = ExactMTreeBackend::Create(dataset, metric, options);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    auto indexed = NeighborhoodGraph::FromBackend(**backend, radius);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    ASSERT_EQ(indexed->num_vertices(), direct.num_vertices());
+    EXPECT_EQ(indexed->num_edges(), direct.num_edges());
     for (ObjectId v = 0; v < direct.num_vertices(); ++v) {
-      EXPECT_EQ(indexed.neighbors(v), direct.neighbors(v))
+      EXPECT_EQ(indexed->neighbors(v), direct.neighbors(v))
           << "strategy=" << BuildStrategyToString(strategy) << " v=" << v;
     }
   }

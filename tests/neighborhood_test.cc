@@ -8,6 +8,7 @@
 #include "data/generators.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -241,23 +242,24 @@ TEST(NeighborhoodGraphParallelTest, IndexBackedPathMatchesSerialWithStats) {
   Dataset d = MakeClusteredDataset(600, 2, 31);
   EuclideanMetric metric;
   const double radius = 0.05;
+  MTreeOptions options;  // insert-built, like a default MTree
 
-  MTree serial_tree(d, metric);
-  ASSERT_TRUE(serial_tree.Build().ok());
-  serial_tree.ResetStats();
-  NeighborhoodGraph serial(serial_tree, radius);
-  const AccessStats serial_stats = serial_tree.stats();
+  auto serial_backend = ExactMTreeBackend::Create(d, metric, options);
+  ASSERT_TRUE(serial_backend.ok()) << serial_backend.status().ToString();
+  auto serial = NeighborhoodGraph::FromBackend(**serial_backend, radius);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const AccessStats serial_stats = (*serial_backend)->stats();
 
   for (size_t threads : {2u, 4u}) {
-    MTree tree(d, metric);
-    ASSERT_TRUE(tree.Build().ok());
-    tree.ResetStats();
+    auto backend = ExactMTreeBackend::Create(d, metric, options);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     ThreadPool pool(threads);
-    NeighborhoodGraph parallel(tree, radius, &pool);
-    ExpectSameGraph(serial, parallel);
+    auto parallel = NeighborhoodGraph::FromBackend(**backend, radius, &pool);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectSameGraph(*serial, *parallel);
     // Node-access accounting fans out through per-thread sinks and is
     // summed back: totals must be exactly the serial totals.
-    EXPECT_EQ(tree.stats(), serial_stats) << "threads " << threads;
+    EXPECT_EQ((*backend)->stats(), serial_stats) << "threads " << threads;
   }
 }
 
