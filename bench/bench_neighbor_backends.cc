@@ -66,24 +66,11 @@ TableCollector* ScaleTable() {
   return &table;
 }
 
-AdjacencyLists GraphLists(const NeighborhoodGraph& graph) {
-  AdjacencyLists lists(graph.num_vertices());
-  for (ObjectId v = 0; v < graph.num_vertices(); ++v) {
-    lists[v] = graph.neighbors(v);
-  }
-  return lists;
-}
-
 // The shared exact oracle for the quality rows (grid-accelerated build).
-struct Oracle {
-  AdjacencyLists lists;
-};
-
-const Oracle& QualityOracle(const Dataset& dataset, double radius) {
-  static Oracle* oracle = [&] {
-    NeighborhoodGraph graph(dataset, Euclidean(), radius, BenchPool());
-    return new Oracle{GraphLists(graph)};
-  }();
+const CsrAdjacency& QualityOracle(const Dataset& dataset, double radius) {
+  static const CsrAdjacency* oracle = new CsrAdjacency(
+      NeighborhoodGraph(dataset, Euclidean(), radius, BenchPool())
+          .adjacency());
   return *oracle;
 }
 
@@ -94,7 +81,7 @@ void BM_BackendQuality(benchmark::State& state, NeighborBackendKind kind) {
   const size_t n = EnvSize("DISC_NEIGHBOR_N", 10000);
   const Dataset& dataset = Clustered(n, 2);
   const double radius = 0.03;
-  const Oracle& oracle = QualityOracle(dataset, radius);
+  const CsrAdjacency& oracle = QualityOracle(dataset, radius);
 
   NeighborBackendOptions options;
   options.kind = kind;
@@ -119,9 +106,8 @@ void BM_BackendQuality(benchmark::State& state, NeighborBackendKind kind) {
       return;
     }
     edges = graph->num_edges();
-    comparison = CompareAdjacency(oracle.lists, GraphLists(*graph));
-    quality = EvaluateSolutionOnOracle(oracle.lists,
-                                       ReferenceGreedyDisc(*graph));
+    comparison = CompareAdjacency(oracle, graph->adjacency());
+    quality = EvaluateSolutionOnOracle(oracle, ReferenceGreedyDisc(*graph));
     benchmark::DoNotOptimize(edges);
   }
   state.counters["edges"] = static_cast<double>(edges);
@@ -169,7 +155,7 @@ void BM_LshShardedScale(benchmark::State& state) {
     }
     edges = graph->num_edges();
     NeighborhoodGraph oracle(dataset, Euclidean(), radius, BenchPool());
-    comparison = CompareAdjacency(GraphLists(oracle), GraphLists(*graph));
+    comparison = CompareAdjacency(oracle.adjacency(), graph->adjacency());
     benchmark::DoNotOptimize(edges);
   }
   state.counters["edges"] = static_cast<double>(edges);

@@ -3,7 +3,9 @@
 // CI runs this binary twice — DISC_THREADS=1 and DISC_THREADS=4 — and
 // gates two properties across the legs (bench/diff_bench_json.py):
 //   * determinism: every counter reported here (edges, node accesses,
-//     range queries, count checksums) must be bit-identical across legs;
+//     range queries, count checksums, and the adjacency checksum of every
+//     graph row, so graph bytes and not just edge counts) must be
+//     bit-identical across legs;
 //   * speedup: the 4-thread leg must win graph-build wall time by >= 1.5x
 //     at n >= 10k on the brute-force path (pure distance compute, the one
 //     whose scaling is machine-independent enough to hard-gate; the grid,
@@ -16,6 +18,7 @@
 // util/parallel.h. Wall times land in google-benchmark's real_time; the
 // deterministic counters double as the cross-leg identity proof.
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -58,15 +61,31 @@ TableCollector* ParallelTable() {
   static TableCollector table(
       "Parallel neighborhood construction (threads from DISC_THREADS)",
       "parallel_build.csv", {"pass", "n", "build_ms", "edges",
-                             "node_accesses"});
+                             "node_accesses", "adjacency_checksum"});
   return &table;
 }
 
 void AddParallelRow(const char* pass, size_t n, double ms, uint64_t edges,
-                    uint64_t node_accesses) {
+                    uint64_t node_accesses, uint32_t adjacency_checksum) {
   ParallelTable()->AddRow({pass, std::to_string(n), FormatDouble(ms, 4),
                            std::to_string(edges),
-                           std::to_string(node_accesses)});
+                           std::to_string(node_accesses),
+                           std::to_string(adjacency_checksum)});
+}
+
+// Word-wise FNV-1a over every row's degree and ids. 32 bits, so the value
+// survives the JSON's doubles exactly.
+uint32_t AdjacencyChecksum(const NeighborhoodGraph& graph) {
+  uint32_t hash = 2166136261u;
+  auto mix = [&hash](uint32_t word) {
+    hash ^= word;
+    hash *= 16777619u;
+  };
+  for (ObjectId v = 0; v < graph.num_vertices(); ++v) {
+    mix(static_cast<uint32_t>(graph.degree(v)));
+    for (ObjectId id : graph.neighbors(v)) mix(id);
+  }
+  return hash;
 }
 
 // O(n^2) path: dim 4 keeps the grid accelerator out. The chunky workload
@@ -77,15 +96,18 @@ void BM_GraphBrute(benchmark::State& state, size_t n) {
   const double radius = 0.35;
   double ms = 0.0;
   uint64_t edges = 0;
+  uint32_t checksum = 0;
   for (auto _ : state) {
     Stopwatch watch;
     NeighborhoodGraph graph(dataset, metric, radius, BenchPool());
     ms = watch.ElapsedMillis();
     edges = graph.num_edges();
-    benchmark::DoNotOptimize(graph.num_edges());
+    checksum = AdjacencyChecksum(graph);
+    benchmark::DoNotOptimize(checksum);
   }
   state.counters["edges"] = static_cast<double>(edges);
-  AddParallelRow("brute", n, ms, edges, 0);
+  state.counters["adjacency_checksum"] = checksum;
+  AddParallelRow("brute", n, ms, edges, 0, checksum);
 }
 
 // Grid path: the default for the paper's 2-D workloads.
@@ -94,15 +116,18 @@ void BM_GraphGrid(benchmark::State& state, size_t n) {
   const double radius = 0.03;
   double ms = 0.0;
   uint64_t edges = 0;
+  uint32_t checksum = 0;
   for (auto _ : state) {
     Stopwatch watch;
     NeighborhoodGraph graph(dataset, Euclidean(), radius, BenchPool());
     ms = watch.ElapsedMillis();
     edges = graph.num_edges();
-    benchmark::DoNotOptimize(graph.num_edges());
+    checksum = AdjacencyChecksum(graph);
+    benchmark::DoNotOptimize(checksum);
   }
   state.counters["edges"] = static_cast<double>(edges);
-  AddParallelRow("grid", n, ms, edges, 0);
+  state.counters["adjacency_checksum"] = checksum;
+  AddParallelRow("grid", n, ms, edges, 0, checksum);
 }
 
 // Index-backed path (one range query per object) through ExactMTreeBackend
@@ -119,6 +144,7 @@ void BM_GraphIndex(benchmark::State& state, size_t n) {
   const double radius = 0.03;
   double ms = 0.0;
   uint64_t edges = 0;
+  uint32_t checksum = 0;
   for (auto _ : state) {
     (*backend)->ResetStats();
     Stopwatch watch;
@@ -130,13 +156,15 @@ void BM_GraphIndex(benchmark::State& state, size_t n) {
       return;
     }
     edges = graph->num_edges();
-    benchmark::DoNotOptimize(graph->num_edges());
+    checksum = AdjacencyChecksum(*graph);
+    benchmark::DoNotOptimize(checksum);
   }
   const AccessStats& stats = (*backend)->stats();
   state.counters["edges"] = static_cast<double>(edges);
+  state.counters["adjacency_checksum"] = checksum;
   state.counters["node_accesses"] = static_cast<double>(stats.node_accesses);
   state.counters["range_queries"] = static_cast<double>(stats.range_queries);
-  AddParallelRow("index", n, ms, edges, stats.node_accesses);
+  AddParallelRow("index", n, ms, edges, stats.node_accesses, checksum);
 }
 
 // The engine's CountsForRadius pass (Greedy-DisC initialization): one range
@@ -163,7 +191,7 @@ void BM_Counts(benchmark::State& state, size_t n) {
   }
   state.counters["counts_checksum"] = static_cast<double>(checksum);
   state.counters["node_accesses"] = static_cast<double>(accesses);
-  AddParallelRow("counts", n, ms, 0, accesses);
+  AddParallelRow("counts", n, ms, 0, accesses, 0);
 }
 
 [[maybe_unused]] const bool registered = [] {

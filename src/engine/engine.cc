@@ -302,14 +302,15 @@ Result<DiversifyResponse> DiscEngine::Diversify(
 }
 
 Result<const NeighborhoodGraph*> DiscEngine::GraphForRadius(double radius) {
-  if (graph_cache_ != nullptr && graph_cache_radius_ == radius) {
+  if (graph_cache_ != nullptr && graph_cache_->radius() == radius) {
     return static_cast<const NeighborhoodGraph*>(graph_cache_.get());
   }
+  // Release the old radius's graph first, so an engine never holds two.
+  graph_cache_.reset();
   DISC_ASSIGN_OR_RETURN(NeighborhoodGraph graph,
                         NeighborhoodGraph::FromBackend(*backend_, radius,
                                                        pool()));
   graph_cache_ = std::make_unique<NeighborhoodGraph>(std::move(graph));
-  graph_cache_radius_ = radius;
   return static_cast<const NeighborhoodGraph*>(graph_cache_.get());
 }
 

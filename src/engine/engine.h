@@ -414,9 +414,9 @@ class DiscEngine {
   std::unique_ptr<MTree> tree_;
   NeighborBackendOptions backend_options_;
   std::unique_ptr<NeighborBackend> backend_;
-  /// One-radius graph cache for DiversifyViaBackend.
+  /// One-radius graph cache for DiversifyViaBackend; its radius() is the
+  /// key.
   std::unique_ptr<NeighborhoodGraph> graph_cache_;
-  double graph_cache_radius_ = -1.0;
   /// Resolved worker count (EngineConfig::threads, 0 -> hardware).
   size_t threads_ = 1;
   /// Backing storage for pool(); lazily created. The engine remains

@@ -1,18 +1,19 @@
 #include "eval/neighbor_eval.h"
 
 #include <algorithm>
+#include <span>
 
 namespace disc {
 
-AdjacencyComparison CompareAdjacency(const AdjacencyLists& oracle,
-                                     const AdjacencyLists& candidate) {
+AdjacencyComparison CompareAdjacency(const CsrAdjacency& oracle,
+                                     const CsrAdjacency& candidate) {
   AdjacencyComparison result;
   const size_t n = std::min(oracle.size(), candidate.size());
   for (size_t v = 0; v < n; ++v) {
     // Count each undirected edge once, at its lower endpoint. Both lists
     // are sorted, so a single merge walk classifies every edge.
-    const std::vector<ObjectId>& truth = oracle[v];
-    const std::vector<ObjectId>& seen = candidate[v];
+    const std::span<const ObjectId> truth = oracle.row(v);
+    const std::span<const ObjectId> seen = candidate.row(v);
     size_t i = 0;
     size_t j = 0;
     while (i < truth.size() || j < seen.size()) {
@@ -51,7 +52,7 @@ AdjacencyComparison CompareAdjacency(const AdjacencyLists& oracle,
 }
 
 SolutionGraphQuality EvaluateSolutionOnOracle(
-    const AdjacencyLists& oracle, const std::vector<ObjectId>& solution) {
+    const CsrAdjacency& oracle, const std::vector<ObjectId>& solution) {
   SolutionGraphQuality quality;
   const size_t n = oracle.size();
   if (n == 0) {
@@ -67,7 +68,7 @@ SolutionGraphQuality EvaluateSolutionOnOracle(
       ++covered;
       continue;
     }
-    for (ObjectId u : oracle[v]) {
+    for (ObjectId u : oracle.row(v)) {
       if (member[u]) {
         ++covered;
         break;
@@ -79,7 +80,7 @@ SolutionGraphQuality EvaluateSolutionOnOracle(
   if (!solution.empty()) {
     size_t violations = 0;
     for (ObjectId id : solution) {
-      for (ObjectId u : oracle[id]) {
+      for (ObjectId u : oracle.row(id)) {
         if (member[u]) {
           ++violations;
           break;

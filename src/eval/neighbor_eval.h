@@ -2,8 +2,9 @@
 // how close an approximate adjacency structure comes to the exact oracle,
 // and what that gap does to a solution computed on the approximate graph.
 //
-// Everything here operates on plain AdjacencyLists so the eval layer stays
-// independent of how the structures were built — tests and benches build the
+// Everything here operates on CsrAdjacency (neighbor/adjacency.h), the one
+// adjacency format, so the eval layer stays independent of how the
+// structures were built — tests and benches build the
 // oracle with the exact adjacency builders and candidates with any backend,
 // then meet in the middle here. The LSH backends verify every candidate with
 // an exact distance, so their lists are subsets of the oracle's; recall
@@ -38,11 +39,11 @@ struct AdjacencyComparison {
   uint64_t mismatches() const { return missing_edges + false_edges; }
 };
 
-/// Compares `candidate` against `oracle`. Both must hold one list per
-/// object over the same object universe, each list sorted ascending and
-/// excluding the object itself (the AdjacencyLists contract).
-AdjacencyComparison CompareAdjacency(const AdjacencyLists& oracle,
-                                     const AdjacencyLists& candidate);
+/// Compares `candidate` against `oracle`. Both must hold one row per
+/// object over the same object universe, each row sorted ascending and
+/// excluding the object itself (the CsrAdjacency contract).
+AdjacencyComparison CompareAdjacency(const CsrAdjacency& oracle,
+                                     const CsrAdjacency& candidate);
 
 /// How a solution computed on an approximate graph holds up under the TRUE
 /// neighborhood structure. A missed edge can break either r-DisC guarantee:
@@ -60,7 +61,7 @@ struct SolutionGraphQuality {
 /// Judges `solution` on the oracle adjacency structure. Solution ids must
 /// be valid indices into `oracle`.
 SolutionGraphQuality EvaluateSolutionOnOracle(
-    const AdjacencyLists& oracle, const std::vector<ObjectId>& solution);
+    const CsrAdjacency& oracle, const std::vector<ObjectId>& solution);
 
 }  // namespace disc
 

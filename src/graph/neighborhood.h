@@ -11,23 +11,22 @@
 // exact O(n^2) scan), and FromBackend builds the graph through any pluggable
 // NeighborBackend (neighbor/backend.h): the index-backed path (one M-tree
 // range query per object, ExactMTreeBackend) and the approximate (LSH) and
-// sharded engines all plug into everything defined on this graph. Both paths
-// accept an optional util/parallel.h thread pool: the object range is
-// partitioned into chunks, each chunk collects edges (or adjacency rows)
-// into private buffers, and the buffers are merged on the calling thread in
-// ascending chunk order — the resulting graph is byte-identical to the
-// serial build for every thread count. A null pool (or a one-thread pool)
-// runs the original serial loops.
+// sharded engines all plug into everything defined on this graph. Either
+// way the graph adopts the CsrAdjacency the builder returns, rows already
+// sorted. Both paths accept an optional util/parallel.h thread pool and
+// follow its ordered-reduction contract, so the graph is byte-identical to
+// the serial build for every thread count.
 
 #ifndef DISC_GRAPH_NEIGHBORHOOD_H_
 #define DISC_GRAPH_NEIGHBORHOOD_H_
 
 #include <cstddef>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "data/dataset.h"
 #include "metric/metric.h"
+#include "neighbor/adjacency.h"
 #include "neighbor/backend.h"
 #include "util/status.h"
 
@@ -35,8 +34,9 @@ namespace disc {
 
 class ThreadPool;  // util/parallel.h
 
-/// Adjacency-list representation of G_{P,r}. Neighbor lists are sorted by id
-/// and exclude the vertex itself, matching N_r(p_i) in the paper.
+/// G_{P,r} over a CsrAdjacency (neighbor/adjacency.h). Neighbor rows are
+/// sorted by id and exclude the vertex itself, matching N_r(p_i) in the
+/// paper.
 class NeighborhoodGraph {
  public:
   /// Builds the graph by computing pairwise distances — exactly once per
@@ -57,16 +57,19 @@ class NeighborhoodGraph {
                                                ThreadPool* pool = nullptr);
 
   size_t num_vertices() const { return adjacency_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  size_t num_edges() const { return adjacency_.num_edges(); }
   double radius() const { return radius_; }
 
   /// N_r(v): sorted ids at distance <= r, excluding v.
-  const std::vector<ObjectId>& neighbors(ObjectId v) const {
-    return adjacency_[v];
+  std::span<const ObjectId> neighbors(ObjectId v) const {
+    return adjacency_.row(v);
   }
 
   /// |N_r(v)|.
-  size_t degree(ObjectId v) const { return adjacency_[v].size(); }
+  size_t degree(ObjectId v) const { return adjacency_.degree(v); }
+
+  /// The whole structure, for comparisons and checksums.
+  const CsrAdjacency& adjacency() const { return adjacency_; }
 
   /// Max degree Delta over all vertices (0 for the empty graph).
   size_t MaxDegree() const;
@@ -74,15 +77,11 @@ class NeighborhoodGraph {
   bool HasEdge(ObjectId a, ObjectId b) const;
 
  private:
-  /// Adopts an already-built adjacency structure (FromBackend).
-  NeighborhoodGraph(double radius, AdjacencyLists adjacency, size_t num_edges)
-      : radius_(radius),
-        num_edges_(num_edges),
-        adjacency_(std::move(adjacency)) {}
+  NeighborhoodGraph(double radius, CsrAdjacency adjacency)
+      : radius_(radius), adjacency_(std::move(adjacency)) {}
 
   double radius_;
-  size_t num_edges_ = 0;
-  AdjacencyLists adjacency_;
+  CsrAdjacency adjacency_;
 };
 
 }  // namespace disc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "neighbor/exact_backend.h"
@@ -14,29 +15,43 @@ namespace disc {
 
 namespace {
 
-// Makes every adjacency list symmetric: whenever i lists j but j does not
-// list i, j gains i. Lists must be sorted ascending on entry and stay sorted
-// on exit. Approximate backends need this — a hash probe from i can find j
-// while the probe from j misses i — and a symmetric union only ever ADDS
-// true neighbors (every reported id is distance-verified), so recall can
-// only improve. Returns the directed entry count after repair.
-size_t SymmetrizeAdjacency(AdjacencyLists* adjacency) {
-  std::vector<std::pair<ObjectId, ObjectId>> missing;  // (to, add)
-  for (ObjectId i = 0; i < adjacency->size(); ++i) {
-    for (ObjectId j : (*adjacency)[i]) {
-      const auto& back = (*adjacency)[j];
-      if (!std::binary_search(back.begin(), back.end(), i)) {
-        missing.emplace_back(j, i);
-      }
-    }
+// Row v of the result lists every u whose row in `adjacency` lists v.
+// Sources are scattered in ascending order, so every row comes out sorted.
+CsrAdjacency Transpose(const CsrAdjacency& adjacency) {
+  const size_t n = adjacency.size();
+  CsrAdjacency reverse(n);
+  for (ObjectId v : adjacency.ids) ++reverse.offsets[v + 1];
+  for (size_t v = 0; v < n; ++v) {
+    reverse.offsets[v + 1] += reverse.offsets[v];
   }
-  for (const auto& [to, add] : missing) (*adjacency)[to].push_back(add);
-  size_t directed = 0;
-  for (auto& list : *adjacency) {
-    std::sort(list.begin(), list.end());
-    directed += list.size();
+  reverse.ids.resize(adjacency.ids.size());
+  std::vector<uint64_t> cursor(reverse.offsets.begin(),
+                               reverse.offsets.end() - 1);
+  for (ObjectId u = 0; u < n; ++u) {
+    for (ObjectId v : adjacency.row(u)) reverse.ids[cursor[v]++] = u;
   }
-  return directed;
+  return reverse;
+}
+
+// The symmetric closure: row v becomes the union of its own row and every
+// u whose row lists v. Rows are sorted on entry and stay sorted on exit.
+// Approximate backends need this — a hash probe from i can find j while
+// the probe from j misses i — and a symmetric union only ever ADDS true
+// neighbors (every reported id is distance-verified), so recall can only
+// improve.
+CsrAdjacency SymmetrizeAdjacency(const CsrAdjacency& adjacency) {
+  const CsrAdjacency reverse = Transpose(adjacency);
+  const size_t n = adjacency.size();
+  CsrAdjacency symmetric(n);
+  symmetric.ids.reserve(adjacency.ids.size());
+  for (ObjectId v = 0; v < n; ++v) {
+    const auto own = adjacency.row(v);
+    const auto back = reverse.row(v);
+    std::set_union(own.begin(), own.end(), back.begin(), back.end(),
+                   std::back_inserter(symmetric.ids));
+    symmetric.offsets[v + 1] = symmetric.ids.size();
+  }
+  return symmetric;
 }
 
 }  // namespace
@@ -111,47 +126,52 @@ void NeighborBackend::RangeQuery(const Point& center, double radius,
   std::sort(out->begin(), out->end());
 }
 
-Status NeighborBackend::BuildNeighborhoods(double radius, ThreadPool* pool,
-                                           AdjacencyLists* adjacency,
-                                           size_t* num_edges) const {
+Result<CsrAdjacency> NeighborBackend::BuildNeighborhoods(
+    double radius, ThreadPool* pool) const {
+  // Each chunk concatenates its rows, already in id order; accounting goes
+  // to per-chunk sinks summed back in chunk order (exact integer totals,
+  // same as serial). Serial runs take the whole range as one chunk.
+  struct ChunkRows {
+    std::vector<ObjectId> ids;
+    std::vector<uint32_t> counts;
+    AccessStats stats;
+  };
   const size_t n = size();
-  adjacency->assign(n, {});
-  size_t directed = 0;
-  if (pool == nullptr || pool->threads() <= 1) {
-    AccessStats local;
-    for (ObjectId i = 0; i < n; ++i) {
-      RangeQueryAround(i, radius, &(*adjacency)[i], &local);
-      directed += (*adjacency)[i].size();
-    }
-    stats_ += local;
-  } else {
-    // Adjacency rows are disjoint per object, so chunks write them in
-    // place; accounting goes to per-chunk sinks summed back in chunk order
-    // (exact integer totals, same as serial).
-    struct ChunkResult {
-      AccessStats stats;
-      size_t directed_edges = 0;
-    };
-    const size_t grain = RecommendedGrain(n, pool->threads());
-    ParallelOrderedReduce<ChunkResult>(
-        pool, 0, n, grain,
-        [&](size_t chunk_begin, size_t chunk_end) {
-          ChunkResult result;
-          for (size_t i = chunk_begin; i < chunk_end; ++i) {
-            RangeQueryAround(static_cast<ObjectId>(i), radius,
-                             &(*adjacency)[i], &result.stats);
-            result.directed_edges += (*adjacency)[i].size();
-          }
-          return result;
-        },
-        [&](ChunkResult& result) {
-          stats_ += result.stats;
-          directed += result.directed_edges;
-        });
-  }
-  if (!exact()) directed = SymmetrizeAdjacency(adjacency);
-  if (num_edges != nullptr) *num_edges = directed / 2;
-  return Status::OK();
+  const size_t grain = pool == nullptr || pool->threads() <= 1
+                           ? std::max<size_t>(n, 1)
+                           : RecommendedGrain(n, pool->threads());
+  CsrAdjacency adjacency(n);
+  size_t row = 0;
+  ParallelOrderedReduce<ChunkRows>(
+      pool, 0, n, grain,
+      [&](size_t chunk_begin, size_t chunk_end) {
+        ChunkRows chunk;
+        chunk.counts.reserve(chunk_end - chunk_begin);
+        std::vector<ObjectId> neighbors;
+        for (size_t i = chunk_begin; i < chunk_end; ++i) {
+          RangeQueryAround(static_cast<ObjectId>(i), radius, &neighbors,
+                           &chunk.stats);
+          chunk.ids.insert(chunk.ids.end(), neighbors.begin(),
+                           neighbors.end());
+          chunk.counts.push_back(static_cast<uint32_t>(neighbors.size()));
+        }
+        return chunk;
+      },
+      [&](ChunkRows& chunk) {
+        stats_ += chunk.stats;
+        if (adjacency.ids.empty()) {
+          adjacency.ids = std::move(chunk.ids);
+        } else {
+          adjacency.ids.insert(adjacency.ids.end(), chunk.ids.begin(),
+                               chunk.ids.end());
+        }
+        for (uint32_t count : chunk.counts) {
+          adjacency.offsets[row + 1] = adjacency.offsets[row] + count;
+          ++row;
+        }
+      });
+  if (!exact()) return SymmetrizeAdjacency(adjacency);
+  return adjacency;
 }
 
 Result<std::unique_ptr<NeighborBackend>> CreateNeighborBackend(

@@ -26,9 +26,10 @@
 //                          ordered-reduction contract again, so exact shards
 //                          reproduce the unsharded neighbor sets exactly.
 //
-// Backends are immutable once constructed (LSH builds its per-radius hash
-// index lazily under a lock; it is read-only afterwards), so batched builds
-// may fan queries out across a thread pool. Accounting follows the M-tree's
+// Backends are immutable once constructed (the grid and LSH backends build
+// a per-radius index lazily under a lock and keep only the latest radius's;
+// a query holds its index alive, and each index is read-only once built),
+// so batched builds may fan queries out across a thread pool. Accounting follows the M-tree's
 // convention: every query charges node accesses (bucket probes for LSH),
 // distance computations, and one range query to a caller-supplied sink or,
 // when none is given, to the backend's own running stats().
@@ -148,18 +149,18 @@ class NeighborBackend {
                   std::vector<ObjectId>* out,
                   AccessStats* sink = nullptr) const;
 
-  /// Batched build of the full adjacency structure for one radius:
-  /// `adjacency` is resized to size() and entry v receives N_r(v) sorted
-  /// ascending; `num_edges` receives the undirected edge count. For
-  /// approximate backends the result is symmetrized (i lists j iff j lists
-  /// i) so it is a well-formed graph. The default implementation fans
-  /// RangeQueryAround over the pool under the ordered-reduction contract
-  /// with per-chunk stat sinks, so both the lists and the stats totals are
-  /// byte-identical to the serial loop at any thread count; backends with a
-  /// cheaper batch path (the grid) override it.
-  virtual Status BuildNeighborhoods(double radius, ThreadPool* pool,
-                                    AdjacencyLists* adjacency,
-                                    size_t* num_edges) const;
+  /// Batched build of the full adjacency structure for one radius: a CSR
+  /// with size() rows, row v holding N_r(v) sorted ascending (the edge
+  /// count is its num_edges()). For approximate backends the result is
+  /// symmetrized (i lists j iff j lists i) so it is a well-formed graph. The
+  /// default implementation fans RangeQueryAround over the pool under the
+  /// ordered-reduction contract with per-chunk stat sinks; rows arrive in id
+  /// order, so chunks concatenate straight into the CSR and both the rows
+  /// and the stats totals are byte-identical to the serial loop at any
+  /// thread count. Backends with a cheaper batch path (the grid) override
+  /// it.
+  virtual Result<CsrAdjacency> BuildNeighborhoods(double radius,
+                                                  ThreadPool* pool) const;
 
   /// Running totals of all accounting not redirected to a sink.
   const AccessStats& stats() const { return stats_; }

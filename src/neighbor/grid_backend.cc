@@ -1,56 +1,48 @@
 #include "neighbor/grid_backend.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 namespace disc {
 
-Status GridBackend::BuildNeighborhoods(double radius, ThreadPool* pool,
-                                       AdjacencyLists* adjacency,
-                                       size_t* num_edges) const {
+Result<CsrAdjacency> GridBackend::BuildNeighborhoods(double radius,
+                                                     ThreadPool* pool) const {
   const size_t n = size();
-  adjacency->assign(n, {});
-  size_t edges = 0;
   AccessStats batch;
   batch.range_queries = n;
+  CsrAdjacency adjacency;
   if (GridCompatible(metric_, dataset_.dim(), n) && radius > 0) {
     uint64_t distance_calls = 0;
-    edges = BuildAdjacencyWithGrid(dataset_, metric_, radius, pool, adjacency,
-                                   &distance_calls);
+    adjacency = BuildAdjacencyWithGrid(dataset_, metric_, radius, pool,
+                                       &distance_calls);
     const uint64_t num_offsets =
         static_cast<uint64_t>(std::pow(3.0, dataset_.dim()));
     batch.node_accesses = static_cast<uint64_t>(n) * num_offsets;
     batch.distance_computations = distance_calls;
   } else {
-    edges = BuildAdjacencyBruteForce(dataset_, metric_, radius, pool,
-                                     adjacency);
+    adjacency = BuildAdjacencyBruteForce(dataset_, metric_, radius, pool);
     batch.node_accesses = n;
     batch.distance_computations =
         n > 1 ? static_cast<uint64_t>(n) * (n - 1) / 2 : 0;
   }
   stats_ += batch;
-  for (auto& list : *adjacency) std::sort(list.begin(), list.end());
-  if (num_edges != nullptr) *num_edges = edges;
-  return Status::OK();
+  return adjacency;
 }
 
-const GridBackend::CellIndex& GridBackend::EnsureIndex(double radius) const {
+std::optional<double> GridBackend::index_radius() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = indexes_.find(radius);
-  if (it != indexes_.end()) return *it->second;
-  auto index = std::make_unique<CellIndex>();
-  const size_t dim = dataset_.dim();
-  std::vector<int64_t> cell(dim);
-  index->cells.reserve(dataset_.size());
-  for (ObjectId i = 0; i < dataset_.size(); ++i) {
-    const Point& p = dataset_.point(i);
-    for (size_t d = 0; d < dim; ++d) {
-      cell[d] = static_cast<int64_t>(std::floor(p[d] / radius));
-    }
-    index->cells[PackGridCell(cell.data(), dim)].push_back(i);
+  if (index_ == nullptr) return std::nullopt;
+  return index_->radius();
+}
+
+std::shared_ptr<const GridCellIndex> GridBackend::EnsureIndex(
+    double radius) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (index_ == nullptr || index_->radius() != radius) {
+    index_ = std::make_shared<const GridCellIndex>(dataset_, radius);
   }
-  return *indexes_.emplace(radius, std::move(index)).first->second;
+  return index_;
 }
 
 void GridBackend::DoRangeQuery(const Point& center, ObjectId exclude,
@@ -71,31 +63,17 @@ void GridBackend::DoRangeQuery(const Point& center, ObjectId exclude,
     return;
   }
 
-  const CellIndex& index = EnsureIndex(radius);
-  const size_t dim = dataset_.dim();
-  std::vector<int64_t> base(dim);
-  std::vector<int64_t> probe(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    base[d] = static_cast<int64_t>(std::floor(center[d] / radius));
-  }
-  const size_t num_offsets = static_cast<size_t>(std::pow(3.0, dim));
-  for (size_t mask = 0; mask < num_offsets; ++mask) {
-    size_t rem = mask;
-    for (size_t d = 0; d < dim; ++d) {
-      probe[d] = base[d] + static_cast<int64_t>(rem % 3) - 1;
-      rem /= 3;
-    }
+  const std::shared_ptr<const GridCellIndex> index = EnsureIndex(radius);
+  index->ForEachNearbyCell(center, [&](std::span<const ObjectId> cell) {
     ++sink->node_accesses;
-    auto it = index.cells.find(PackGridCell(probe.data(), dim));
-    if (it == index.cells.end()) continue;
-    for (ObjectId j : it->second) {
+    for (ObjectId j : cell) {
       if (j == exclude) continue;
       ++sink->distance_computations;
       if (metric_.Distance(center, dataset_.point(j)) <= radius) {
         out->push_back(j);
       }
     }
-  }
+  });
 }
 
 }  // namespace disc

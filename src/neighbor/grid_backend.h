@@ -2,9 +2,10 @@
 // interface. Exact — identical neighbor sets to the brute-force scan.
 //
 // Batched builds reuse the shared adjacency builders (neighbor/adjacency.h),
-// paying the cell-map price once per radius. Point queries keep a lazily
-// built per-radius cell index (immutable once built, guarded by a mutex on
-// the lookup) and probe the 3^dim surrounding cells. When the grid does not
+// paying the cell-index price once per build. Point queries probe the 3^dim
+// surrounding cells of the same GridCellIndex, built lazily for the latest
+// radius only (a query holds its index alive, so replacing it under a
+// running query at the old radius is safe). When the grid does not
 // apply (Hamming metric, dim > 3, tiny inputs) every path falls back to the
 // exact O(n^2)/O(n) scans — the fallback CreateNeighborBackend's
 // max_exact_points cap guards against at daemon scale.
@@ -17,10 +18,9 @@
 #ifndef DISC_NEIGHBOR_GRID_BACKEND_H_
 #define DISC_NEIGHBOR_GRID_BACKEND_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "neighbor/backend.h"
@@ -36,9 +36,12 @@ class GridBackend final : public NeighborBackend {
     return NeighborBackendKind::kGrid;
   }
 
-  Status BuildNeighborhoods(double radius, ThreadPool* pool,
-                            AdjacencyLists* adjacency,
-                            size_t* num_edges) const override;
+  Result<CsrAdjacency> BuildNeighborhoods(double radius,
+                                          ThreadPool* pool) const override;
+
+  /// The radius whose point-query cell index is retained, if any: only the
+  /// latest radius's is kept.
+  std::optional<double> index_radius() const;
 
  protected:
   void DoRangeQuery(const Point& center, ObjectId exclude, double radius,
@@ -46,16 +49,13 @@ class GridBackend final : public NeighborBackend {
                     AccessStats* sink) const override;
 
  private:
-  struct CellIndex {
-    std::unordered_map<uint64_t, std::vector<ObjectId>> cells;
-  };
-
-  /// Returns the cell index for this radius, building it on first use.
-  /// The returned object is immutable; the mutex guards only the map.
-  const CellIndex& EnsureIndex(double radius) const;
+  /// Returns the cell index for this radius, replacing the retained one
+  /// when the radius differs. The index is immutable; the mutex guards only
+  /// the slot.
+  std::shared_ptr<const GridCellIndex> EnsureIndex(double radius) const;
 
   mutable std::mutex mutex_;
-  mutable std::map<double, std::unique_ptr<CellIndex>> indexes_;
+  mutable std::shared_ptr<const GridCellIndex> index_;
 };
 
 }  // namespace disc

@@ -25,17 +25,23 @@ uint64_t BucketKey(const std::vector<int64_t>& slots) {
 
 }  // namespace
 
-const LshBackend::Index& LshBackend::EnsureIndex(double radius) const {
+std::optional<double> LshBackend::index_radius() const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  if (index_ == nullptr) return std::nullopt;
+  return index_->radius;
+}
+
+std::shared_ptr<const LshBackend::Index> LshBackend::EnsureIndex(
+    double radius) const {
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = indexes_.find(radius);
-    if (it != indexes_.end()) return *it->second;
+    if (index_ != nullptr && index_->radius == radius) return index_;
   }
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = indexes_.find(radius);
-  if (it != indexes_.end()) return *it->second;
+  if (index_ != nullptr && index_->radius == radius) return index_;
 
-  auto index = std::make_unique<Index>();
+  auto index = std::make_shared<Index>();
+  index->radius = radius;
   index->width = options_.width_factor * radius;
   const size_t dim = dataset_.dim();
   const size_t hashes = std::max<size_t>(1, options_.hashes);
@@ -72,15 +78,14 @@ const LshBackend::Index& LshBackend::EnsureIndex(double radius) const {
       table.buckets[BucketKey(slots)].push_back(i);
     }
   }
-  return *indexes_.emplace(radius, std::move(index)).first->second;
+  index_ = std::move(index);
+  return index_;
 }
 
-Status LshBackend::BuildNeighborhoods(double radius, ThreadPool* pool,
-                                      AdjacencyLists* adjacency,
-                                      size_t* num_edges) const {
+Result<CsrAdjacency> LshBackend::BuildNeighborhoods(double radius,
+                                                    ThreadPool* pool) const {
   if (radius > 0) EnsureIndex(radius);  // build once, before the fan-out
-  return NeighborBackend::BuildNeighborhoods(radius, pool, adjacency,
-                                             num_edges);
+  return NeighborBackend::BuildNeighborhoods(radius, pool);
 }
 
 void LshBackend::DoRangeQuery(const Point& center, ObjectId exclude,
@@ -102,7 +107,8 @@ void LshBackend::DoRangeQuery(const Point& center, ObjectId exclude,
     return;
   }
 
-  const Index& index = EnsureIndex(radius);
+  const std::shared_ptr<const Index> held = EnsureIndex(radius);
+  const Index& index = *held;
   const size_t dim = dataset_.dim();
   const size_t hashes = index.tables.front().offsets.size();
   // A +/-1 shift of each projection exhausts the useful single-step

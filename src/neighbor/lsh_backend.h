@@ -20,16 +20,18 @@
 // deterministic: directions and offsets come from util/Random seeded by
 // LshOptions::seed, so equal seeds yield equal graphs on every platform.
 //
-// The per-radius hash index is built lazily on first use (bucket width
-// depends on r), immutable afterwards; concurrent queries are safe.
+// The hash index is built lazily on first use at a radius (bucket width
+// depends on r) and is immutable afterwards; only the latest radius's index
+// is retained, and a query holds its index alive, so concurrent queries are
+// safe. Interleaving radii rebuilds the index at each switch.
 // Accounting: one range query per query, one node access per probed bucket,
 // one distance computation per verified candidate.
 
 #ifndef DISC_NEIGHBOR_LSH_BACKEND_H_
 #define DISC_NEIGHBOR_LSH_BACKEND_H_
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -50,9 +52,12 @@ class LshBackend final : public NeighborBackend {
 
   /// Default fan-out build, except the radius index is built once up front
   /// so workers never contend on the lazy-construction lock.
-  Status BuildNeighborhoods(double radius, ThreadPool* pool,
-                            AdjacencyLists* adjacency,
-                            size_t* num_edges) const override;
+  Result<CsrAdjacency> BuildNeighborhoods(double radius,
+                                          ThreadPool* pool) const override;
+
+  /// The radius whose hash index is retained, if any: only the latest
+  /// radius's is kept.
+  std::optional<double> index_radius() const;
 
  protected:
   void DoRangeQuery(const Point& center, ObjectId exclude, double radius,
@@ -67,17 +72,19 @@ class LshBackend final : public NeighborBackend {
     std::unordered_map<uint64_t, std::vector<ObjectId>> buckets;
   };
   struct Index {
+    double radius = 0;
     double width = 0;
     std::vector<Table> tables;
   };
 
-  /// Returns the index for this radius, building it on first use. The
-  /// returned object is immutable; the shared mutex guards only the map.
-  const Index& EnsureIndex(double radius) const;
+  /// Returns the index for this radius, replacing the retained one when
+  /// the radius differs. The index is immutable; the shared mutex guards
+  /// only the slot.
+  std::shared_ptr<const Index> EnsureIndex(double radius) const;
 
   const LshOptions options_;
   mutable std::shared_mutex mutex_;
-  mutable std::map<double, std::unique_ptr<Index>> indexes_;
+  mutable std::shared_ptr<const Index> index_;
 };
 
 }  // namespace disc

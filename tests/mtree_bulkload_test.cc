@@ -330,7 +330,8 @@ TEST(MTreeBulkLoad, IndexBackedNeighborhoodGraphMatchesDirectBuild) {
     ASSERT_EQ(indexed->num_vertices(), direct.num_vertices());
     EXPECT_EQ(indexed->num_edges(), direct.num_edges());
     for (ObjectId v = 0; v < direct.num_vertices(); ++v) {
-      EXPECT_EQ(indexed->neighbors(v), direct.neighbors(v))
+      EXPECT_TRUE(std::ranges::equal(indexed->neighbors(v),
+                                     direct.neighbors(v)))
           << "strategy=" << BuildStrategyToString(strategy) << " v=" << v;
     }
   }

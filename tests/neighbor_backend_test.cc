@@ -11,13 +11,17 @@
 //  * the exact-family guardrail refuses datasets above max_exact_points
 //    with InvalidArgument instead of risking the O(n^2) fallback;
 //  * stats accounting: one range_queries unit per logical query regardless
-//    of shard fan-out.
+//    of shard fan-out;
+//  * the grid and LSH backends retain only the latest radius's index, and
+//    replacing it never changes a result.
 
 #include "neighbor/backend.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +30,9 @@
 #include "eval/neighbor_eval.h"
 #include "graph/neighborhood.h"
 #include "metric/metric.h"
+#include "neighbor/adjacency.h"
+#include "neighbor/grid_backend.h"
+#include "neighbor/lsh_backend.h"
 #include "neighbor/sharded_backend.h"
 #include "util/parallel.h"
 
@@ -47,24 +54,52 @@ std::unique_ptr<NeighborBackend> MustCreate(
   return backend.ok() ? std::move(backend).value() : nullptr;
 }
 
-AdjacencyLists BuildLists(const NeighborBackend& backend, double radius,
-                          ThreadPool* pool = nullptr) {
-  AdjacencyLists adjacency;
-  size_t edges = 0;
-  Status status = backend.BuildNeighborhoods(radius, pool, &adjacency, &edges);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  return adjacency;
+CsrAdjacency BuildLists(const NeighborBackend& backend, double radius,
+                        ThreadPool* pool = nullptr) {
+  auto adjacency = backend.BuildNeighborhoods(radius, pool);
+  EXPECT_TRUE(adjacency.ok()) << adjacency.status().ToString();
+  return adjacency.ok() ? std::move(adjacency).value() : CsrAdjacency();
 }
 
 /// The ground-truth adjacency structure, straight from the graph layer.
-AdjacencyLists OracleLists(const Dataset& dataset,
-                           const DistanceMetric& metric, double radius) {
-  NeighborhoodGraph graph(dataset, metric, radius);
-  AdjacencyLists lists(graph.num_vertices());
-  for (ObjectId v = 0; v < graph.num_vertices(); ++v) {
-    lists[v] = graph.neighbors(v);
+CsrAdjacency OracleLists(const Dataset& dataset, const DistanceMetric& metric,
+                         double radius) {
+  return NeighborhoodGraph(dataset, metric, radius).adjacency();
+}
+
+/// `dataset` with its first and last points moved far from everything.
+Dataset WithIsolatedEnds(const Dataset& dataset) {
+  Dataset moved(dataset.dim());
+  for (ObjectId i = 0; i < dataset.size(); ++i) {
+    Point point = dataset.point(i);
+    if (i == 0 || i + 1 == dataset.size()) {
+      for (size_t d = 0; d < dataset.dim(); ++d) point[d] = i == 0 ? -5 : 5;
+    }
+    EXPECT_TRUE(moved.Add(point).ok());
   }
-  return lists;
+  return moved;
+}
+
+/// `dataset` followed by a second copy of every point.
+Dataset Doubled(const Dataset& dataset) {
+  Dataset doubled(dataset.dim());
+  for (int copy = 0; copy < 2; ++copy) {
+    for (ObjectId i = 0; i < dataset.size(); ++i) {
+      EXPECT_TRUE(doubled.Add(dataset.point(i)).ok());
+    }
+  }
+  return doubled;
+}
+
+/// `dataset` scaled into [0, scale)^dim.
+Dataset Scaled(const Dataset& dataset, double scale) {
+  Dataset scaled(dataset.dim());
+  for (ObjectId i = 0; i < dataset.size(); ++i) {
+    Point point = dataset.point(i);
+    for (size_t d = 0; d < dataset.dim(); ++d) point[d] *= scale;
+    EXPECT_TRUE(scaled.Add(point).ok());
+  }
+  return scaled;
 }
 
 // ---------------------------------------------------------------------------
@@ -126,23 +161,53 @@ TEST(NeighborBackendTest, DefaultShardCountIsAPureFunctionOfN) {
 // ---------------------------------------------------------------------------
 
 TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
-  const Dataset dataset = MakeClusteredDataset(1200, 2, 17);
   EuclideanMetric metric;
-  const double radius = 0.05;
-  const AdjacencyLists oracle = OracleLists(dataset, metric, radius);
+  struct Input {
+    std::string name;
+    Dataset dataset;
+    double radius;
+  };
+  // The paper workload plus the CSR edge cases: empty and single-vertex
+  // inputs, either side of the grid threshold, isolated first and last
+  // vertices, duplicate points at radius 0, and one grid cell.
+  std::vector<Input> inputs;
+  inputs.push_back({"clustered", MakeClusteredDataset(1200, 2, 17), 0.05});
+  inputs.push_back({"n=0", Dataset(2), 0.05});
+  inputs.push_back({"n=1", MakeUniformDataset(1, 2, 17), 0.05});
+  inputs.push_back({"n=255", MakeClusteredDataset(255, 2, 17), 0.05});
+  inputs.push_back({"n=256", MakeClusteredDataset(256, 2, 17), 0.05});
+  inputs.push_back({"isolated-ends",
+                    WithIsolatedEnds(MakeClusteredDataset(600, 2, 17)), 0.05});
+  inputs.push_back(
+      {"duplicates-r0", Doubled(MakeUniformDataset(150, 2, 17)), 0.0});
+  inputs.push_back(
+      {"one-cell", Scaled(MakeUniformDataset(400, 2, 17), 0.049), 0.05});
 
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
-        NeighborBackendKind::kSharded}) {
-    auto backend = MustCreate(dataset, metric, Options(kind));
-    ASSERT_NE(backend, nullptr);
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      std::unique_ptr<ThreadPool> pool =
-          threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-      AdjacencyLists lists = BuildLists(*backend, radius, pool.get());
-      EXPECT_EQ(lists, oracle)
-          << NeighborBackendKindToString(kind) << " at " << threads
-          << " threads diverged from the graph layer";
+  for (const Input& input : inputs) {
+    const CsrAdjacency oracle =
+        OracleLists(input.dataset, metric, input.radius);
+    ASSERT_TRUE(oracle == BuildAdjacencyBruteForce(input.dataset, metric,
+                                                   input.radius, nullptr))
+        << input.name << ": the graph layer differs from brute force";
+    for (NeighborBackendKind kind :
+         {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
+          NeighborBackendKind::kSharded}) {
+      if (input.dataset.size() == 0 && kind != NeighborBackendKind::kGrid) {
+        // The M-tree-backed kinds refuse an empty dataset by design.
+        EXPECT_FALSE(
+            CreateNeighborBackend(input.dataset, metric, Options(kind)).ok());
+        continue;
+      }
+      auto backend = MustCreate(input.dataset, metric, Options(kind));
+      ASSERT_NE(backend, nullptr) << input.name;
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        std::unique_ptr<ThreadPool> pool =
+            threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+        CsrAdjacency lists = BuildLists(*backend, input.radius, pool.get());
+        EXPECT_TRUE(lists == oracle)
+            << input.name << ": " << NeighborBackendKindToString(kind)
+            << " at " << threads << " threads diverged from the graph layer";
+      }
     }
   }
 }
@@ -161,10 +226,8 @@ TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForExactKinds) {
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     ASSERT_EQ(graph->num_vertices(), direct.num_vertices());
     EXPECT_EQ(graph->num_edges(), direct.num_edges());
-    for (ObjectId v = 0; v < direct.num_vertices(); ++v) {
-      ASSERT_EQ(graph->neighbors(v), direct.neighbors(v))
-          << NeighborBackendKindToString(kind) << " vertex " << v;
-    }
+    EXPECT_TRUE(graph->adjacency() == direct.adjacency())
+        << NeighborBackendKindToString(kind);
   }
 }
 
@@ -210,7 +273,7 @@ TEST(NeighborBackendTest, LshIsDeterministicForAFixedSeed) {
       MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
   ASSERT_NE(first, nullptr);
   ASSERT_NE(second, nullptr);
-  EXPECT_EQ(BuildLists(*first, radius), BuildLists(*second, radius));
+  EXPECT_TRUE(BuildLists(*first, radius) == BuildLists(*second, radius));
 
   NeighborBackendOptions reseeded = Options(NeighborBackendKind::kLsh);
   reseeded.lsh.seed = 1234;
@@ -234,10 +297,10 @@ TEST(NeighborBackendTest, LshReportsOnlyTrueNeighborsAndClearsRecallFloor) {
   const Dataset dataset = MakeClusteredDataset(2000, 2, 42);
   EuclideanMetric metric;
   const double radius = 0.04;
-  const AdjacencyLists oracle = OracleLists(dataset, metric, radius);
+  const CsrAdjacency oracle = OracleLists(dataset, metric, radius);
   auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
   ASSERT_NE(lsh, nullptr);
-  const AdjacencyLists lists = BuildLists(*lsh, radius);
+  const CsrAdjacency lists = BuildLists(*lsh, radius);
 
   AdjacencyComparison comparison = CompareAdjacency(oracle, lists);
   EXPECT_EQ(comparison.false_edges, 0u)
@@ -259,7 +322,7 @@ TEST(NeighborBackendTest, LshShardedEqualsUnshardedLshByteForByte) {
   ASSERT_NE(sharded, nullptr);
   // Same seed => same hash family in every shard => identical unions; the
   // property that makes the shard count a pure capacity knob.
-  EXPECT_EQ(BuildLists(*lsh, radius), BuildLists(*sharded, radius));
+  EXPECT_TRUE(BuildLists(*lsh, radius) == BuildLists(*sharded, radius));
 }
 
 TEST(NeighborBackendTest, LshAdjacencyIsSymmetric) {
@@ -267,13 +330,55 @@ TEST(NeighborBackendTest, LshAdjacencyIsSymmetric) {
   EuclideanMetric metric;
   auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
   ASSERT_NE(lsh, nullptr);
-  const AdjacencyLists lists = BuildLists(*lsh, 0.05);
+  const CsrAdjacency lists = BuildLists(*lsh, 0.05);
   for (ObjectId i = 0; i < lists.size(); ++i) {
-    for (ObjectId j : lists[i]) {
-      EXPECT_TRUE(std::binary_search(lists[j].begin(), lists[j].end(), i))
+    for (ObjectId j : lists.row(i)) {
+      const auto back = lists.row(j);
+      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), i))
           << "edge " << i << "->" << j << " has no reverse entry";
     }
   }
+}
+
+TEST(NeighborBackendTest, OnlyTheLatestRadiusIndexIsRetained) {
+  const Dataset dataset = MakeClusteredDataset(800, 2, 19);
+  EuclideanMetric metric;
+  const std::vector<double> radii = {0.02, 0.03, 0.04, 0.05, 0.06, 0.07};
+
+  // LSH: graph builds. Every build must match a fresh backend's build at the
+  // same radius, so replacing the index never changes a graph.
+  auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
+  ASSERT_NE(lsh, nullptr);
+  for (int round = 0; round < 2; ++round) {
+    for (double radius : radii) {
+      auto fresh =
+          MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
+      ASSERT_NE(fresh, nullptr);
+      EXPECT_TRUE(BuildLists(*lsh, radius) == BuildLists(*fresh, radius))
+          << "lsh graph changed at radius " << radius;
+    }
+  }
+  const auto& lsh_backend = static_cast<const LshBackend&>(*lsh);
+  EXPECT_EQ(lsh_backend.index_radius(), radii.back());
+
+  // Grid: point queries, which are what build its cell index.
+  auto grid = MustCreate(dataset, metric, Options(NeighborBackendKind::kGrid));
+  ASSERT_NE(grid, nullptr);
+  const auto& grid_backend = static_cast<const GridBackend&>(*grid);
+  EXPECT_EQ(grid_backend.index_radius(), std::nullopt);
+  const CsrAdjacency direct = OracleLists(dataset, metric, radii.front());
+  std::vector<ObjectId> out;
+  for (int round = 0; round < 2; ++round) {
+    for (double radius : radii) {
+      grid->RangeQueryAround(7, radius, &out);
+      EXPECT_EQ(grid_backend.index_radius(), radius);
+    }
+  }
+  for (ObjectId v = 0; v < dataset.size(); ++v) {
+    grid->RangeQueryAround(v, radii.front(), &out);
+    ASSERT_TRUE(std::ranges::equal(out, direct.row(v))) << "vertex " << v;
+  }
+  EXPECT_EQ(grid_backend.index_radius(), radii.front());
 }
 
 TEST(NeighborBackendTest, LshRejectsTheHammingMetric) {

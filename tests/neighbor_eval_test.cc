@@ -11,13 +11,21 @@
 namespace disc {
 namespace {
 
-// A 4-vertex path 0-1-2-3 as sorted adjacency lists.
-AdjacencyLists PathGraph() {
-  return AdjacencyLists{{1}, {0, 2}, {1, 3}, {2}};
+// A CSR structure with the given sorted rows.
+CsrAdjacency Csr(const std::vector<std::vector<ObjectId>>& rows) {
+  CsrAdjacency adjacency(rows.size());
+  for (size_t v = 0; v < rows.size(); ++v) {
+    adjacency.ids.insert(adjacency.ids.end(), rows[v].begin(), rows[v].end());
+    adjacency.offsets[v + 1] = adjacency.ids.size();
+  }
+  return adjacency;
 }
 
+// A 4-vertex path 0-1-2-3.
+CsrAdjacency PathGraph() { return Csr({{1}, {0, 2}, {1, 3}, {2}}); }
+
 TEST(NeighborEvalTest, IdenticalStructuresAgreePerfectly) {
-  const AdjacencyLists oracle = PathGraph();
+  const CsrAdjacency oracle = PathGraph();
   AdjacencyComparison comparison = CompareAdjacency(oracle, oracle);
   EXPECT_EQ(comparison.oracle_edges, 3u);
   EXPECT_EQ(comparison.candidate_edges, 3u);
@@ -28,10 +36,10 @@ TEST(NeighborEvalTest, IdenticalStructuresAgreePerfectly) {
 }
 
 TEST(NeighborEvalTest, MissingEdgesLowerRecall) {
-  const AdjacencyLists oracle = PathGraph();
+  const CsrAdjacency oracle = PathGraph();
   // The candidate lost edge 1-2 (in both directions, as a symmetric
   // approximate build would).
-  const AdjacencyLists candidate{{1}, {0}, {3}, {2}};
+  const CsrAdjacency candidate = Csr({{1}, {0}, {3}, {2}});
   AdjacencyComparison comparison = CompareAdjacency(oracle, candidate);
   EXPECT_EQ(comparison.oracle_edges, 3u);
   EXPECT_EQ(comparison.candidate_edges, 2u);
@@ -41,9 +49,9 @@ TEST(NeighborEvalTest, MissingEdgesLowerRecall) {
 }
 
 TEST(NeighborEvalTest, FalseEdgesAreCountedSeparately) {
-  const AdjacencyLists oracle = PathGraph();
+  const CsrAdjacency oracle = PathGraph();
   // The candidate invented edge 0-3.
-  const AdjacencyLists candidate{{1, 3}, {0, 2}, {1, 3}, {0, 2}};
+  const CsrAdjacency candidate = Csr({{1, 3}, {0, 2}, {1, 3}, {0, 2}});
   AdjacencyComparison comparison = CompareAdjacency(oracle, candidate);
   EXPECT_EQ(comparison.missing_edges, 0u);
   EXPECT_EQ(comparison.false_edges, 1u);
@@ -52,7 +60,7 @@ TEST(NeighborEvalTest, FalseEdgesAreCountedSeparately) {
 }
 
 TEST(NeighborEvalTest, EdgelessOracleHasPerfectRecall) {
-  const AdjacencyLists oracle{{}, {}, {}};
+  const CsrAdjacency oracle(3);
   AdjacencyComparison comparison = CompareAdjacency(oracle, oracle);
   EXPECT_EQ(comparison.oracle_edges, 0u);
   EXPECT_DOUBLE_EQ(comparison.recall, 1.0);
@@ -86,7 +94,7 @@ TEST(NeighborEvalTest, AdjacentMembersViolateIndependence) {
 TEST(NeighborEvalTest, MixedSolutionReportsTheViolatingFraction) {
   // Star with center 0 on 5 vertices. Members {0, 1, 4}: each member has a
   // member neighbor (1 and 4 touch 0, 0 touches both), so all violate.
-  const AdjacencyLists star{{1, 2, 3, 4}, {0}, {0}, {0}, {0}};
+  const CsrAdjacency star = Csr({{1, 2, 3, 4}, {0}, {0}, {0}, {0}});
   SolutionGraphQuality all_violating =
       EvaluateSolutionOnOracle(star, {0, 1, 4});
   EXPECT_DOUBLE_EQ(all_violating.coverage, 1.0);

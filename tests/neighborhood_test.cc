@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 #include "data/generators.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
+#include "neighbor/adjacency.h"
 #include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
@@ -112,24 +115,50 @@ TEST(NeighborhoodGraphTest, MaxDegreeMatchesScan) {
 }
 
 // The grid accelerator (n >= 256, dim <= 3, Minkowski metric) must agree
-// exactly with the brute-force construction. Exercise several shapes.
+// exactly with the brute-force construction, and every build must be
+// byte-identical across thread counts. Exercise several shapes, including
+// the CSR edge cases: empty and single-vertex graphs, either side of the
+// grid threshold, isolated first and last vertices, duplicate points at
+// radius 0, and every point in one grid cell.
+enum class Shape {
+  kGenerated,      // clustered for Euclidean, uniform otherwise
+  kIsolatedEnds,   // vertices 0 and n-1 far from everything else
+  kDuplicates,     // the second half repeats the first
+  kOneCell,        // every point inside one cell of side `radius`
+};
+
 struct GridParam {
   size_t n;
   size_t dim;
   MetricKind kind;
   double radius;
+  Shape shape = Shape::kGenerated;
 };
+
+Dataset MakeShape(const GridParam& p) {
+  Dataset generated = p.kind == MetricKind::kEuclidean
+                          ? MakeClusteredDataset(p.n, p.dim, 77)
+                          : MakeUniformDataset(p.n, p.dim, 77);
+  Dataset d(p.dim);
+  for (ObjectId i = 0; i < p.n; ++i) {
+    Point point = generated.point(i);
+    if (p.shape == Shape::kIsolatedEnds && (i == 0 || i + 1 == p.n)) {
+      for (size_t k = 0; k < p.dim; ++k) point[k] = i == 0 ? -5.0 : 5.0;
+    } else if (p.shape == Shape::kDuplicates && i >= p.n / 2) {
+      point = generated.point(i - p.n / 2);
+    } else if (p.shape == Shape::kOneCell) {
+      for (size_t k = 0; k < p.dim; ++k) point[k] *= 0.99 * p.radius;
+    }
+    EXPECT_TRUE(d.Add(point).ok());
+  }
+  return d;
+}
 
 class GridEquivalenceTest : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(GridEquivalenceTest, GridMatchesBruteForce) {
   const GridParam& p = GetParam();
-  // The accelerated path engages at n >= 256; build the same dataset twice,
-  // once large (grid) and once forced brute (by a tiny copy trick we instead
-  // verify adjacency directly against pairwise distances).
-  Dataset d = p.kind == MetricKind::kEuclidean
-                  ? MakeClusteredDataset(p.n, p.dim, 77)
-                  : MakeUniformDataset(p.n, p.dim, 77);
+  const Dataset d = MakeShape(p);
   auto metric = MakeMetric(p.kind);
   NeighborhoodGraph g(d, *metric, p.radius);
   size_t edges = 0;
@@ -142,16 +171,36 @@ TEST_P(GridEquivalenceTest, GridMatchesBruteForce) {
     }
   }
   EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_TRUE(g.adjacency() ==
+              BuildAdjacencyBruteForce(d, *metric, p.radius, nullptr))
+      << "the graph's CSR differs from the brute-force build's";
+  for (size_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    NeighborhoodGraph parallel(d, *metric, p.radius, &pool);
+    EXPECT_TRUE(parallel.adjacency() == g.adjacency())
+        << threads << " threads diverged from the serial build";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GridEquivalenceTest,
-    ::testing::Values(GridParam{400, 2, MetricKind::kEuclidean, 0.05},
-                      GridParam{400, 2, MetricKind::kEuclidean, 0.3},
-                      GridParam{300, 2, MetricKind::kManhattan, 0.1},
-                      GridParam{300, 3, MetricKind::kEuclidean, 0.15},
-                      GridParam{300, 2, MetricKind::kChebyshev, 0.08},
-                      GridParam{100, 2, MetricKind::kEuclidean, 0.1}),
+    ::testing::Values(
+        GridParam{400, 2, MetricKind::kEuclidean, 0.05},
+        GridParam{400, 2, MetricKind::kEuclidean, 0.3},
+        GridParam{300, 2, MetricKind::kManhattan, 0.1},
+        GridParam{300, 3, MetricKind::kEuclidean, 0.15},
+        GridParam{300, 2, MetricKind::kChebyshev, 0.08},
+        GridParam{100, 2, MetricKind::kEuclidean, 0.1},
+        GridParam{0, 2, MetricKind::kEuclidean, 0.1},
+        GridParam{1, 2, MetricKind::kEuclidean, 0.1},
+        GridParam{255, 2, MetricKind::kEuclidean, 0.05},
+        GridParam{256, 2, MetricKind::kEuclidean, 0.05},
+        GridParam{400, 2, MetricKind::kEuclidean, 0.05, Shape::kIsolatedEnds},
+        GridParam{100, 2, MetricKind::kEuclidean, 0.05, Shape::kIsolatedEnds},
+        GridParam{300, 2, MetricKind::kEuclidean, 0.0, Shape::kDuplicates},
+        GridParam{300, 2, MetricKind::kEuclidean, 0.05, Shape::kDuplicates},
+        GridParam{300, 2, MetricKind::kEuclidean, 0.05, Shape::kOneCell},
+        GridParam{300, 3, MetricKind::kManhattan, 0.1, Shape::kOneCell}),
     [](const ::testing::TestParamInfo<GridParam>& param_info) {
       const GridParam& p = param_info.param;
       return std::string(MetricKindToString(p.kind)) + "_n" +
@@ -199,8 +248,10 @@ void ExpectSameGraph(const NeighborhoodGraph& a, const NeighborhoodGraph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (ObjectId v = 0; v < a.num_vertices(); ++v) {
-    ASSERT_EQ(a.neighbors(v), b.neighbors(v)) << "vertex " << v;
+    ASSERT_TRUE(std::ranges::equal(a.neighbors(v), b.neighbors(v)))
+        << "vertex " << v;
   }
+  EXPECT_TRUE(a.adjacency() == b.adjacency());
 }
 
 TEST(NeighborhoodGraphParallelTest, BruteForcePathMatchesSerial) {
