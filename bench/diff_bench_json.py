@@ -33,8 +33,8 @@ Candidate-side absolute bounds (usable with or without --baseline; a
   --require-floor REGEX=VALUE / --require-ceiling REGEX=VALUE
       Every candidate metric (deterministic or wall-clock) whose key
       matches REGEX must be >= / <= VALUE. Repeatable; a bound matching
-      no metric is a usage error. How CI pins the serve bench's
-      requests/sec floor, p99 ceiling, and mismatches == 0.
+      no metric is a usage error. How CI pins the neighbor bench's
+      recall floor and mismatches == 0.
 
 Exit codes: 0 ok, 1 regression or missing benchmark, 2 usage/input error.
 

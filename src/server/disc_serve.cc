@@ -80,8 +80,8 @@ constexpr const char* kUsage =
     "  DIVERSIFY r=<radius> [algo=basic|greedy|greedy-white|lazy-grey|\n"
     "            lazy-white|greedy-c|fast-c] [pruned=<bool>]\n"
     "            [quality=<bool>] [adapt=<bool>]\n"
-    "            (adapt: allow serving from a memoized or in-flight\n"
-    "            solution at another radius via zoom adaptation)\n"
+    "            (adapt: allow zooming from the closest-radius memoized\n"
+    "            or in-flight cold solution of the same algorithm)\n"
     "  ZOOM to=<radius> [greedy=<bool>] [variant=arbitrary|greedy-a|\n"
     "       greedy-b|greedy-c] [center=<id>] [distances=auto|exact]\n"
     "       [quality=<bool>]\n"

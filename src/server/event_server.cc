@@ -29,9 +29,11 @@
 //
 // Backpressure, outermost first:
 //  * admission control: at most max_inflight executing + max_pending
-//    queued jobs; beyond that a request is answered with a BUSY error
-//    line (flight followers and memo-hit adoptions are exempt — they
-//    consume no compute slot);
+//    queued jobs; beyond that a request that would compute is answered
+//    with a BUSY error line. A request holds a slot from arrival to
+//    completion exactly when it computes — a rider included, from the
+//    moment it is registered; flight followers and memo-hit adoptions are
+//    exempt;
 //  * pipelining cap: a connection with kMaxQueuedLines parsed-but-
 //    unserved lines stops being read — bytes back up into the kernel
 //    buffer and TCP flow control stalls the client until we catch up;
@@ -52,23 +54,17 @@
 // A malformed request gets a mapped error response and the connection is
 // closed — HTTP framing cannot be resynchronized after garbage.
 //
-// Radius-aware coalescing (§5.2): a DIVERSIFY with adapt=true whose flight
-// leads consults the session manager's radius-aware memo
-// (FindAdaptableSeed) — a memoized DIVERSIFY outcome in the same family
-// (pool key + algorithm + pruning) at a different radius seeds the
-// computation: the leader adopts the seed's capsule and zooms to the
-// requested radius (DiscEngine::AdaptFrom), byte-identical to running that
-// chain cold. Successful cold DisC-family DIVERSIFY outcomes carry their
-// family + radius into the memo so later compatible requests can adapt.
-//
-// Proactive adaptation across requests: a DIVERSIFY that leads its flight
-// but misses the memo additionally checks the in-flight table — a flight
-// in the same family at a different radius, advertised at JoinFlight time,
-// takes it on as an adapt-follower (SessionManager::JoinAdaptFollower).
-// The request then runs nothing: when that leader completes, the waiter
-// adapts the leader's capsule to the requested radius on the leader's
-// thread and finishes the request's own flight, so the whole family pays
-// for one cold solve even when its members are all airborne at once.
+// Radius adaptation across requests (§5.2): for a DIVERSIFY with
+// adapt=true, JoinFlight picks one seed — the closest radius in the same
+// family (pool key + algorithm + pruning) over memoized cold solves and
+// cold leaders still in flight. Either way the request leads its own
+// flight as a kLeader job with `plan.seed` set, and RunCompute adopts the
+// seed's capsule and zooms to the requested radius (DiscEngine::AdaptFrom),
+// byte-identical to running that chain cold. A memo seed dispatches at
+// once; a rider waits for its seed's flight to land, whose waiter only
+// hands the capsule back to the loop (a null capsule if that leader
+// failed: the same job then computes cold). So a leader never runs its
+// riders' zooms, and its answer never waits for them.
 //
 // BATCH: "BATCH n=<k>" frames the next k lines as one request unit
 // (POST /batch with a JSON string-array body is the HTTP equivalent). The
@@ -228,6 +224,9 @@ class EventLoopServer final : public DiscServer {
     bool dead = false;
     /// EPOLLOUT currently registered.
     bool want_write = false;
+    /// A rider's plan (seed_radius set), parked until its seed's flight
+    /// lands and hands back the capsule.
+    ComputePlan ride;
     /// Line-protocol BATCH framing: while batch_expect > 0, arriving lines
     /// are collected into batch_lines instead of becoming Pendings; the
     /// full frame expands into its slots. EOF mid-frame drops the
@@ -261,6 +260,10 @@ class EventLoopServer final : public DiscServer {
     EngineLease lease;       // valid => install (a successful OPEN)
     bool coalesced = false;  // produced by another connection's flight
     bool counts = false;     // releases an admission slot (HoldsSlot)
+    /// A rider's seed landed: dispatch the conn's parked `ride` with this
+    /// capsule (null when the seed's leader failed) instead of answering.
+    bool ride = false;
+    std::shared_ptr<DiscEngine::SessionCapsule> seed;
   };
 
   // ---- loop thread ----
@@ -663,8 +666,10 @@ class EventLoopServer final : public DiscServer {
   }
 
   void DispatchCompute(Conn* conn, ComputePlan plan) {
-    DiscEngine* engine = &conn->lease.engine();
     const char* cmd = VerbToString(plan.verb);
+    Job job;
+    job.conn_id = conn->id;
+    job.engine = &conn->lease.engine();
     if (plan.flight_key.empty()) {
       // Not coalescable (own-cache hit or unpoolable engine): a plain
       // compute job, still subject to admission.
@@ -672,106 +677,61 @@ class EventLoopServer final : public DiscServer {
         RejectBusy(conn, cmd);
         return;
       }
-      Job job;
       job.kind = Job::Kind::kCompute;
-      job.conn_id = conn->id;
       job.plan = std::move(plan);
-      job.engine = engine;
       Dispatch(conn, std::move(job));
       return;
     }
-    // Mark busy BEFORE JoinFlight: a follower's waiter may fire from the
-    // leader's thread at any moment after registration, and it touches
-    // this conn's engine.
+    // Mark busy BEFORE JoinFlight: a follower's or rider's waiter may fire
+    // from another worker at any moment after registration.
     conn->busy = true;
-    FlightOutcome cached;
     const uint64_t conn_id = conn->id;
+    DiscEngine* engine = job.engine;
     const Verb verb = plan.verb;
-    // The trailing arguments advertise this flight to JoinAdaptFollower
-    // (meaningful only if we lead; empty family for ZOOM and non-DisC
-    // plans). Optimistic: if the leader itself finds a seed below, it
-    // retracts the advertisement — its outcome will be adapted, hence not
-    // seedable.
-    const FlightJoin join = manager_.JoinFlight(
-        plan.flight_key,
+    FlightDecision decision = manager_.JoinFlight(
+        FlightRequest{plan.flight_key, plan.adapt_family,
+                      plan.diversify.radius, plan.adapt, Admit()},
         [this, conn_id, engine, verb](const FlightOutcome& outcome) {
           AdoptAndComplete(conn_id, engine, verb, outcome);
         },
-        &cached, plan.adapt_family, plan.diversify.radius);
-    switch (join) {
-      case FlightJoin::kLeader: {
-        if (!Admit()) {
-          // The flight exists but its computation was refused: finish it
-          // with the BUSY line so any follower that squeezed in gets the
-          // same answer instead of waiting forever.
-          conn->busy = false;
-          const std::string busy = BusyLine(cmd);
-          FlightOutcome refused;
-          refused.response = busy;
-          manager_.FinishFlight(plan.flight_key, std::move(refused),
-                                /*memoize=*/false);
-          busy_rejections_.fetch_add(1);
-          Respond(conn, busy);
-          return;
-        }
-        if (plan.adapt) {
-          // Radius-aware coalescing (§5.2): a memoized DIVERSIFY in the
-          // same family at a different radius seeds this computation —
-          // the leader will adopt its capsule and zoom instead of
-          // computing cold.
-          FlightOutcome seed;
-          double seed_radius = 0.0;
-          if (manager_.FindAdaptableSeed(plan.adapt_family,
-                                         plan.diversify.radius, &seed,
-                                         &seed_radius)) {
-            plan.seed = std::move(seed.capsule);
-            plan.seed_radius = seed_radius;
-            manager_.RetractAdaptFlight(plan.flight_key);
-          } else if (manager_.JoinAdaptFollower(
-                         plan.adapt_family, plan.diversify.radius,
-                         [this, conn_id, engine,
-                          plan](const FlightOutcome& outcome) {
-                           AdaptFollowerComplete(conn_id, engine, plan,
-                                                 outcome);
-                         })) {
-            // Proactive §5.2 adaptation ACROSS requests: a flight in the
-            // same family at another radius is in the air right now. We
-            // stay the leader of OUR flight (same-key requests keep
-            // coalescing onto us) but run nothing: when that leader
-            // finishes, AdaptFollowerComplete — on its thread, exempt
-            // from admission like any follower — adapts its capsule to
-            // our radius and finishes our flight. Our own advertisement
-            // is retracted for the same reason as the memo-seed path.
-            manager_.RetractAdaptFlight(plan.flight_key);
-            return;  // conn stays busy until the waiter's completion
-          }
-        }
-        Job job;
-        job.kind = Job::Kind::kLeader;
-        job.conn_id = conn->id;
-        job.plan = std::move(plan);
-        job.engine = engine;
-        conn->busy = false;  // Dispatch re-marks it
-        Dispatch(conn, std::move(job));
+        [this, conn_id](const FlightOutcome& seed) {
+          Completion completion;
+          completion.conn_id = conn_id;
+          completion.coalesced = true;
+          completion.ride = true;
+          completion.seed = seed.capsule;
+          PushCompletion(std::move(completion));
+        });
+    switch (decision.join) {
+      case FlightJoin::kBusy:
+        conn->busy = false;
+        RejectBusy(conn, cmd);
         return;
-      }
       case FlightJoin::kFollower:
-        // Nothing to do: the waiter owns the rest.
+        return;  // the waiter owns the rest
+      case FlightJoin::kRider:
+        // A rider computes, so it takes its slot now and keeps it through
+        // the job its seed's landing dispatches.
+        ++jobs_in_system_;
+        plan.seed_radius = decision.seed_radius;
+        conn->ride = std::move(plan);
         return;
-      case FlightJoin::kCached: {
+      case FlightJoin::kCached:
         // Adoption is O(n); run it on a worker like everything else that
         // touches an engine. Exempt from admission — no computation.
-        Job job;
         job.kind = Job::Kind::kAdopt;
-        job.conn_id = conn->id;
         job.plan.verb = verb;
-        job.engine = engine;
-        job.outcome = std::move(cached);
-        conn->busy = false;  // Dispatch re-marks it
-        Dispatch(conn, std::move(job));
-        return;
-      }
+        job.outcome = std::move(decision.cached);
+        break;
+      case FlightJoin::kLeader:
+      case FlightJoin::kSeeded:
+        job.kind = Job::Kind::kLeader;
+        plan.seed = std::move(decision.seed);
+        plan.seed_radius = decision.seed_radius;
+        job.plan = std::move(plan);
+        break;
     }
+    Dispatch(conn, std::move(job));
   }
 
   /// Admission check: executing + queued jobs against the configured
@@ -802,6 +762,10 @@ class EventLoopServer final : public DiscServer {
   void Dispatch(Conn* conn, Job job) {
     conn->busy = true;
     if (HoldsSlot(job.kind)) ++jobs_in_system_;
+    Enqueue(std::move(job));
+  }
+
+  void Enqueue(Job job) {
     {
       std::lock_guard<std::mutex> lock(work_mutex_);
       jobs_.push_back(std::move(job));
@@ -820,11 +784,24 @@ class EventLoopServer final : public DiscServer {
       auto it = conns_.find(completion.conn_id);
       if (it == conns_.end()) continue;  // force-dropped during drain
       Conn* conn = it->second.get();
+      if (completion.coalesced) coalesced_responses_.fetch_add(1);
+      if (completion.ride) {
+        // The rider's seed landed. Its flight runs as a seeded leader on
+        // the slot taken at arrival — even for a dead conn, whose flight
+        // may have same-key followers.
+        Job job;
+        job.kind = Job::Kind::kLeader;
+        job.conn_id = conn->id;
+        job.plan = std::move(conn->ride);
+        job.plan.seed = std::move(completion.seed);
+        job.engine = &conn->lease.engine();
+        Enqueue(std::move(job));
+        continue;
+      }
       conn->busy = false;
       if (completion.lease.valid()) {
         conn->lease = std::move(completion.lease);
       }
-      if (completion.coalesced) coalesced_responses_.fetch_add(1);
       if (conn->dead) {
         Destroy(conn->id);
         continue;
@@ -1006,33 +983,32 @@ class EventLoopServer final : public DiscServer {
     PushCompletion(std::move(completion));
   }
 
-  /// A flight leader's duty, shared by leader jobs and adapt-followers:
-  /// run the computation, export the session capsule (a seedable cold
-  /// solve also carries its family and radius, so later requests can adapt
-  /// from it), and finish the flight — with the error line when the
-  /// computation throws, so followers are never stranded. Returns the
-  /// leader's own response line.
+  /// A flight leader's duty (cold, seeded, or rider alike): run the
+  /// computation, export the session capsule (a cold solve is also offered
+  /// as a seed, so later requests can adapt from it), and finish the
+  /// flight — with the error line when the computation throws, so
+  /// followers and riders are never stranded. Returns the leader's own
+  /// response line.
   std::string LeadFlight(const ComputePlan& plan, DiscEngine& engine) {
     FlightOutcome outcome;
     bool memoize = false;
+    bool seedable = false;
     try {
       const ComputeResult result = RunCompute(plan, engine);
       outcome.response = result.response;
       if (result.ok) {
         outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
             engine.ExportSession());
-        if (result.seedable) {
-          outcome.adapt_family = plan.adapt_family;
-          outcome.radius = plan.diversify.radius;
-        }
       }
       memoize = result.ok;
+      seedable = result.seedable;
     } catch (const std::exception& e) {
       outcome = FlightOutcome{};
       outcome.response = InternalErrorLine(e);
     }
     std::string response = outcome.response;
-    manager_.FinishFlight(plan.flight_key, std::move(outcome), memoize);
+    manager_.FinishFlight(plan.flight_key, std::move(outcome), memoize,
+                          seedable);
     return response;
   }
 
@@ -1059,34 +1035,6 @@ class EventLoopServer final : public DiscServer {
     completion.coalesced = true;
     try {
       completion.response = AdoptOutcome(engine, verb, outcome);
-    } catch (const std::exception& e) {
-      completion.response = InternalErrorLine(e);
-    }
-    PushCompletion(std::move(completion));
-  }
-
-  /// The proactive-adaptation waiter (§5.2 across requests): this conn
-  /// leads its own flight but registered as an adapt-follower of an
-  /// in-flight family leader at another radius instead of computing cold.
-  /// Runs on that leader's worker thread once it finishes: when the
-  /// leader's outcome is a seedable cold solve, adopt its capsule and zoom
-  /// to our radius (DiscEngine::AdaptFrom — one computation instead of
-  /// two); otherwise (leader failed, or itself adapted) compute cold. Then
-  /// finish OUR flight so same-key followers and the memo see the result.
-  /// Exempt from admission like any follower — the work rides the leader's
-  /// slot.
-  void AdaptFollowerComplete(uint64_t conn_id, DiscEngine* engine,
-                             ComputePlan plan,
-                             const FlightOutcome& leader) {
-    if (leader.capsule != nullptr && !leader.adapt_family.empty()) {
-      plan.seed = leader.capsule;
-      plan.seed_radius = leader.radius;
-    }
-    Completion completion;
-    completion.conn_id = conn_id;
-    completion.coalesced = true;
-    try {
-      completion.response = LeadFlight(plan, *engine);
     } catch (const std::exception& e) {
       completion.response = InternalErrorLine(e);
     }

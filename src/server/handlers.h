@@ -2,8 +2,10 @@
 //
 // The loop threads the single-flight table between the pieces, so they
 // stay separate: DispatchFastPath answers every command that needs no
-// engine job, PlanCompute derives a request's coalescing key *before* any
-// engine work, and ExecuteOpen / RunCompute are what a compute worker
+// engine job, PlanCompute derives a request's coalescing key and
+// adaptation family *before* any engine work, the session manager's
+// JoinFlight decides from them (memo hit, follower, or leader — cold or
+// seeded), and ExecuteOpen / RunCompute are what a compute worker
 // executes. A single command and a BATCH slot run through the same
 // pieces, which is what makes a batch's bytes equal sequential bytes.
 
@@ -69,8 +71,9 @@ struct ComputePlan {
   /// every coalescable DisC-family DIVERSIFY — it marks the outcome as a
   /// future adaptation seed even when this client did not ask to adapt.
   std::string adapt_family;
-  /// Filled by the event loop when the session manager holds an adaptable
-  /// outcome: RunCompute then adopts the capsule and zooms to the request
+  /// The seed JoinFlight picked (kSeeded: a memoized outcome; kRider: the
+  /// in-flight cold leader's capsule once it lands, null if that leader
+  /// failed): RunCompute then adopts the capsule and zooms to the request
   /// radius (DiscEngine::AdaptFrom) instead of computing cold.
   std::shared_ptr<DiscEngine::SessionCapsule> seed;
   double seed_radius = 0.0;
@@ -89,7 +92,7 @@ struct ComputeResult {
   bool ok = false;
   /// True when the result is a successful *cold* DIVERSIFY of a zoomable
   /// DisC-family solution: the exported capsule may seed radius adaptation
-  /// (the flight's outcome should carry the plan's adapt_family).
+  /// (FinishFlight's `seedable`).
   bool seedable = false;
 };
 

@@ -7,12 +7,13 @@
 // *coalesced* through the session manager's single-flight table: one
 // leader computes, every follower receives the byte-identical response
 // line and adopts the leader's session state. DIVERSIFY adapt=true widens
-// this radius-aware: a memoized or in-flight compatible outcome at another
-// radius seeds the answer through the engine's §5.2 zoom adaptation
-// (docs/PROTOCOL.md). Admission control bounds the work the loop will
-// queue (max_pending / max_inflight); excess requests — OPEN builds
-// included — are answered with a BUSY error line instead of growing an
-// unbounded backlog. The loop speaks the line protocol and HTTP/1.1
+// this radius-aware: one seed rule — the closest radius over memoized and
+// in-flight cold solves of the same family — seeds the answer through the
+// engine's §5.2 zoom adaptation, run as the request's own job
+// (docs/PROTOCOL.md §6). Admission control bounds the work the loop will
+// queue (max_pending / max_inflight); excess requests that would compute —
+// OPEN builds and adapting riders included — are answered with a BUSY
+// error line instead of growing an unbounded backlog. The loop speaks the line protocol and HTTP/1.1
 // (server/http.h), auto-detected per connection: one POST per command,
 // same JSON per response body, BUSY as 503 + Retry-After. A BATCH frame is
 // framing only: its slots run through the same per-command path.
@@ -66,8 +67,9 @@ struct ServerOptions {
   /// currently executing. A request arriving with max_inflight executing
   /// and max_pending queued is answered with a BUSY error line. Followers
   /// joining an in-flight computation and memo hits are exempt — they
-  /// consume no compute slot. A BATCH slot is admitted like a single
-  /// command.
+  /// consume no compute slot; a request adapting from an in-flight seed
+  /// computes, so it holds one from arrival. A BATCH slot is admitted like
+  /// a single command.
   size_t max_pending = 64;
   /// Computations allowed to execute concurrently; 0 means
   /// `workers` (one per worker thread).

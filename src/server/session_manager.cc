@@ -147,125 +147,112 @@ Status SessionManager::Prewarm(const std::vector<EngineConfig>& configs,
   return first_error;
 }
 
-FlightJoin SessionManager::JoinFlight(const std::string& key,
-                                      FlightWaiter waiter,
-                                      FlightOutcome* cached,
-                                      const std::string& adapt_family,
-                                      double radius) {
+FlightDecision SessionManager::JoinFlight(const FlightRequest& request,
+                                          FlightWaiter follower,
+                                          FlightWaiter rider) {
+  FlightDecision decision;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = results_.begin(); it != results_.end(); ++it) {
-    if (it->key == key) {
-      *cached = it->outcome;
-      results_.splice(results_.begin(), results_, it);  // LRU touch
+  if (auto it = flights_.find(request.key); it != flights_.end()) {
+    Flight& flight = it->second;
+    if (flight.finished) {
+      decision.join = FlightJoin::kCached;
+      decision.cached = flight.outcome;
+      flight.stamp = next_stamp_++;  // LRU touch
       ++stats_.flights_memoized;
-      return FlightJoin::kCached;
+    } else {
+      decision.join = FlightJoin::kFollower;
+      flight.waiters.push_back(std::move(follower));
+      ++stats_.flights_coalesced;
     }
+    return decision;
   }
-  auto [it, inserted] = flights_.try_emplace(key);
-  if (inserted) {
-    // Advertise the in-progress computation to JoinAdaptFollower: a
-    // compatible request at another radius can ride it instead of leading
-    // its own cold solve.
-    it->second.adapt_family = adapt_family;
-    it->second.radius = radius;
-    it->second.seq = next_flight_seq_++;
-    ++stats_.flights_led;
-    return FlightJoin::kLeader;
+  if (!request.admitted) {
+    decision.join = FlightJoin::kBusy;
+    return decision;
   }
-  it->second.waiters.push_back(std::move(waiter));
-  ++stats_.flights_coalesced;
-  return FlightJoin::kFollower;
-}
 
-bool SessionManager::JoinAdaptFollower(const std::string& family,
-                                       double radius, FlightWaiter waiter) {
-  if (family.empty()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto best = flights_.end();
-  for (auto it = flights_.begin(); it != flights_.end(); ++it) {
-    const Flight& flight = it->second;
-    if (flight.adapt_family != family) continue;
-    // Equal-radius flights coalesce through the exact flight key (or, off
-    // by a non-family knob like quality, must not pretend to zoom to the
-    // same radius) — same rule as FindAdaptableSeed over the memo.
-    if (flight.radius == radius) continue;
-    if (best == flights_.end()) {
-      best = it;
-      continue;
-    }
-    const double delta = std::abs(flight.radius - radius);
-    const double best_delta = std::abs(best->second.radius - radius);
-    // Closest radius wins; ties go to the most recently led flight.
-    if (delta < best_delta ||
-        (delta == best_delta && flight.seq > best->second.seq)) {
-      best = it;
+  // The seed rule, one for both sources: closest radius over the family's
+  // entries on offer, never an equal radius (that is the exact-key path,
+  // or differs only by a non-family knob), ties toward the newest stamp.
+  Flight* seed = nullptr;
+  if (request.adapt && !request.family.empty()) {
+    for (auto& [key, flight] : flights_) {
+      if (!flight.seeds || flight.family != request.family ||
+          flight.radius == request.radius) {
+        continue;
+      }
+      if (seed != nullptr) {
+        const double delta = std::abs(flight.radius - request.radius);
+        const double best = std::abs(seed->radius - request.radius);
+        if (delta > best || (delta == best && flight.stamp < seed->stamp)) {
+          continue;
+        }
+      }
+      seed = &flight;
     }
   }
-  if (best == flights_.end()) return false;
-  best->second.waiters.push_back(std::move(waiter));
-  ++stats_.flights_adapt_followed;
-  return true;
-}
 
-void SessionManager::RetractAdaptFlight(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = flights_.find(key);
-  if (it != flights_.end()) it->second.adapt_family.clear();
+  // Element pointers survive the insertion (unordered_map rehashing only
+  // invalidates iterators).
+  Flight& led = flights_[request.key];
+  led.family = request.family;
+  led.radius = request.radius;
+  led.stamp = next_stamp_++;
+  ++stats_.flights_led;
+  if (seed == nullptr) {
+    led.seeds = !request.family.empty();
+    decision.join = FlightJoin::kLeader;
+    return decision;
+  }
+  seed->stamp = next_stamp_++;
+  decision.seed_radius = seed->radius;
+  if (seed->finished) {
+    decision.join = FlightJoin::kSeeded;
+    decision.seed = seed->outcome.capsule;
+    ++stats_.flights_adapted;
+  } else {
+    decision.join = FlightJoin::kRider;
+    seed->waiters.push_back(std::move(rider));
+    ++stats_.flights_adapt_followed;
+  }
+  return decision;
 }
 
 void SessionManager::FinishFlight(const std::string& key,
-                                  FlightOutcome outcome, bool memoize) {
+                                  FlightOutcome outcome, bool memoize,
+                                  bool seedable) {
   std::vector<FlightWaiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = flights_.find(key);
-    if (it != flights_.end()) {
-      waiters = std::move(it->second.waiters);
+    if (it == flights_.end()) return;
+    Flight& flight = it->second;
+    waiters = std::move(flight.waiters);
+    if (!memoize || max_cached_results_ == 0) {
       flights_.erase(it);
-    }
-    if (memoize && max_cached_results_ > 0) {
-      // kCached is only returned for keys with no in-progress flight, so a
-      // duplicate entry cannot arise from racing leaders of the same key —
-      // but be defensive and keep at most one outcome per key.
-      for (auto rit = results_.begin(); rit != results_.end(); ++rit) {
-        if (rit->key == key) {
-          results_.erase(rit);
-          break;
+    } else {
+      flight.finished = true;
+      flight.outcome = outcome;
+      flight.seeds = seedable;
+      flight.stamp = next_stamp_++;
+      if (++stats_.cached_results > max_cached_results_) {
+        // Evict the least recently used finished entry.
+        auto oldest = flights_.end();
+        for (auto f = flights_.begin(); f != flights_.end(); ++f) {
+          if (f->second.finished &&
+              (oldest == flights_.end() ||
+               f->second.stamp < oldest->second.stamp)) {
+            oldest = f;
+          }
         }
+        flights_.erase(oldest);
+        --stats_.cached_results;
       }
-      results_.push_front(CachedResult{key, outcome});
-      if (results_.size() > max_cached_results_) results_.pop_back();
-      stats_.cached_results = results_.size();
     }
   }
-  // Waiter callbacks adopt session capsules (O(n) engine work) and write
-  // responses; never run them under the manager lock.
+  // Waiter callbacks adopt session capsules (O(n) engine work) or hand
+  // work back to the event loop; never run them under the manager lock.
   for (FlightWaiter& waiter : waiters) waiter(outcome);
-}
-
-bool SessionManager::FindAdaptableSeed(const std::string& family,
-                                       double radius, FlightOutcome* seed,
-                                       double* seed_radius) {
-  if (family.empty()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto best = results_.end();
-  for (auto it = results_.begin(); it != results_.end(); ++it) {
-    if (it->outcome.adapt_family != family) continue;
-    if (it->outcome.capsule == nullptr) continue;
-    if (it->outcome.radius == radius) continue;
-    // Strict < keeps the first (most recently finished) match on ties.
-    if (best == results_.end() ||
-        std::abs(it->outcome.radius - radius) <
-            std::abs(best->outcome.radius - radius)) {
-      best = it;
-    }
-  }
-  if (best == results_.end()) return false;
-  *seed = best->outcome;
-  *seed_radius = best->outcome.radius;
-  results_.splice(results_.begin(), results_, best);
-  ++stats_.flights_adapted;
-  return true;
 }
 
 void SessionManager::ReleaseLease(std::string key,

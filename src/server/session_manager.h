@@ -18,6 +18,13 @@
 //  * idle engines beyond `max_idle_engines` are evicted least-recently-
 //    released first (an index plus caches is the unit of memory here).
 //
+// The manager also holds the server's one piece of cross-request state:
+// the single-flight table. In-flight and finished computations share one
+// keyed table — the finished entries are the memo — and JoinFlight makes
+// every cross-request decision (memo hit, follower, cold leader, or a
+// leader seeded for §5.2 radius adaptation from the memo or from an
+// in-flight cold leader) under one lock.
+//
 // Thread safety: Acquire/Release are safe from any thread. Engine
 // construction (dataset load + index build) runs outside the manager lock,
 // so a slow OPEN never blocks other sessions.
@@ -101,34 +108,63 @@ class EngineLease {
 struct FlightOutcome {
   std::string response;
   std::shared_ptr<DiscEngine::SessionCapsule> capsule;
-  /// Radius-aware memoization metadata (§5.2 serving-side adaptation):
-  /// when `adapt_family` is non-empty, this outcome is a successful *pure*
-  /// DIVERSIFY (no zoom applied) of a zoomable DisC-family solution, and
-  /// its capsule may seed an adapted answer for a request in the same
-  /// family at a *different* radius. The family string covers pool key,
-  /// algorithm, and pruning — everything but the radius — so two outcomes
-  /// in one family differ only by the radius recorded here. Left empty for
-  /// errors, ZOOM outcomes, adapted outcomes, and covering-only
-  /// algorithms.
-  std::string adapt_family;
-  double radius = 0.0;
 };
 
-/// Invoked exactly once per follower, on the leader's thread, after the
+/// Invoked exactly once per waiter, on the leader's thread, after the
 /// computation completes (outside the manager lock — adopting a capsule is
 /// an O(n) engine call).
 using FlightWaiter = std::function<void(const FlightOutcome&)>;
 
+/// What a DIVERSIFY/ZOOM asks of the single-flight table.
+struct FlightRequest {
+  /// Opaque coalescing key covering pool key, command, canonical
+  /// parameters, and — for ZOOM — the session fingerprint. Equal keys MUST
+  /// imply byte-identical responses.
+  std::string key;
+  /// The §5.2 radius-compatibility family (pool key + algorithm + pruning,
+  /// everything but the radius) and the radius. Empty for requests whose
+  /// outcome can never seed adaptation (ZOOM, covering-only algorithms).
+  std::string family;
+  double radius = 0.0;
+  /// The client allowed adaptation (DIVERSIFY adapt=true): the request may
+  /// be served from a seed at another radius instead of computing cold.
+  bool adapt = false;
+  /// The caller has an admission slot for a computation. Only decisions
+  /// that compute consult it; followers and memo hits are exempt.
+  bool admitted = true;
+};
+
 /// What JoinFlight decided for the caller.
 enum class FlightJoin {
-  /// No flight existed: the caller runs the computation and MUST call
-  /// FinishFlight (even on failure), or followers would wait forever.
-  kLeader,
-  /// A flight is in progress; the waiter was registered.
-  kFollower,
-  /// A completed flight's outcome was memoized; it was copied out and the
-  /// waiter dropped.
+  /// A finished flight's outcome is memoized: it was copied out.
   kCached,
+  /// A flight with the same key is in progress; `follower` was registered.
+  kFollower,
+  /// No seed applies: the caller computes cold. Its flight is offered as a
+  /// seed to same-family requests while it computes.
+  kLeader,
+  /// The caller computes by adapting a memoized outcome at another radius
+  /// (FlightDecision::seed).
+  kSeeded,
+  /// The caller adapts from an in-flight cold leader at another radius:
+  /// `rider` was registered on that flight and fires with its outcome (a
+  /// null capsule when it failed — then the caller computes cold).
+  kRider,
+  /// The caller would compute but was not admitted; nothing was
+  /// registered.
+  kBusy,
+};
+
+/// JoinFlight's answer. Every decision but kCached, kFollower, and kBusy
+/// makes the caller the leader of its own flight: it MUST call FinishFlight
+/// (even on failure), or same-key followers would wait forever.
+struct FlightDecision {
+  FlightJoin join = FlightJoin::kLeader;
+  /// kCached: the memoized outcome.
+  FlightOutcome cached;
+  /// kSeeded: the seed's capsule. kSeeded / kRider: the seed's radius.
+  std::shared_ptr<DiscEngine::SessionCapsule> seed;
+  double seed_radius = 0.0;
 };
 
 /// Counters for observability and tests (a consistent snapshot).
@@ -146,13 +182,10 @@ struct SessionManagerStats {
   size_t flights_coalesced = 0;
   size_t flights_memoized = 0;
   size_t cached_results = 0;
-  /// Requests served by adapting a memoized outcome at a different radius
-  /// (FindAdaptableSeed hits).
+  /// Flights seeded from a memoized outcome at another radius (kSeeded).
   size_t flights_adapted = 0;
-  /// Requests that registered as adapt-followers of an *in-flight* leader
-  /// in the same family at a different radius (JoinAdaptFollower hits):
-  /// proactive §5.2 adaptation — the queued flight adopts the leader's
-  /// capsule on completion instead of recomputing cold.
+  /// Flights seeded from an in-flight cold leader at another radius
+  /// (kRider): they adapt from its capsule once it lands.
   size_t flights_adapt_followed = 0;
 };
 
@@ -184,65 +217,30 @@ class SessionManager {
   /// most recently finished.
   Status Prewarm(const std::vector<EngineConfig>& configs, size_t threads);
 
-  /// Single-flight table (the coalescing seam): registers interest in the
-  /// computation identified by `key` (an opaque string covering pool key,
-  /// command, canonical parameters, and — for ZOOM — the session
-  /// fingerprint; equal keys MUST imply byte-identical responses).
-  /// Returns kLeader when the caller should run the computation, kFollower
-  /// when `waiter` was attached to an in-progress flight, or kCached when a
-  /// memoized outcome was copied into `*cached` (waiter dropped).
-  ///
-  /// A caller that becomes leader of a DIVERSIFY whose outcome could seed
-  /// §5.2 radius adaptation passes the plan's `adapt_family` and radius:
-  /// the in-progress flight is then *advertised* to JoinAdaptFollower, so a
-  /// compatible request at another radius can ride this computation instead
-  /// of starting its own. Followers' family arguments are ignored (the
-  /// leader already advertised).
-  FlightJoin JoinFlight(const std::string& key, FlightWaiter waiter,
-                        FlightOutcome* cached,
-                        const std::string& adapt_family = "",
-                        double radius = 0.0);
+  /// Single-flight table (the coalescing seam), and the one place
+  /// cross-request adaptation is decided. Under one lock, in order:
+  ///  * a finished flight with `request.key` is an exact memo hit
+  ///    (kCached); an in-progress one takes `follower` (kFollower);
+  ///  * otherwise a request that would compute without `admitted` is
+  ///    refused (kBusy, nothing registered);
+  ///  * otherwise the caller leads a new flight. An `adapt` request seeds
+  ///    it from the closest radius over memo ∪ in-flight entries of its
+  ///    family that are on offer — finished seedable outcomes and cold
+  ///    leaders still computing — never from an equal radius, ties going
+  ///    to the newest stamp. A memo seed gives kSeeded, an in-flight one
+  ///    registers `rider` on that flight (kRider); no seed gives kLeader.
+  /// Only a kLeader flight is offered as a seed while it computes: a
+  /// seeded flight's answer is adapted, not a cold solve.
+  FlightDecision JoinFlight(const FlightRequest& request,
+                            FlightWaiter follower, FlightWaiter rider);
 
-  /// Completes the flight `key`: removes the flight and (when `memoize`)
-  /// inserts the outcome into the LRU memo under one lock, then invokes
-  /// every registered waiter outside it. Leaders must call this exactly
-  /// once, on success or failure.
+  /// Completes the flight `key` under one lock — memoized when `memoize`
+  /// (and offered as a seed when `seedable`: a successful cold DIVERSIFY
+  /// of a zoomable solution), dropped otherwise — then invokes every
+  /// registered follower and rider outside it. Leaders must call this
+  /// exactly once, on success or failure.
   void FinishFlight(const std::string& key, FlightOutcome outcome,
-                    bool memoize);
-
-  /// Radius-aware memo lookup (the §5.2 widening of coalescing beyond
-  /// byte-identical keys): finds the memoized outcome in `family` whose
-  /// radius is closest to `radius` — but never equal; equal-radius reuse is
-  /// the exact single-flight/memo path — preferring the most recently
-  /// finished on ties. On a hit, copies the outcome into `*seed`, reports
-  /// its radius in `*seed_radius`, touches the LRU entry, and counts
-  /// `flights_adapted`. The caller adopts the seed's capsule and runs the
-  /// engine's zoom adaptation toward its own radius (DiscEngine::AdaptFrom).
-  bool FindAdaptableSeed(const std::string& family, double radius,
-                         FlightOutcome* seed, double* seed_radius);
-
-  /// Proactive §5.2 adaptation across requests: when a flight advertising
-  /// `family` (see JoinFlight) is in progress at a radius other than
-  /// `radius`, attaches `waiter` to it and returns true — the caller then
-  /// does NOT run its own computation; on the leader's completion the
-  /// waiter receives the leader's outcome and (when it is a seedable cold
-  /// solve: non-empty outcome.adapt_family, non-null capsule) adapts its
-  /// capsule to the caller's radius via DiscEngine::AdaptFrom, falling back
-  /// to a cold computation otherwise. Among several in-flight candidates
-  /// the closest radius wins, most recently led on ties — mirroring
-  /// FindAdaptableSeed over the memo. Counts flights_adapt_followed.
-  /// Returns false (waiter dropped) when no compatible flight is in
-  /// progress.
-  bool JoinAdaptFollower(const std::string& family, double radius,
-                         FlightWaiter waiter);
-
-  /// Withdraws the flight `key` from JoinAdaptFollower matching. A leader
-  /// calls this the moment it decides its outcome will NOT be a seedable
-  /// cold solve — it found a seed itself (memo or in-flight) and will
-  /// produce an *adapted* outcome — so a would-be adapt-follower prefers a
-  /// genuinely cold flight (or the memo) over chaining onto an adapted one
-  /// and falling back cold. No-op when the flight already finished.
-  void RetractAdaptFlight(const std::string& key);
+                    bool memoize, bool seedable);
 
   SessionManagerStats stats() const;
 
@@ -266,31 +264,29 @@ class SessionManager {
   const size_t max_idle_engines_;
   const size_t max_cached_results_;
 
+  /// One single-flight entry: in flight until FinishFlight, then (when
+  /// memoized) the finished outcome — the memo is the finished entries,
+  /// LRU-capped at `max_cached_results_`.
   struct Flight {
-    std::vector<FlightWaiter> waiters;
-    /// Advertised by the leader (JoinFlight's trailing arguments): the
-    /// radius-compatibility family and radius of a DIVERSIFY whose outcome
-    /// may seed adaptation, so JoinAdaptFollower can find this flight while
-    /// it is still in the air. Empty family = not adaptable-from.
-    std::string adapt_family;
+    bool finished = false;
+    FlightOutcome outcome;              // finished
+    std::vector<FlightWaiter> waiters;  // in flight: followers and riders
+    std::string family;
     double radius = 0.0;
-    /// Monotonic lead order; breaks JoinAdaptFollower distance ties toward
-    /// the most recently led flight (mirroring the memo's LRU tie-break).
-    uint64_t seq = 0;
-  };
-  struct CachedResult {
-    std::string key;
-    FlightOutcome outcome;
+    /// Offered as an adaptation seed: a cold leader in flight, or a
+    /// finished seedable outcome.
+    bool seeds = false;
+    /// Monotonic recency: set when led, refreshed when the flight finishes
+    /// or serves as a memo hit or a seed. Breaks seed-distance ties and
+    /// orders memo eviction (oldest first).
+    uint64_t stamp = 0;
   };
 
   mutable std::mutex mutex_;
   /// Most recently released at the front; evict from the back.
   std::list<IdleEngine> idle_;
-  /// In-progress computations keyed by flight key.
   std::unordered_map<std::string, Flight> flights_;
-  uint64_t next_flight_seq_ = 0;
-  /// Completed-flight outcomes, most recently finished at the front.
-  std::list<CachedResult> results_;
+  uint64_t next_stamp_ = 0;
   SessionManagerStats stats_;
 };
 

@@ -17,13 +17,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <latch>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,6 +54,12 @@ std::unique_ptr<DiscServer> StartServer(size_t workers = 4,
 
 LineClient ConnectTo(const DiscServer& server) {
   auto client = LineClient::Connect("127.0.0.1", server.port());
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  return std::move(client).value();
+}
+
+HttpClient HttpConnectTo(const DiscServer& server) {
+  auto client = HttpClient::Connect("127.0.0.1", server.port());
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   return std::move(client).value();
 }
@@ -482,99 +491,183 @@ uint64_t ExtractUint(const std::string& json, const std::string& key) {
   return std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
 }
 
-TEST(ServerCoalescingTest, ConcurrentIdenticalRequestsComputeOnce) {
+/// Ships one well-formed BATCH frame over the line transport and reads the
+/// k response lines it owes.
+std::vector<std::string> RunLineBatch(
+    LineClient& client, const std::vector<std::string>& commands) {
+  EXPECT_TRUE(
+      client.SendLine("BATCH n=" + std::to_string(commands.size())).ok());
+  for (const std::string& command : commands) {
+    EXPECT_TRUE(client.SendLine(command).ok());
+  }
+  std::vector<std::string> responses;
+  responses.reserve(commands.size());
+  for (size_t i = 0; i < commands.size(); ++i) {
+    auto line = client.RecvLine();
+    EXPECT_TRUE(line.ok()) << "response " << i << ": "
+                           << line.status().ToString();
+    responses.push_back(line.ok() ? *line : "");
+  }
+  return responses;
+}
+
+/// How a test session carries its commands.
+enum class Framing { kLine, kHttp, kBatch };
+
+const char* FramingName(Framing framing) {
+  switch (framing) {
+    case Framing::kLine:
+      return "line";
+    case Framing::kHttp:
+      return "http";
+    case Framing::kBatch:
+      return "batch";
+  }
+  return "?";
+}
+
+/// One session on a framing. Send carries one command — a line roundtrip,
+/// or over HTTP a POST to /<verb> whose body minus its framing newline is
+/// the protocol line. Run carries a command list: one BATCH frame on the
+/// batch framing, one Send per command otherwise.
+class FramedSession {
+ public:
+  FramedSession(const DiscServer& server, Framing framing)
+      : framing_(framing) {
+    if (framing == Framing::kHttp) {
+      http_.emplace(HttpConnectTo(server));
+    } else {
+      line_.emplace(ConnectTo(server));
+    }
+  }
+
+  std::string Send(const std::string& command) {
+    if (line_.has_value()) return MustRoundtrip(*line_, command);
+    const size_t space = command.find(' ');
+    std::string verb = command.substr(0, space);
+    for (char& c : verb) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    auto response = http_->Post(
+        "/" + verb, space == std::string::npos ? "" : command.substr(space + 1));
+    EXPECT_TRUE(response.ok()) << command << ": "
+                               << response.status().ToString();
+    if (!response.ok()) return "";
+    std::string body = std::move(response->body);
+    if (!body.empty() && body.back() == '\n') body.pop_back();
+    return body;
+  }
+
+  std::vector<std::string> Run(const std::vector<std::string>& commands) {
+    if (framing_ == Framing::kBatch) return RunLineBatch(*line_, commands);
+    std::vector<std::string> responses;
+    for (const std::string& command : commands) {
+      responses.push_back(Send(command));
+    }
+    return responses;
+  }
+
+ private:
+  Framing framing_;
+  std::optional<LineClient> line_;
+  std::optional<HttpClient> http_;
+};
+
+/// kClients sessions send the same fresh-radius rounds concurrently — round
+/// by round on the line and HTTP framings, as one frame each on BATCH —
+/// ending with a ZOOM every session can coalesce (they all hold the last
+/// round's state). Each round must compute exactly once, and every client
+/// must receive the replica engine's bytes, fanned out verbatim (wall_ms
+/// included) from that one computation.
+void ExpectEachRoundComputesOnce(Framing framing) {
+  SCOPED_TRACE(FramingName(framing));
   constexpr size_t kClients = 6;
+  const std::vector<std::string> rounds = {
+      "DIVERSIFY r=0.07", "DIVERSIFY r=0.075", "DIVERSIFY r=0.08",
+      "ZOOM to=0.035"};
   auto server = StartServer(/*workers=*/4, /*max_idle_engines=*/kClients);
 
-  // Reference: the identical sequence against a direct engine.
+  // Reference: the same rounds, in order, on a direct engine.
   auto engine = DiscEngine::Create(TestConfig());
   ASSERT_TRUE(engine.ok());
-  DiversifyRequest diversify;
-  diversify.radius = 0.07;
-  auto expected = (*engine)->Diversify(diversify);
-  ASSERT_TRUE(expected.ok());
+  std::vector<std::string> expected;
+  for (double radius : {0.07, 0.075, 0.08}) {
+    DiversifyRequest diversify;
+    diversify.radius = radius;
+    auto result = (*engine)->Diversify(diversify);
+    ASSERT_TRUE(result.ok());
+    expected.push_back(DeterministicPrefix(Verb::kDiversify, *result));
+  }
   ZoomRequest zoom;
   zoom.radius = 0.035;
-  auto expected_zoom = (*engine)->Zoom(zoom);
-  ASSERT_TRUE(expected_zoom.ok());
+  auto zoomed = (*engine)->Zoom(zoom);
+  ASSERT_TRUE(zoomed.ok());
+  expected.push_back(DeterministicPrefix(Verb::kZoom, *zoomed));
 
-  std::vector<LineClient> clients;
+  std::vector<std::unique_ptr<FramedSession>> clients;
   for (size_t i = 0; i < kClients; ++i) {
-    clients.push_back(ConnectTo(*server));
-    std::string open = MustRoundtrip(
-        clients.back(), "OPEN dataset=clustered n=400 dim=2 seed=9");
+    clients.push_back(std::make_unique<FramedSession>(*server, framing));
+    std::string open =
+        clients.back()->Send("OPEN dataset=clustered n=400 dim=2 seed=9");
     ASSERT_NE(open.find("\"ok\":true"), std::string::npos) << open;
   }
 
-  // Phase 1: N concurrent identical DIVERSIFYs. Whether a client lands in
-  // the in-progress flight or on the memoized outcome, it must receive the
-  // leader's exact bytes — including wall_ms.
-  std::vector<std::string> wire(kClients);
-  {
+  // wire[i][k]: client i's answer to round k.
+  std::vector<std::vector<std::string>> wire(kClients);
+  const size_t waves = framing == Framing::kBatch ? 1 : rounds.size();
+  for (size_t wave = 0; wave < waves; ++wave) {
+    const std::vector<std::string> commands =
+        framing == Framing::kBatch
+            ? rounds
+            : std::vector<std::string>{rounds[wave]};
+    std::latch start(static_cast<ptrdiff_t>(kClients));
     std::vector<std::thread> threads;
     for (size_t i = 0; i < kClients; ++i) {
-      threads.emplace_back(
-          [&, i] { wire[i] = MustRoundtrip(clients[i], "DIVERSIFY r=0.07"); });
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        for (std::string& line : clients[i]->Run(commands)) {
+          wire[i].push_back(std::move(line));
+        }
+      });
     }
     for (std::thread& thread : threads) thread.join();
   }
-  EXPECT_EQ(wire[0].rfind(DeterministicPrefix(Verb::kDiversify, *expected),
-                          0),
-            0u)
-      << wire[0];
-  for (size_t i = 1; i < kClients; ++i) {
-    EXPECT_EQ(wire[i], wire[0]) << "client " << i;
+  for (size_t i = 0; i < kClients; ++i) {
+    ASSERT_EQ(wire[i].size(), rounds.size()) << "client " << i;
+    for (size_t k = 0; k < rounds.size(); ++k) {
+      EXPECT_EQ(wire[i][k].rfind(expected[k], 0), 0u)
+          << rounds[k] << " client " << i << ": " << wire[i][k];
+      EXPECT_EQ(wire[i][k], wire[0][k]) << rounds[k] << " client " << i;
+    }
   }
 
-  // Exactly one engine ran the algorithm; every other session adopted the
+  // One engine computed each round; every other session adopted that
   // leader's capsule (STATS `coalesced`).
   uint64_t computations = 0;
   uint64_t coalesced = 0;
-  for (LineClient& client : clients) {
-    std::string stats = MustRoundtrip(client, "STATS");
+  for (auto& client : clients) {
+    std::string stats = client->Send("STATS");
     computations += ExtractUint(stats, "computations");
     coalesced += ExtractUint(stats, "coalesced");
   }
-  EXPECT_EQ(computations, 1u);
-  EXPECT_EQ(coalesced, kClients - 1);
-
-  // Phase 2: every session now holds the same fingerprint, so N identical
-  // ZOOMs coalesce the same way.
-  {
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < kClients; ++i) {
-      threads.emplace_back(
-          [&, i] { wire[i] = MustRoundtrip(clients[i], "ZOOM to=0.035"); });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-  EXPECT_EQ(wire[0].rfind(DeterministicPrefix(Verb::kZoom, *expected_zoom),
-                          0),
-            0u)
-      << wire[0];
-  for (size_t i = 1; i < kClients; ++i) {
-    EXPECT_EQ(wire[i], wire[0]) << "client " << i;
-  }
-
-  computations = 0;
-  coalesced = 0;
-  for (LineClient& client : clients) {
-    std::string stats = MustRoundtrip(client, "STATS");
-    computations += ExtractUint(stats, "computations");
-    coalesced += ExtractUint(stats, "coalesced");
-  }
-  EXPECT_EQ(computations, 2u);
-  EXPECT_EQ(coalesced, 2 * (kClients - 1));
-  EXPECT_EQ(server->server_stats().coalesced_responses, 2 * (kClients - 1));
+  const size_t fanned_out = rounds.size() * (kClients - 1);
+  EXPECT_EQ(computations, rounds.size());
+  EXPECT_EQ(coalesced, fanned_out);
+  EXPECT_EQ(server->server_stats().coalesced_responses, fanned_out);
 
   SessionManagerStats manager = server->manager_stats();
-  EXPECT_EQ(manager.flights_led, 2u);
+  EXPECT_EQ(manager.flights_led, rounds.size());
   EXPECT_EQ(manager.flights_coalesced + manager.flights_memoized,
-            2 * (kClients - 1));
+            fanned_out);
 
-  for (LineClient& client : clients) {
-    EXPECT_EQ(MustRoundtrip(client, "CLOSE"),
-              "{\"ok\":true,\"cmd\":\"CLOSE\"}");
+  for (auto& client : clients) {
+    EXPECT_EQ(client->Send("CLOSE"), "{\"ok\":true,\"cmd\":\"CLOSE\"}");
+  }
+}
+
+TEST(ServerCoalescingTest, ConcurrentIdenticalRequestsComputeOnce) {
+  for (Framing framing : {Framing::kLine, Framing::kHttp, Framing::kBatch}) {
+    ExpectEachRoundComputesOnce(framing);
   }
 }
 
@@ -705,112 +798,198 @@ TEST(ServerAdaptTest, AdaptWithoutCompatibleSeedComputesCold) {
 }
 
 // ---------------------------------------------------------------------------
-// Proactive adaptation *across* requests: a flight queued at r' while a
-// same-family solve at r is still in the air rides that computation
-// instead of leading its own.
+// The one adaptation decision (SessionManager::JoinFlight): an adapt=true
+// request is seeded from the closest radius over memoized and in-flight
+// cold solves of its family — a memo seed makes it a seeded leader, an
+// in-flight one a rider of that flight. Exactly representable radii
+// (0.25/0.5/0.75...) keep the distance ties real.
 // ---------------------------------------------------------------------------
 
-/// A memoizable seedable outcome for driving the manager's radius-aware
-/// paths directly (the capsule contents never matter for selection).
-FlightOutcome SeedOutcome(const std::string& family, double radius,
-                          const std::string& response) {
-  FlightOutcome outcome;
-  outcome.response = response;
-  outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>();
-  outcome.adapt_family = family;
-  outcome.radius = radius;
-  return outcome;
+/// Leads `key` without asking to adapt (so: cold).
+FlightJoin Lead(SessionManager& manager, const std::string& key,
+                double radius, const std::string& family = "fam") {
+  return manager
+      .JoinFlight({key, family, radius}, [](const FlightOutcome&) {},
+                  [](const FlightOutcome&) {})
+      .join;
 }
 
-TEST(SessionManagerTest, FindAdaptableSeedPrefersMostRecentOnEqualDistance) {
-  // Exactly representable radii, so 0.5 really is equidistant from both.
+/// Finishes `key` without memoizing (a flight that only blocked others).
+void Drop(SessionManager& manager, const std::string& key) {
+  manager.FinishFlight(key, FlightOutcome{}, /*memoize=*/false,
+                       /*seedable=*/false);
+}
+
+/// Leads and finishes `key` as a memoized, seedable cold solve whose
+/// response is `key`; returns its capsule.
+std::shared_ptr<DiscEngine::SessionCapsule> Memoize(
+    SessionManager& manager, const std::string& key, double radius,
+    const std::string& family = "fam") {
+  EXPECT_EQ(Lead(manager, key, radius, family), FlightJoin::kLeader);
+  FlightOutcome outcome;
+  outcome.response = key;
+  outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>();
+  manager.FinishFlight(key, outcome, /*memoize=*/true, /*seedable=*/true);
+  return outcome.capsule;
+}
+
+/// An adapt=true request; when it rides, `*seed_response` receives the
+/// seed flight's response once that flight finishes.
+FlightDecision Adapt(SessionManager& manager, const std::string& key,
+                     double radius, std::string* seed_response = nullptr,
+                     const std::string& family = "fam") {
+  return manager.JoinFlight(
+      {key, family, radius, /*adapt=*/true}, [](const FlightOutcome&) {},
+      [seed_response](const FlightOutcome& seed) {
+        if (seed_response != nullptr) *seed_response = seed.response;
+      });
+}
+
+TEST(SessionManagerTest, MemoSeedSkipsEqualRadiiAndForeignFamilies) {
   SessionManager manager(/*max_idle_engines=*/0, /*max_cached_results=*/8);
-  manager.FinishFlight("k-old", SeedOutcome("fam", 0.25, "older"), true);
+  Memoize(manager, "k-old", 0.25);
 
   // With a single memoized outcome: equal radius never matches (that is
   // the exact single-flight/memo path), and neither does a foreign family.
-  FlightOutcome seed;
-  double seed_radius = 0.0;
-  EXPECT_FALSE(manager.FindAdaptableSeed("fam", 0.25, &seed, &seed_radius));
-  EXPECT_FALSE(manager.FindAdaptableSeed("other", 0.5, &seed, &seed_radius));
+  EXPECT_EQ(Adapt(manager, "k-eq", 0.25).join, FlightJoin::kLeader);
+  EXPECT_EQ(Adapt(manager, "k-x", 0.5, nullptr, "other").join,
+            FlightJoin::kLeader);
+  Drop(manager, "k-eq");
+  Drop(manager, "k-x");
 
   // The tie goes to the most recently finished outcome (its caches are the
   // warmer bet).
-  manager.FinishFlight("k-new", SeedOutcome("fam", 0.75, "newer"), true);
-  ASSERT_TRUE(manager.FindAdaptableSeed("fam", 0.5, &seed, &seed_radius));
-  EXPECT_EQ(seed_radius, 0.75);
-  EXPECT_EQ(seed.response, "newer");
+  auto newer = Memoize(manager, "k-new", 0.75);
+  const FlightDecision decision = Adapt(manager, "k-tie", 0.5);
+  ASSERT_EQ(decision.join, FlightJoin::kSeeded);
+  EXPECT_EQ(decision.seed_radius, 0.75);
+  EXPECT_EQ(decision.seed, newer);
   EXPECT_EQ(manager.stats().flights_adapted, 1u);
 }
 
-TEST(SessionManagerTest, FindAdaptableSeedTouchKeepsTheHitWarmInTheLru) {
+TEST(SessionManagerTest, MemoSeedUseKeepsTheEntryWarmInTheLru) {
   // Cap of two: memoizing a third outcome evicts the LRU entry. The seed
-  // hit must have touched its entry to the front, so the eviction falls on
-  // the newer-but-untouched outcome instead.
+  // use must have refreshed its entry, so the eviction falls on the
+  // newer-but-unused outcome instead.
   SessionManager manager(/*max_idle_engines=*/0, /*max_cached_results=*/2);
-  manager.FinishFlight("k-old", SeedOutcome("fam", 0.04, "old"), true);
-  manager.FinishFlight("k-new", SeedOutcome("fam", 0.08, "new"), true);
+  Memoize(manager, "k-old", 0.04);
+  Memoize(manager, "k-new", 0.08);
 
-  FlightOutcome seed;
-  double seed_radius = 0.0;
-  // 0.03 selects the older entry (|0.01| beats |0.05|) and LRU-touches it.
-  ASSERT_TRUE(manager.FindAdaptableSeed("fam", 0.03, &seed, &seed_radius));
-  EXPECT_EQ(seed_radius, 0.04);
+  // 0.03 selects the older entry (|0.01| beats |0.05|) and refreshes it.
+  FlightDecision decision = Adapt(manager, "k-a", 0.03);
+  ASSERT_EQ(decision.join, FlightJoin::kSeeded);
+  EXPECT_EQ(decision.seed_radius, 0.04);
 
-  manager.FinishFlight("k-third", SeedOutcome("other", 0.5, "third"), true);
-  // Without the touch, 0.04 would be the entry that just got evicted.
-  ASSERT_TRUE(manager.FindAdaptableSeed("fam", 0.07, &seed, &seed_radius));
-  EXPECT_EQ(seed_radius, 0.04);
+  Memoize(manager, "k-third", 0.5, "other");
+  EXPECT_EQ(manager.stats().cached_results, 2u);
+  // Without the refresh, 0.04 would be the entry that just got evicted.
+  decision = Adapt(manager, "k-b", 0.07);
+  ASSERT_EQ(decision.join, FlightJoin::kSeeded);
+  EXPECT_EQ(decision.seed_radius, 0.04);
 }
 
-TEST(SessionManagerTest, AdaptFollowerPicksClosestInFlightRadius) {
+TEST(SessionManagerTest, RiderPicksTheClosestInFlightRadius) {
   SessionManager manager(/*max_idle_engines=*/0);
-  FlightOutcome cached;
-  ASSERT_EQ(manager.JoinFlight("fa", nullptr, &cached, "fam", 0.25),
-            FlightJoin::kLeader);
+  ASSERT_EQ(Lead(manager, "fa", 0.25), FlightJoin::kLeader);
 
-  // With a single in-flight candidate: no same-radius ride-along, no
-  // cross-family ride-along.
-  EXPECT_FALSE(
-      manager.JoinAdaptFollower("fam", 0.25, [](const FlightOutcome&) {}));
-  EXPECT_FALSE(
-      manager.JoinAdaptFollower("other", 0.5, [](const FlightOutcome&) {}));
+  // With a single in-flight candidate: no same-radius ride, no
+  // cross-family ride.
+  EXPECT_EQ(Adapt(manager, "k-eq", 0.25).join, FlightJoin::kLeader);
+  EXPECT_EQ(Adapt(manager, "k-x", 0.5, nullptr, "other").join,
+            FlightJoin::kLeader);
+  Drop(manager, "k-eq");
+  Drop(manager, "k-x");
 
   // 0.375 rides the closest in-flight radius (0.25, not 1.0) and receives
-  // that leader's outcome on completion.
-  ASSERT_EQ(manager.JoinFlight("fb", nullptr, &cached, "fam", 1.0),
-            FlightJoin::kLeader);
+  // that leader's outcome when it finishes.
+  ASSERT_EQ(Lead(manager, "fb", 1.0), FlightJoin::kLeader);
   std::string got;
-  ASSERT_TRUE(manager.JoinAdaptFollower(
-      "fam", 0.375, [&](const FlightOutcome& o) { got = o.response; }));
+  const FlightDecision decision = Adapt(manager, "k-r", 0.375, &got);
+  ASSERT_EQ(decision.join, FlightJoin::kRider);
+  EXPECT_EQ(decision.seed_radius, 0.25);
   EXPECT_EQ(manager.stats().flights_adapt_followed, 1u);
-  manager.FinishFlight("fa", SeedOutcome("fam", 0.25, "lead-a"), false);
+  FlightOutcome lead_a;
+  lead_a.response = "lead-a";
+  manager.FinishFlight("fa", lead_a, /*memoize=*/false, /*seedable=*/false);
   EXPECT_EQ(got, "lead-a");
-  manager.FinishFlight("fb", SeedOutcome("fam", 1.0, "lead-b"), false);
 }
 
-TEST(SessionManagerTest, AdaptFollowerTieBreaksTowardTheNewestLeader) {
+TEST(SessionManagerTest, RiderTieBreaksTowardTheNewestLeader) {
   SessionManager manager(/*max_idle_engines=*/0);
-  FlightOutcome cached;
-  ASSERT_EQ(manager.JoinFlight("fa", nullptr, &cached, "fam", 0.25),
-            FlightJoin::kLeader);
-  ASSERT_EQ(manager.JoinFlight("fb", nullptr, &cached, "fam", 0.75),
-            FlightJoin::kLeader);
+  ASSERT_EQ(Lead(manager, "fa", 0.25), FlightJoin::kLeader);
+  ASSERT_EQ(Lead(manager, "fb", 0.75), FlightJoin::kLeader);
 
   // 0.5 is (exactly) equidistant from both in-flight radii: the most
-  // recently led flight wins, mirroring the memo's tie-break.
+  // recently led flight wins, as on the memo.
   std::string got;
-  ASSERT_TRUE(manager.JoinAdaptFollower(
-      "fam", 0.5, [&](const FlightOutcome& o) { got = o.response; }));
-  manager.FinishFlight("fb", SeedOutcome("fam", 0.75, "lead-b"), false);
+  const FlightDecision decision = Adapt(manager, "k-r", 0.5, &got);
+  ASSERT_EQ(decision.join, FlightJoin::kRider);
+  EXPECT_EQ(decision.seed_radius, 0.75);
+  FlightOutcome lead_b;
+  lead_b.response = "lead-b";
+  manager.FinishFlight("fb", lead_b, /*memoize=*/false, /*seedable=*/false);
   EXPECT_EQ(got, "lead-b");
+}
 
-  // A retracted flight no longer matches: its outcome will be adapted, not
-  // a seedable cold solve, so chaining onto it would only fall back cold.
-  manager.RetractAdaptFlight("fa");
-  EXPECT_FALSE(
-      manager.JoinAdaptFollower("fam", 0.5, [](const FlightOutcome&) {}));
-  manager.FinishFlight("fa", SeedOutcome("fam", 0.25, "lead-a"), false);
+TEST(SessionManagerTest, SeededLeadersAndRidersAreNeverOfferedAsSeeds) {
+  // Their answers are adapted, not cold solves: chaining onto one would
+  // only fall back cold. So a farther cold seed wins over a closer one.
+  SessionManager manager(/*max_idle_engines=*/0);
+  Memoize(manager, "memo", 0.25);
+  ASSERT_EQ(Adapt(manager, "seeded", 0.5).join, FlightJoin::kSeeded);
+  FlightDecision decision = Adapt(manager, "k-a", 0.625);
+  ASSERT_EQ(decision.join, FlightJoin::kSeeded);
+  EXPECT_EQ(decision.seed_radius, 0.25);
+
+  ASSERT_EQ(Lead(manager, "cold", 2.0), FlightJoin::kLeader);
+  ASSERT_EQ(Adapt(manager, "rider", 1.75).join, FlightJoin::kRider);
+  decision = Adapt(manager, "k-b", 1.625);
+  ASSERT_EQ(decision.join, FlightJoin::kRider);
+  EXPECT_EQ(decision.seed_radius, 2.0);
+
+  // Still not once finished: a memoized adapted answer is no seed either.
+  FlightOutcome adapted;
+  adapted.capsule = std::make_shared<DiscEngine::SessionCapsule>();
+  manager.FinishFlight("seeded", adapted, /*memoize=*/true,
+                       /*seedable=*/false);
+  decision = Adapt(manager, "k-c", 0.5625);
+  ASSERT_EQ(decision.join, FlightJoin::kSeeded);
+  EXPECT_EQ(decision.seed_radius, 0.25);
+}
+
+TEST(SessionManagerTest, ClosestSeedWinsAcrossMemoAndInFlight) {
+  SessionManager manager(/*max_idle_engines=*/0);
+  auto memo = Memoize(manager, "memo", 0.25);
+  ASSERT_EQ(Lead(manager, "cold", 1.0), FlightJoin::kLeader);
+
+  // Closer to the in-flight leader: ride it, although a memo seed exists.
+  FlightDecision decision = Adapt(manager, "k-a", 0.875);
+  ASSERT_EQ(decision.join, FlightJoin::kRider);
+  EXPECT_EQ(decision.seed_radius, 1.0);
+
+  // Closer to the memo: seed from it, although a leader is in flight.
+  decision = Adapt(manager, "k-b", 0.375);
+  ASSERT_EQ(decision.join, FlightJoin::kSeeded);
+  EXPECT_EQ(decision.seed_radius, 0.25);
+  EXPECT_EQ(decision.seed, memo);
+
+  const SessionManagerStats stats = manager.stats();
+  EXPECT_EQ(stats.flights_adapt_followed, 1u);
+  EXPECT_EQ(stats.flights_adapted, 1u);
+}
+
+TEST(SessionManagerTest, UnadmittedComputationsRegisterNothing) {
+  SessionManager manager(/*max_idle_engines=*/0);
+  FlightRequest request{"k", "fam", 0.5};
+  request.admitted = false;
+  auto noop = [](const FlightOutcome&) {};
+  EXPECT_EQ(manager.JoinFlight(request, noop, noop).join, FlightJoin::kBusy);
+  // Nothing was registered: the next admitted request leads...
+  EXPECT_EQ(Lead(manager, "k", 0.5), FlightJoin::kLeader);
+  // ...and a follower needs no slot.
+  EXPECT_EQ(manager.JoinFlight(request, noop, noop).join,
+            FlightJoin::kFollower);
+  EXPECT_EQ(manager.stats().flights_led, 1u);
 }
 
 TEST(ServerAdaptTest, QueuedFlightAdoptsInFlightLeaderAcrossRequests) {
@@ -864,16 +1043,152 @@ TEST(ServerAdaptTest, QueuedFlightAdoptsInFlightLeaderAcrossRequests) {
   MustRoundtrip(follower, "CLOSE");
 }
 
+/// Polls `done` for up to ~20 s: the tests below order their requests on
+/// the manager's counters rather than on sleeps.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 4000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+TEST(ServerAdaptTest, InFlightSeedCloserThanTheMemoWins) {
+  // One seed rule over memo ∪ in-flight: a memoized seed at 0.008 and a
+  // cold leader in flight at 0.004 both qualify for r=0.003, and the
+  // closer in-flight one wins — the rider's bytes are the 0.004 chain.
+  auto server = StartServer();
+
+  auto engine = DiscEngine::Create(TestConfig(20000, 9));
+  ASSERT_TRUE(engine.ok());
+  DiversifyRequest seed_request;
+  seed_request.radius = 0.004;
+  ASSERT_TRUE((*engine)->Diversify(seed_request).ok());
+  ZoomRequest adapt_zoom;
+  adapt_zoom.radius = 0.003;
+  auto expected = (*engine)->Zoom(adapt_zoom);
+  ASSERT_TRUE(expected.ok());
+
+  LineClient leader = ConnectTo(*server);
+  LineClient rider = ConnectTo(*server);
+  MustRoundtrip(leader, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  MustRoundtrip(rider, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  const std::string memo = MustRoundtrip(leader, "DIVERSIFY r=0.008");
+  ASSERT_NE(memo.find("\"ok\":true"), std::string::npos) << memo;
+
+  std::string leader_wire;
+  std::thread leader_thread(
+      [&] { leader_wire = MustRoundtrip(leader, "DIVERSIFY r=0.004"); });
+  EXPECT_TRUE(WaitFor([&] { return server->manager_stats().flights_led == 2; }));
+  const std::string adapted =
+      MustRoundtrip(rider, "DIVERSIFY r=0.003 adapt=true");
+  leader_thread.join();
+
+  EXPECT_NE(leader_wire.find("\"ok\":true"), std::string::npos)
+      << leader_wire;
+  EXPECT_EQ(adapted.rfind(AdaptedPrefix(*expected, 0.004), 0), 0u) << adapted;
+  SessionManagerStats manager = server->manager_stats();
+  EXPECT_EQ(manager.flights_adapt_followed, 1u);
+  EXPECT_EQ(manager.flights_adapted, 0u);
+}
+
+TEST(ServerAdaptTest, LeaderAnswersBeforeItsRiders) {
+  // Riders zoom on their own jobs after the leader's flight lands, so the
+  // leader's answer never waits for their (slow, r=0.004 -> 0.001..0.003)
+  // zooms.
+  auto server = StartServer();
+  LineClient leader = ConnectTo(*server);
+  std::vector<LineClient> riders;
+  for (int i = 0; i < 3; ++i) riders.push_back(ConnectTo(*server));
+  MustRoundtrip(leader, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  for (LineClient& rider : riders) {
+    MustRoundtrip(rider, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  }
+
+  std::atomic<int> answered{0};
+  int leader_rank = -1;
+  std::string leader_wire;
+  std::thread leader_thread([&] {
+    leader_wire = MustRoundtrip(leader, "DIVERSIFY r=0.004");
+    leader_rank = answered++;
+  });
+  EXPECT_TRUE(WaitFor([&] { return server->manager_stats().flights_led == 1; }));
+  std::vector<int> rider_rank(riders.size(), -1);
+  std::vector<std::string> rider_wire(riders.size());
+  std::vector<std::thread> rider_threads;
+  for (size_t i = 0; i < riders.size(); ++i) {
+    rider_threads.emplace_back([&, i] {
+      rider_wire[i] = MustRoundtrip(
+          riders[i], "DIVERSIFY r=0.00" + std::to_string(i + 1) +
+                         " adapt=true");
+      rider_rank[i] = answered++;
+    });
+  }
+  leader_thread.join();
+  for (std::thread& thread : rider_threads) thread.join();
+
+  EXPECT_EQ(server->manager_stats().flights_adapt_followed, riders.size());
+  EXPECT_NE(leader_wire.find("\"ok\":true"), std::string::npos)
+      << leader_wire;
+  EXPECT_EQ(leader_rank, 0);
+  for (size_t i = 0; i < riders.size(); ++i) {
+    EXPECT_NE(rider_wire[i].find("\"adapted\":true,\"seed_radius\":0.004"),
+              std::string::npos)
+        << rider_wire[i];
+    EXPECT_GT(rider_rank[i], leader_rank);
+  }
+}
+
+TEST(ServerAdaptTest, RidersHoldAnAdmissionSlot) {
+  // A rider computes (its zoom runs as its own job), so it is counted in
+  // the budget from arrival: leader + rider fill a budget of two, and a
+  // third cold DIVERSIFY is BUSY.
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  options.max_inflight = 1;
+  options.max_pending = 1;
+  auto server_or = DiscServer::Start(std::move(options));
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).value();
+
+  LineClient leader = ConnectTo(*server);
+  LineClient rider = ConnectTo(*server);
+  LineClient third = ConnectTo(*server);
+  MustRoundtrip(leader, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  MustRoundtrip(rider, "OPEN dataset=clustered n=20000 dim=2 seed=9");
+  MustRoundtrip(third, "OPEN dataset=clustered n=400 dim=2 seed=9");
+
+  std::string leader_wire;
+  std::thread leader_thread(
+      [&] { leader_wire = MustRoundtrip(leader, "DIVERSIFY r=0.004"); });
+  EXPECT_TRUE(WaitFor([&] { return server->manager_stats().flights_led == 1; }));
+  std::string rider_wire;
+  std::thread rider_thread([&] {
+    rider_wire = MustRoundtrip(rider, "DIVERSIFY r=0.003 adapt=true");
+  });
+  EXPECT_TRUE(WaitFor(
+      [&] { return server->manager_stats().flights_adapt_followed == 1; }));
+  const std::string busy = MustRoundtrip(third, "DIVERSIFY r=0.05");
+  leader_thread.join();
+  rider_thread.join();
+
+  EXPECT_NE(busy.find("\"code\":\"Busy\""), std::string::npos) << busy;
+  EXPECT_EQ(server->server_stats().busy_rejections, 1u);
+  EXPECT_NE(leader_wire.find("\"ok\":true"), std::string::npos)
+      << leader_wire;
+  EXPECT_NE(rider_wire.find("\"adapted\":true,\"seed_radius\":0.004"),
+            std::string::npos)
+      << rider_wire;
+
+  // Both slots came back with their answers.
+  const std::string fresh = MustRoundtrip(third, "DIVERSIFY r=0.05");
+  EXPECT_NE(fresh.find("\"ok\":true"), std::string::npos) << fresh;
+}
+
 // ---------------------------------------------------------------------------
 // The HTTP/1.1 transport (ISSUE 7): same commands, same JSON bodies, one
 // POST per command over a keep-alive connection (= one session).
 // ---------------------------------------------------------------------------
-
-HttpClient HttpConnectTo(const DiscServer& server) {
-  auto client = HttpClient::Connect("127.0.0.1", server.port());
-  EXPECT_TRUE(client.ok()) << client.status().ToString();
-  return std::move(client).value();
-}
 
 TEST(ServerHttpTest, HttpSessionMatchesDirectEngineByteForByte) {
   auto server = StartServer();
@@ -1060,26 +1375,6 @@ TEST(ServerHttpTest, BusyRejectionIsA503WithRetryAfter) {
 // time, with per-command error isolation, one cold solve per adapt family,
 // and slots that coalesce with other connections' flights.
 // ---------------------------------------------------------------------------
-
-/// Ships one well-formed BATCH frame over the line transport and reads the
-/// k response lines it owes.
-std::vector<std::string> RunLineBatch(
-    LineClient& client, const std::vector<std::string>& commands) {
-  EXPECT_TRUE(
-      client.SendLine("BATCH n=" + std::to_string(commands.size())).ok());
-  for (const std::string& command : commands) {
-    EXPECT_TRUE(client.SendLine(command).ok());
-  }
-  std::vector<std::string> responses;
-  responses.reserve(commands.size());
-  for (size_t i = 0; i < commands.size(); ++i) {
-    auto line = client.RecvLine();
-    EXPECT_TRUE(line.ok()) << "response " << i << ": "
-                           << line.status().ToString();
-    responses.push_back(line.ok() ? *line : "");
-  }
-  return responses;
-}
 
 /// Splits an HTTP /batch response body into its protocol lines.
 std::vector<std::string> SplitResponseLines(const std::string& body) {
