@@ -213,16 +213,20 @@ void DiscEngine::InsertCache(CacheEntry entry) {
 }
 
 const std::vector<uint32_t>& DiscEngine::CountsForRadius(double radius) {
-  auto it = counts_cache_.find(radius);
-  if (it == counts_cache_.end()) {
-    std::vector<uint32_t> counts;
-    // The heaviest engine pass (one range query per object); fans out
-    // across the engine pool with counts and stats totals exactly equal to
-    // the serial pass (see ComputeNeighborCountsPostBuild).
-    tree_->ComputeNeighborCountsPostBuild(radius, &counts, pool());
-    it = counts_cache_.emplace(radius, std::move(counts)).first;
+  for (const auto& [cached_radius, counts] : counts_cache_) {
+    if (cached_radius == radius) return counts;
   }
-  return it->second;
+  std::vector<uint32_t> counts;
+  // The heaviest engine pass (one range query per object); fans out across
+  // the engine pool with counts and stats totals exactly equal to the
+  // serial pass (see ComputeNeighborCountsPostBuild).
+  tree_->ComputeNeighborCountsPostBuild(radius, &counts, pool());
+  // n x 4 bytes per radius: bounded like the solution cache, because a
+  // pooled engine that never sees a radius twice would otherwise keep
+  // every radius's counts for its whole life.
+  counts_cache_.emplace_back(radius, std::move(counts));
+  if (counts_cache_.size() > kMaxCachedSolutions) counts_cache_.pop_front();
+  return counts_cache_.back().second;
 }
 
 QualityMetrics DiscEngine::ComputeQuality(

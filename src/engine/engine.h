@@ -37,10 +37,10 @@
 
 #include <cstddef>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/disc_algorithms.h"
@@ -399,7 +399,9 @@ class DiscEngine {
   const CacheEntry* FindCached(const CacheKey& key) const;
   void InsertCache(CacheEntry entry);
   /// White-neighborhood counts for `radius`, computed on first use (charged
-  /// to the tree's stats) and cached — they depend only on geometry.
+  /// to the tree's stats) and cached — they depend only on geometry. The
+  /// cache holds the latest kMaxCachedSolutions radii; the oldest insert is
+  /// evicted first.
   const std::vector<uint32_t>& CountsForRadius(double radius);
 
   QualityMetrics ComputeQuality(const std::vector<ObjectId>& solution,
@@ -426,7 +428,8 @@ class DiscEngine {
 
   SessionState session_;
   std::deque<CacheEntry> cache_;  // bounded FIFO, newest at the back
-  std::map<double, std::vector<uint32_t>> counts_cache_;
+  /// Bounded FIFO of (radius, counts), newest at the back.
+  std::deque<std::pair<double, std::vector<uint32_t>>> counts_cache_;
   size_t sessions_served_ = 1;
   size_t cache_hits_ = 0;
   size_t computations_ = 0;

@@ -1,9 +1,6 @@
 #include "metric/metric.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -25,47 +22,22 @@ const char* MetricKindToString(MetricKind kind) {
 
 double EuclideanMetric::Distance(const Point& a, const Point& b) const {
   assert(a.dim() == b.dim());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double sum = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    double d = pa[i] - pb[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum);
+  return MetricKernel<MetricKind::kEuclidean>(a.data(), b.data(), a.dim());
 }
 
 double ManhattanMetric::Distance(const Point& a, const Point& b) const {
   assert(a.dim() == b.dim());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double sum = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    sum += std::fabs(pa[i] - pb[i]);
-  }
-  return sum;
+  return MetricKernel<MetricKind::kManhattan>(a.data(), b.data(), a.dim());
 }
 
 double ChebyshevMetric::Distance(const Point& a, const Point& b) const {
   assert(a.dim() == b.dim());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double best = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    best = std::max(best, std::fabs(pa[i] - pb[i]));
-  }
-  return best;
+  return MetricKernel<MetricKind::kChebyshev>(a.data(), b.data(), a.dim());
 }
 
 double HammingMetric::Distance(const Point& a, const Point& b) const {
   assert(a.dim() == b.dim());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double count = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    if (pa[i] != pb[i]) count += 1.0;
-  }
-  return count;
+  return MetricKernel<MetricKind::kHamming>(a.data(), b.data(), a.dim());
 }
 
 std::unique_ptr<DistanceMetric> MakeMetric(MetricKind kind) {

@@ -9,6 +9,9 @@
 #ifndef DISC_METRIC_METRIC_H_
 #define DISC_METRIC_METRIC_H_
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -28,6 +31,30 @@ enum class MetricKind {
 
 /// Returns e.g. "euclidean" for kEuclidean.
 const char* MetricKindToString(MetricKind kind);
+
+/// The one distance kernel per family, over raw coordinates of dimension
+/// `dim`. The virtual Distance overrides below call it, and the M-tree's
+/// search loop calls it directly (one instantiation per family, dispatched
+/// once per query), so both paths produce identical bits.
+template <MetricKind K>
+inline double MetricKernel(const double* a, const double* b, size_t dim) {
+  double acc = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    if constexpr (K == MetricKind::kEuclidean) {
+      double d = a[i] - b[i];
+      acc += d * d;
+    } else if constexpr (K == MetricKind::kManhattan) {
+      acc += std::fabs(a[i] - b[i]);
+    } else if constexpr (K == MetricKind::kChebyshev) {
+      acc = std::max(acc, std::fabs(a[i] - b[i]));
+    } else {
+      // Hamming: coordinates are compared exactly (category codes).
+      if (a[i] != b[i]) acc += 1.0;
+    }
+  }
+  if constexpr (K == MetricKind::kEuclidean) return std::sqrt(acc);
+  return acc;
+}
 
 /// Abstract distance function. Implementations must be metrics in the
 /// mathematical sense; the M-tree's covering-radius pruning is unsound

@@ -173,6 +173,13 @@ Status MTree::CheckBuildPreconditions() const {
 }
 
 void MTree::InitObjectState() {
+  dim_ = dataset_.dim();
+  coords_.resize(dataset_.size() * dim_);
+  for (ObjectId id = 0; id < dataset_.size(); ++id) {
+    const Point& p = dataset_.point(id);
+    assert(p.dim() == dim_);
+    std::copy(p.data(), p.data() + dim_, coords_.begin() + id * dim_);
+  }
   leaf_of_.assign(dataset_.size(), nullptr);
   colors_.assign(dataset_.size(), Color::kWhite);
   closest_black_dist_.assign(dataset_.size(),
@@ -249,6 +256,21 @@ void MTree::AdjustWhiteCount(Node* leaf, int delta) {
 // Queries
 // ---------------------------------------------------------------------------
 
+struct MTree::Query {
+  const double* center;
+  double radius;
+  QueryFilter filter;
+  bool pruned;
+  ObjectId exclude;  // never reported (the center object), or kInvalidObject
+  std::vector<Neighbor>* out;
+  AccessStats stats;
+};
+
+namespace {
+// d(center, pivot) not known: the parent-distance shortcut is skipped.
+constexpr double kNoPivotDist = std::numeric_limits<double>::quiet_NaN();
+}  // namespace
+
 void MTree::RangeQuery(const Point& center, double radius, QueryFilter filter,
                        bool pruned, std::vector<Neighbor>* out) const {
   assert(built_);
@@ -258,71 +280,28 @@ void MTree::RangeQuery(const Point& center, double radius, QueryFilter filter,
 void MTree::RangeQueryUnchecked(const Point& center, double radius,
                                 QueryFilter filter, bool pruned,
                                 std::vector<Neighbor>* out) const {
-  ++LiveStats().range_queries;
-  RangeSearchNode(root_.get(), center, radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  kInvalidObject, out);
+  assert(center.dim() == dim_);
+  Query q{center.data(), radius, filter, pruned, kInvalidObject, out, {}};
+  q.stats.range_queries = 1;
+  RunQuery(root_.get(), Climb::kNone, &q);
 }
 
 void MTree::RangeQueryAround(ObjectId center, double radius,
                              QueryFilter filter, bool pruned,
                              std::vector<Neighbor>* out) const {
   assert(built_);
-  ++LiveStats().range_queries;
-  RangeSearchNode(root_.get(), dataset_.point(center), radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  center, out);
-}
-
-void MTree::RangeSearchNode(const Node* node, const Point& center,
-                            double radius, double dist_center_to_node_pivot,
-                            QueryFilter filter, bool pruned, ObjectId exclude,
-                            std::vector<Neighbor>* out) const {
-  ++LiveStats().node_accesses;
-  const bool have_parent_dist = !std::isnan(dist_center_to_node_pivot);
-  if (node->is_leaf) {
-    for (const LeafEntry& entry : node->objects) {
-      if (entry.object == exclude) continue;
-      if (filter == QueryFilter::kWhiteOnly &&
-          colors_[entry.object] != Color::kWhite) {
-        continue;
-      }
-      // Triangle-inequality shortcut via the precomputed parent distance.
-      if (have_parent_dist &&
-          std::fabs(dist_center_to_node_pivot - entry.parent_dist) > radius) {
-        continue;
-      }
-      double d = DistanceToPoint(center, entry.object);
-      if (d <= radius) out->push_back(Neighbor{entry.object, d});
-    }
-    return;
-  }
-  for (const RoutingEntry& entry : node->children) {
-    if (pruned && entry.child->white_count == 0) continue;
-    if (have_parent_dist &&
-        std::fabs(dist_center_to_node_pivot - entry.parent_dist) >
-            radius + entry.radius) {
-      continue;
-    }
-    double d = DistanceToPoint(center, entry.pivot);
-    if (d <= radius + entry.radius) {
-      RangeSearchNode(entry.child.get(), center, radius, d, filter, pruned,
-                      exclude, out);
-    }
-  }
+  Query q{coords(center), radius, filter, pruned, center, out, {}};
+  q.stats.range_queries = 1;
+  RunQuery(root_.get(), Climb::kNone, &q);
 }
 
 void MTree::LeafMatesWithin(ObjectId center, double radius,
                             std::vector<Neighbor>* out) const {
   assert(built_);
-  const Node* leaf = leaf_of_[center];
-  ++LiveStats().node_accesses;
-  const Point& q = dataset_.point(center);
-  for (const LeafEntry& entry : leaf->objects) {
-    if (entry.object == center) continue;
-    double d = DistanceToPoint(q, entry.object);
-    if (d <= radius) out->push_back(Neighbor{entry.object, d});
-  }
+  // The leaf alone, no parent-distance shortcut: one node access and one
+  // distance per leaf-mate. Not a range query in the stats.
+  Query q{coords(center), radius, QueryFilter::kAll, false, center, out, {}};
+  RunQuery(leaf_of_[center], Climb::kNone, &q);
 }
 
 void MTree::RangeQueryBottomUp(ObjectId center, double radius,
@@ -330,35 +309,99 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
                                bool stop_at_grey,
                                std::vector<Neighbor>* out) const {
   assert(built_);
-  ++LiveStats().range_queries;
-  const Point& q = dataset_.point(center);
+  Query q{coords(center), radius, filter, pruned, center, out, {}};
+  q.stats.range_queries = 1;
+  RunQuery(leaf_of_[center], stop_at_grey ? Climb::kUntilGrey : Climb::kToRoot,
+           &q);
+}
 
-  // Search the object's own leaf first, then climb: at every ancestor,
-  // search the sibling subtrees that intersect the query ball. Climbing to
-  // the root makes this exactly equivalent to the top-down query; with
-  // stop_at_grey (Fast-C), the climb ends at the first all-grey ancestor,
-  // deliberately accepting that whites in distant leaves are missed (§5.1).
-  Node* node = leaf_of_[center];
-  double d_node = node->pivot == kInvalidObject
-                      ? std::numeric_limits<double>::quiet_NaN()
-                      : DistanceToPoint(q, node->pivot);
-  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, out);
+void MTree::RunQuery(const Node* start, Climb climb, Query* q) const {
+  switch (metric_.kind()) {
+    case MetricKind::kEuclidean:
+      Search<MetricKind::kEuclidean>(start, climb, q);
+      break;
+    case MetricKind::kManhattan:
+      Search<MetricKind::kManhattan>(start, climb, q);
+      break;
+    case MetricKind::kChebyshev:
+      Search<MetricKind::kChebyshev>(start, climb, q);
+      break;
+    case MetricKind::kHamming:
+      Search<MetricKind::kHamming>(start, climb, q);
+      break;
+  }
+  LiveStats() += q->stats;
+}
 
-  while (node->parent != nullptr) {
-    Node* parent = node->parent;
-    // parent->white_count == 0 means the whole climbed-into subtree is grey.
-    if (stop_at_grey && parent->white_count == 0) break;
-    ++LiveStats().node_accesses;  // reading the parent's entries
-    for (const RoutingEntry& entry : parent->children) {
-      if (entry.child.get() == node) continue;  // already covered below
-      if (pruned && entry.child->white_count == 0) continue;
-      double d = DistanceToPoint(q, entry.pivot);
-      if (d <= radius + entry.radius) {
-        RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
-                        center, out);
+template <MetricKind K>
+double MTree::QueryDistance(Query* q, ObjectId id) const {
+  ++q->stats.distance_computations;
+  return MetricKernel<K>(q->center, coords(id), dim_);
+}
+
+template <MetricKind K>
+void MTree::Search(const Node* start, Climb climb, Query* q) const {
+  // Bottom-up (§5): search the start leaf, then climb toward the root and
+  // search the sibling subtrees that intersect the query ball at each
+  // ancestor. Climbing to the root makes this exactly the top-down answer;
+  // kUntilGrey (Fast-C) ends at the first all-grey ancestor, deliberately
+  // accepting that whites in distant leaves are missed (§5.1).
+  double dist_to_pivot = kNoPivotDist;
+  if (climb != Climb::kNone && start->pivot != kInvalidObject) {
+    dist_to_pivot = QueryDistance<K>(q, start->pivot);
+  }
+  SearchNode<K>(start, dist_to_pivot, /*skip=*/nullptr, q);
+  if (climb == Climb::kNone) return;
+  for (const Node* node = start; node->parent != nullptr;
+       node = node->parent) {
+    if (climb == Climb::kUntilGrey && node->parent->white_count == 0) break;
+    SearchNode<K>(node->parent, kNoPivotDist, /*skip=*/node, q);
+  }
+}
+
+template <MetricKind K>
+void MTree::SearchNode(const Node* node, double dist_to_pivot,
+                       const Node* skip, Query* q) const {
+  ++q->stats.node_accesses;
+  const bool have_pivot_dist = !std::isnan(dist_to_pivot);
+  const double radius = q->radius;
+  if (node->is_leaf) {
+    // Every candidate is written at the cursor, which advances only when it
+    // lies in the ball: no branch on the distance.
+    std::vector<Neighbor>& out = *q->out;
+    const size_t base = out.size();
+    out.resize(base + node->objects.size());
+    Neighbor* const first = out.data();
+    Neighbor* cursor = first + base;
+    const ObjectId exclude = q->exclude;
+    const bool white_only = q->filter == QueryFilter::kWhiteOnly;
+    for (const LeafEntry& entry : node->objects) {
+      if (entry.object == exclude) continue;
+      if (white_only && colors_[entry.object] != Color::kWhite) continue;
+      // Triangle-inequality shortcut via the precomputed parent distance.
+      if (have_pivot_dist &&
+          std::fabs(dist_to_pivot - entry.parent_dist) > radius) {
+        continue;
       }
+      const double d = QueryDistance<K>(q, entry.object);
+      *cursor = Neighbor{entry.object, d};
+      cursor += d <= radius;
     }
-    node = parent;
+    out.resize(static_cast<size_t>(cursor - first));
+    return;
+  }
+  for (const RoutingEntry& entry : node->children) {
+    if (entry.child.get() == skip) continue;
+    if (q->pruned && entry.child->white_count == 0) continue;
+    if (have_pivot_dist &&
+        std::fabs(dist_to_pivot - entry.parent_dist) >
+            radius + entry.radius) {
+      continue;
+    }
+    const double d = QueryDistance<K>(q, entry.pivot);
+    if (d <= radius + entry.radius) {
+      SearchNode<K>(entry.child.get(), d, /*skip=*/nullptr, q);
+    }
   }
 }
 

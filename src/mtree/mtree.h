@@ -368,10 +368,38 @@ class MTree {
   void RangeQueryUnchecked(const Point& center, double radius,
                            QueryFilter filter, bool pruned,
                            std::vector<Neighbor>* out) const;
-  void RangeSearchNode(const Node* node, const Point& center, double radius,
-                       double dist_center_to_node_pivot, QueryFilter filter,
-                       bool pruned, ObjectId exclude,
-                       std::vector<Neighbor>* out) const;
+
+  // -- The search loop ---------------------------------------------------
+  // Every query (top-down, bottom-up, leaf-mates) runs through one routine,
+  // SearchNode, instantiated once per metric family so the distance kernel
+  // inlines (metric/metric.h). A query counts its node accesses and
+  // distance computations in its own Query::stats and adds them to
+  // LiveStats() once, when it ends; every distance the loop computes is
+  // counted, and it computes none that it does not count.
+
+  // One range query's arguments, output and counters (mtree.cc).
+  struct Query;
+  // How far a query climbs from its start node: not at all (top-down from
+  // the root, leaf-mates), to the root (exact bottom-up), or until the first
+  // ancestor without white objects (Fast-C's stop_at_grey).
+  enum class Climb { kNone, kToRoot, kUntilGrey };
+  // Dispatches on metric_.kind() to Search<K>, then flushes q->stats.
+  void RunQuery(const Node* start, Climb climb, Query* q) const;
+  template <MetricKind K>
+  void Search(const Node* start, Climb climb, Query* q) const;
+  // Scans `node`: a leaf reports its objects within the radius, an internal
+  // node descends into every child whose ball intersects the query ball
+  // except `skip` (the subtree a bottom-up climb came from).
+  // `dist_to_pivot` is d(center, node's pivot), or NaN when unknown.
+  template <MetricKind K>
+  void SearchNode(const Node* node, double dist_to_pivot, const Node* skip,
+                  Query* q) const;
+  template <MetricKind K>
+  double QueryDistance(Query* q, ObjectId id) const;
+  const double* coords(ObjectId id) const {
+    return coords_.data() + static_cast<size_t>(id) * dim_;
+  }
+
   void AdjustWhiteCount(Node* leaf, int delta);
   uint32_t RecomputeWhiteCounts(Node* node);
   double DistanceToPoint(const Point& q, ObjectId b) const;
@@ -384,6 +412,11 @@ class MTree {
   const Dataset& dataset_;
   const DistanceMetric& metric_;
   MTreeOptions options_;
+
+  // Every object's coordinates in one n x dim block, indexed by object id
+  // and copied once by InitObjectState; the search loop reads only this.
+  std::vector<double> coords_;
+  size_t dim_ = 0;
 
   std::unique_ptr<Node> root_;
   std::vector<Node*> leaf_of_;  // object id -> leaf containing it

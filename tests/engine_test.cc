@@ -550,6 +550,36 @@ TEST(EngineSnapshotTest, TracksSessionLifecycle) {
   EXPECT_EQ(reset.cached_count_radii, 1u);
 }
 
+TEST(EngineSnapshotTest, CountsCacheKeepsTheLatestEightRadii) {
+  // A pooled engine that never sees a radius twice must not keep every
+  // radius's n x 4 bytes of counts: the cache is bounded like the solution
+  // cache, oldest insert evicted first.
+  auto engine = MakeEngine();
+  std::vector<double> radii;
+  for (int i = 0; i < 12; ++i) radii.push_back(0.05 + 0.01 * i);
+  for (double radius : radii) {
+    DiversifyRequest request;
+    request.radius = radius;
+    ASSERT_TRUE(engine->Diversify(request).ok());
+  }
+  EXPECT_EQ(engine->Snapshot().cached_count_radii, 8u);
+
+  // The first radius's counts and solution are both evicted; recomputing
+  // them answers exactly what a fresh engine answers.
+  DiversifyRequest evicted;
+  evicted.radius = radii.front();
+  auto again = engine->Diversify(evicted);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again->from_cache);
+  auto fresh = MakeEngine()->Diversify(evicted);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(SerializeDiversifyResponse(Verb::kDiversify, *again,
+                                       /*include_wall_ms=*/false),
+            SerializeDiversifyResponse(Verb::kDiversify, *fresh,
+                                       /*include_wall_ms=*/false));
+  EXPECT_EQ(engine->Snapshot().cached_count_radii, 8u);
+}
+
 // ---------------------------------------------------------------------------
 // §8 extensions
 // ---------------------------------------------------------------------------
