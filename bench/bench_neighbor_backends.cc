@@ -1,29 +1,27 @@
-// Neighbor-backend quality and scale benchmark (ISSUE 8).
+// Neighbor-backend exactness and scale benchmark.
 //
 // Two claims ride on this binary, both gated in CI
 // (bench/diff_bench_json.py over the merged BENCH JSON):
-//   * quality — every backend builds the full neighborhood structure for
-//     the paper's clustered workload; the exact family must match the
-//     oracle bit-for-bit (mismatches == 0), and the LSH family's recall
-//     under the documented default configuration must clear 0.9. The
-//     downstream effect is measured too: Greedy-DisC runs on each backend's
-//     graph and the solution is judged on the TRUE neighborhoods (coverage,
-//     independence-violation rate).
-//   * scale — the lsh-sharded backend builds a million-point neighborhood
-//     graph (the configuration the exact-backend guardrail points users
-//     to), with its recall measured against the grid-accelerated oracle.
+//   * exactness — every backend builds the full neighborhood structure of
+//     two workloads and must match the exact oracle bit-for-bit
+//     (mismatches == 0): the paper's clustered 2-D workload, where the grid
+//     accelerator applies, and uniform 8-D, where the grid falls back to
+//     the O(n^2) scan and the M-tree kinds (exact, sharded) compete with it.
+//     Build wall times are reported so sharded can be judged against the
+//     single M-tree and the scan in both regimes.
+//   * scale — the grid backend builds the exact million-point 2-D
+//     neighborhood graph (the path the exact-family guardrail points
+//     low-dimensional inputs to); its edge count is pinned.
 //
-// Workload sizes scale via DISC_NEIGHBOR_N (quality rows, default 10000)
-// and DISC_NEIGHBOR_SCALE_N (scale row, default 1000000, 0 skips it).
+// Workload sizes scale via DISC_NEIGHBOR_N (clustered 2-D rows, default
+// 10000) and DISC_NEIGHBOR_SCALE_N (scale row, default 1000000, 0 skips
+// it); the uniform 8-D rows hold 20000 points.
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench/common.h"
-#include "core/reference.h"
 #include "eval/neighbor_eval.h"
 #include "graph/neighborhood.h"
 #include "neighbor/backend.h"
@@ -48,40 +46,51 @@ ThreadPool* BenchPool() {
   return pool;
 }
 
-TableCollector* QualityTable() {
+TableCollector* ExactnessTable() {
   static TableCollector table(
-      "Neighbor backend quality (vs exact oracle)", "neighbor_backends.csv",
-      {"backend", "n", "build_ms", "edges", "recall", "mismatches",
-       "coverage", "indep_viol"});
+      "Neighbor backend exactness (vs exact oracle)", "neighbor_backends.csv",
+      {"backend", "workload", "n", "dim", "build_ms", "edges", "mismatches"});
   return &table;
 }
 
-// The scale row gets its own table: diff_bench_json.py demotes any column
-// with a non-numeric cell to a row label, so a "-" placeholder here would
-// silently un-gate the quality table's coverage column.
 TableCollector* ScaleTable() {
-  static TableCollector table(
-      "Neighbor backend scale (lsh-sharded)", "neighbor_scale.csv",
-      {"backend", "n", "build_ms", "edges", "recall", "false_edges"});
+  static TableCollector table("Neighbor backend scale (grid)",
+                              "neighbor_scale.csv",
+                              {"backend", "n", "build_ms", "edges"});
   return &table;
 }
 
-// The shared exact oracle for the quality rows (grid-accelerated build).
-const CsrAdjacency& QualityOracle(const Dataset& dataset, double radius) {
-  static const CsrAdjacency* oracle = new CsrAdjacency(
-      NeighborhoodGraph(dataset, Euclidean(), radius, BenchPool())
+struct Workload {
+  const char* name;
+  size_t n;
+  size_t dim;
+  double radius;
+  // Built on first use and shared by every backend row: the dataset and
+  // its exact oracle from the graph layer's direct builders
+  // (grid-accelerated in 2-D, the O(n^2) scan in 8-D).
+  const Dataset* dataset = nullptr;
+  const CsrAdjacency* oracle = nullptr;
+};
+
+void Prepare(Workload& workload) {
+  if (workload.dataset != nullptr) return;
+  workload.dataset =
+      workload.dim == 2
+          ? &Clustered(workload.n, workload.dim)
+          : new Dataset(MakeUniformDataset(workload.n, workload.dim, 42));
+  workload.oracle = new CsrAdjacency(
+      NeighborhoodGraph(*workload.dataset, Euclidean(), workload.radius,
+                        BenchPool())
           .adjacency());
-  return *oracle;
 }
 
-// Builds `kind` over the workload, measures edge agreement with the oracle
-// and the on-oracle quality of the Greedy-DisC solution computed on the
-// backend's graph, and lands everything in the table + counters.
-void BM_BackendQuality(benchmark::State& state, NeighborBackendKind kind) {
-  const size_t n = EnvSize("DISC_NEIGHBOR_N", 10000);
-  const Dataset& dataset = Clustered(n, 2);
-  const double radius = 0.03;
-  const CsrAdjacency& oracle = QualityOracle(dataset, radius);
+// Builds `kind` over the workload, measures edge agreement with the oracle,
+// and lands everything in the table + counters.
+void BM_BackendExactness(benchmark::State& state, Workload& workload,
+                         NeighborBackendKind kind) {
+  Prepare(workload);
+  const Dataset& dataset = *workload.dataset;
+  const CsrAdjacency& oracle = *workload.oracle;
 
   NeighborBackendOptions options;
   options.kind = kind;
@@ -94,11 +103,10 @@ void BM_BackendQuality(benchmark::State& state, NeighborBackendKind kind) {
 
   double ms = 0.0;
   AdjacencyComparison comparison;
-  SolutionGraphQuality quality;
   size_t edges = 0;
   for (auto _ : state) {
     Stopwatch watch;
-    auto graph = NeighborhoodGraph::FromBackend(**backend, radius,
+    auto graph = NeighborhoodGraph::FromBackend(**backend, workload.radius,
                                                 BenchPool());
     ms = watch.ElapsedMillis();
     if (!graph.ok()) {
@@ -107,33 +115,26 @@ void BM_BackendQuality(benchmark::State& state, NeighborBackendKind kind) {
     }
     edges = graph->num_edges();
     comparison = CompareAdjacency(oracle, graph->adjacency());
-    quality = EvaluateSolutionOnOracle(oracle, ReferenceGreedyDisc(*graph));
     benchmark::DoNotOptimize(edges);
   }
   state.counters["edges"] = static_cast<double>(edges);
-  state.counters["recall"] = comparison.recall;
   state.counters["mismatches"] = static_cast<double>(comparison.mismatches());
-  state.counters["coverage"] = quality.coverage;
-  state.counters["indep_viol"] = quality.independence_violation_rate;
-  QualityTable()->AddRow(
-      {NeighborBackendKindToString(kind), std::to_string(n),
+  ExactnessTable()->AddRow(
+      {NeighborBackendKindToString(kind), workload.name,
+       std::to_string(workload.n), std::to_string(workload.dim),
        FormatDouble(ms, 4), std::to_string(edges),
-       FormatDouble(comparison.recall, 6),
-       std::to_string(comparison.mismatches()),
-       FormatDouble(quality.coverage, 6),
-       FormatDouble(quality.independence_violation_rate, 6)});
+       std::to_string(comparison.mismatches())});
 }
 
-// The scale row: lsh-sharded over a million uniform points — the workload
-// the exact-family guardrail refuses — with recall against the
-// grid-accelerated oracle.
-void BM_LshShardedScale(benchmark::State& state) {
+// The scale row: the grid over a million uniform 2-D points — above the
+// exact-family cap, which exempts grid-compatible inputs.
+void BM_GridScale(benchmark::State& state) {
   const size_t n = EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000);
   const Dataset dataset = MakeUniformDataset(n, 2, 42);
   const double radius = 0.003;
 
   NeighborBackendOptions options;
-  options.kind = NeighborBackendKind::kLshSharded;
+  options.kind = NeighborBackendKind::kGrid;
   auto backend =
       CreateNeighborBackend(dataset, Euclidean(), options, BenchPool());
   if (!backend.ok()) {
@@ -142,7 +143,6 @@ void BM_LshShardedScale(benchmark::State& state) {
   }
 
   double ms = 0.0;
-  AdjacencyComparison comparison;
   size_t edges = 0;
   for (auto _ : state) {
     Stopwatch watch;
@@ -154,47 +154,45 @@ void BM_LshShardedScale(benchmark::State& state) {
       return;
     }
     edges = graph->num_edges();
-    NeighborhoodGraph oracle(dataset, Euclidean(), radius, BenchPool());
-    comparison = CompareAdjacency(oracle.adjacency(), graph->adjacency());
     benchmark::DoNotOptimize(edges);
   }
   state.counters["edges"] = static_cast<double>(edges);
-  state.counters["recall"] = comparison.recall;
-  state.counters["false_edges"] =
-      static_cast<double>(comparison.false_edges);
-  ScaleTable()->AddRow(
-      {"lsh-sharded", std::to_string(n), FormatDouble(ms, 4),
-       std::to_string(edges), FormatDouble(comparison.recall, 6),
-       std::to_string(comparison.false_edges)});
+  ScaleTable()->AddRow({"grid", std::to_string(n), FormatDouble(ms, 4),
+                        std::to_string(edges)});
 }
 
 [[maybe_unused]] const bool registered = [] {
-  for (auto& [name, kind] :
-       {std::pair<const char*, NeighborBackendKind>{
-            "Exact", NeighborBackendKind::kExact},
-        {"Grid", NeighborBackendKind::kGrid},
-        {"Sharded", NeighborBackendKind::kSharded},
-        {"Lsh", NeighborBackendKind::kLsh},
-        {"LshSharded", NeighborBackendKind::kLshSharded}}) {
-    auto kind_copy = kind;
-    std::string bench_name =
-        "NeighborQuality/" + std::string(name) + "/n=" +
-        std::to_string(EnvSize("DISC_NEIGHBOR_N", 10000));
-    benchmark::RegisterBenchmark(
-        bench_name.c_str(),
-        [kind_copy](benchmark::State& state) {
-          BM_BackendQuality(state, kind_copy);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+  static Workload* workloads = new Workload[2]{
+      {"clustered", EnvSize("DISC_NEIGHBOR_N", 10000), 2, 0.03},
+      {"uniform", 20000, 8, 0.4}};
+  for (Workload* workload = workloads; workload != workloads + 2;
+       ++workload) {
+    for (auto& [name, kind] :
+         {std::pair<const char*, NeighborBackendKind>{
+              "Exact", NeighborBackendKind::kExact},
+          {"Grid", NeighborBackendKind::kGrid},
+          {"Sharded", NeighborBackendKind::kSharded}}) {
+      auto kind_copy = kind;
+      std::string bench_name = "NeighborExactness/" + std::string(name) +
+                               "/" + workload->name +
+                               "/n=" + std::to_string(workload->n) +
+                               "/dim=" + std::to_string(workload->dim);
+      benchmark::RegisterBenchmark(
+          bench_name.c_str(),
+          [workload, kind_copy](benchmark::State& state) {
+            BM_BackendExactness(state, *workload, kind_copy);
+          })
+          ->Iterations(1)
+          ->Unit(benchmark::kMillisecond);
+    }
   }
   if (EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000) > 0) {
     std::string scale_name =
-        "NeighborScale/LshSharded/n=" +
+        "NeighborScale/Grid/n=" +
         std::to_string(EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000));
     benchmark::RegisterBenchmark(
         scale_name.c_str(),
-        [](benchmark::State& state) { BM_LshShardedScale(state); })
+        [](benchmark::State& state) { BM_GridScale(state); })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
   }

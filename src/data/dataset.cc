@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
@@ -101,6 +102,12 @@ Result<Dataset> LoadPointsCsv(const std::string& path) {
       double v = std::strtod(field.c_str(), &end);
       if (end == field.c_str() || (end && *end != '\0')) {
         return Status::Corruption("non-numeric field '" + field + "' at row " +
+                                  std::to_string(row_idx) + " in " + path);
+      }
+      // nan, inf and overflowing literals (1e999) parse, but no metric,
+      // index or grid cell is defined over them.
+      if (!std::isfinite(v)) {
+        return Status::Corruption("non-finite field '" + field + "' at row " +
                                   std::to_string(row_idx) + " in " + path);
       }
       coords.push_back(v);

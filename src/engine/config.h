@@ -122,10 +122,10 @@ struct EngineConfig {
   /// Which neighbor engine computes N_r(p) (neighbor/backend.h). kExact
   /// keeps the historical M-tree session engine byte-for-byte; every other
   /// kind runs the engine in graph mode — algorithms execute on the
-  /// neighborhood graph the backend builds, zooming is unavailable, and for
-  /// the LSH kinds solutions are approximate. Unlike `threads`, this IS part
-  /// of the pooling identity: approximate solutions must never be served
-  /// from an exact engine's memo or vice versa.
+  /// neighborhood graph the backend builds and zooming is unavailable.
+  /// Unlike `threads`, this IS part of the pooling identity: a graph-mode
+  /// engine's memo (no tree, no zoom state) must never serve an M-tree
+  /// session or vice versa.
   NeighborBackendOptions neighbor;
 };
 

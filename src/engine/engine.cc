@@ -65,18 +65,11 @@ ThreadPool* DiscEngine::pool() {
 Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
   DISC_ASSIGN_OR_RETURN(Dataset dataset,
                         ResolveDataset(std::move(config.dataset)));
-  if (config.neighbor.kind == NeighborBackendKind::kExact &&
-      config.neighbor.max_exact_points > 0 &&
-      dataset.size() > config.neighbor.max_exact_points) {
-    return Status::InvalidArgument(
-        "dataset of " + std::to_string(dataset.size()) +
-        " points is above the exact-backend cap of " +
-        std::to_string(config.neighbor.max_exact_points) +
-        "; use the sharded, lsh, or lsh-sharded neighbor backend");
-  }
+  std::unique_ptr<DistanceMetric> metric = MakeMetric(config.metric);
+  DISC_RETURN_NOT_OK(CheckExactPointCap(dataset, *metric, config.neighbor));
   std::unique_ptr<DiscEngine> engine(
-      new DiscEngine(std::move(dataset), MakeMetric(config.metric),
-                     config.tree, config.threads, config.neighbor));
+      new DiscEngine(std::move(dataset), std::move(metric), config.tree,
+                     config.threads, config.neighbor));
   if (config.neighbor.kind == NeighborBackendKind::kExact) {
     // The historical session engine: algorithms run against tree colors,
     // zooming works. Byte-identical to every release before backends existed.
@@ -86,8 +79,8 @@ Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
     DISC_RETURN_NOT_OK(engine->tree_->Build(engine->pool()));
   } else {
     // Graph mode: the backend computes N_r(p); no tree is ever built (for
-    // the sharded/LSH kinds the whole point is that one global index would
-    // not fit or not scale).
+    // the grid and sharded kinds the whole point is that one global M-tree
+    // would not scale).
     DISC_ASSIGN_OR_RETURN(
         engine->backend_,
         CreateNeighborBackend(engine->dataset_, *engine->metric_,

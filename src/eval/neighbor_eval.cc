@@ -43,54 +43,7 @@ AdjacencyComparison CompareAdjacency(const CsrAdjacency& oracle,
       }
     }
   }
-  result.recall =
-      result.oracle_edges == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(result.missing_edges) /
-                      static_cast<double>(result.oracle_edges);
   return result;
-}
-
-SolutionGraphQuality EvaluateSolutionOnOracle(
-    const CsrAdjacency& oracle, const std::vector<ObjectId>& solution) {
-  SolutionGraphQuality quality;
-  const size_t n = oracle.size();
-  if (n == 0) {
-    quality.coverage = 1.0;
-    return quality;
-  }
-  std::vector<char> member(n, 0);
-  for (ObjectId id : solution) member[id] = 1;
-
-  size_t covered = 0;
-  for (size_t v = 0; v < n; ++v) {
-    if (member[v]) {
-      ++covered;
-      continue;
-    }
-    for (ObjectId u : oracle.row(v)) {
-      if (member[u]) {
-        ++covered;
-        break;
-      }
-    }
-  }
-  quality.coverage = static_cast<double>(covered) / static_cast<double>(n);
-
-  if (!solution.empty()) {
-    size_t violations = 0;
-    for (ObjectId id : solution) {
-      for (ObjectId u : oracle.row(id)) {
-        if (member[u]) {
-          ++violations;
-          break;
-        }
-      }
-    }
-    quality.independence_violation_rate =
-        static_cast<double>(violations) / static_cast<double>(solution.size());
-  }
-  return quality;
 }
 
 }  // namespace disc

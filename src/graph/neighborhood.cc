@@ -10,7 +10,7 @@ namespace {
 
 CsrAdjacency BuildDirect(const Dataset& dataset, const DistanceMetric& metric,
                          double radius, ThreadPool* pool) {
-  if (GridCompatible(metric, dataset.dim(), dataset.size()) && radius > 0) {
+  if (GridCompatible(metric, dataset.dim(), dataset.size())) {
     return BuildAdjacencyWithGrid(dataset, metric, radius, pool);
   }
   return BuildAdjacencyBruteForce(dataset, metric, radius, pool);

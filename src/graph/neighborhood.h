@@ -10,9 +10,9 @@
 // shared adjacency builders in neighbor/adjacency.h (grid accelerator or
 // exact O(n^2) scan), and FromBackend builds the graph through any pluggable
 // NeighborBackend (neighbor/backend.h): the index-backed path (one M-tree
-// range query per object, ExactMTreeBackend) and the approximate (LSH) and
-// sharded engines all plug into everything defined on this graph. Either
-// way the graph adopts the CsrAdjacency the builder returns, rows already
+// range query per object, ExactMTreeBackend), the grid and the sharded
+// engine all plug into everything defined on this graph and all build the
+// same exact graph. Either way the graph adopts the CsrAdjacency the builder returns, rows already
 // sorted. Both paths accept an optional util/parallel.h thread pool and
 // follow its ordered-reduction contract, so the graph is byte-identical to
 // the serial build for every thread count.
@@ -47,11 +47,8 @@ class NeighborhoodGraph {
                     double radius, ThreadPool* pool = nullptr);
 
   /// Builds the graph through a pluggable neighbor backend
-  /// (neighbor/backend.h). Exact backends produce exactly the graph the
-  /// constructor above produces; approximate backends produce a subgraph
-  /// (every reported edge is distance-verified, some true edges may be
-  /// missing — the recall the CI quality gate measures). Accounting goes to
-  /// the backend's stats().
+  /// (neighbor/backend.h): exactly the graph the constructor above
+  /// produces. Accounting goes to the backend's stats().
   static Result<NeighborhoodGraph> FromBackend(const NeighborBackend& backend,
                                                double radius,
                                                ThreadPool* pool = nullptr);

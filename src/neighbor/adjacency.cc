@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -119,13 +120,24 @@ bool GridCompatible(const DistanceMetric& metric, size_t dim, size_t n) {
 
 GridCellIndex::GridCellIndex(const Dataset& dataset, double radius)
     : radius_(radius), dim_(dataset.dim()) {
-  assert(dim_ <= 3 && radius > 0);
+  assert(dim_ <= 3 && radius >= 0);
   cells_per_probe_ = 1;
   for (size_t d = 0; d < dim_; ++d) cells_per_probe_ *= 3;
 
+  const size_t n = dataset.size();
+  double max_abs = 0;
+  for (ObjectId i = 0; i < n; ++i) {
+    const Point& p = dataset.point(i);
+    for (size_t d = 0; d < dim_; ++d) {
+      max_abs = std::max(max_abs, std::abs(p[d]));
+    }
+  }
+  // max_abs * 2^-52 * the golden ratio: see the class comment.
+  width_ = std::max({radius, max_abs * 0x1.9e3779b97f4a8p-52,
+                     std::numeric_limits<double>::min()});
+
   // Slot per distinct cell in first-seen order, then a counting sort of
   // the ids by slot: each cell lists its ids ascending.
-  const size_t n = dataset.size();
   std::vector<uint32_t> slot_of(n);
   slots_.reserve(n);
   std::array<int64_t, 3> cell{};

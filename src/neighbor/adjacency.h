@@ -22,6 +22,7 @@
 #ifndef DISC_NEIGHBOR_ADJACENCY_H_
 #define DISC_NEIGHBOR_ADJACENCY_H_
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -68,10 +69,21 @@ struct CsrAdjacency {
 /// at 3.
 bool GridCompatible(const DistanceMetric& metric, size_t dim, size_t n);
 
-/// Points hashed into cells of side r: any pair within distance r lies in
-/// the same or an adjacent cell along every axis. The one cell index behind
-/// both the grid builder below and GridBackend's point queries. Requires
-/// GridCompatible (dim <= 3) and radius > 0; immutable once built.
+/// Points hashed into cells of side w >= r: any pair within distance r lies
+/// in the same or an adjacent cell along every axis. The one cell index
+/// behind both the grid builder below and GridBackend's point queries.
+/// Requires GridCompatible (dim <= 3) and radius >= 0; immutable once built.
+///
+/// The side is w = max(r, M * phi * 2^-52, DBL_MIN), M the dataset's
+/// largest |coordinate| and phi the golden ratio, so for every realistic r
+/// the cells are exactly side r. The floor only applies at r = 0 or a tiny
+/// r, where floor(x / r) would divide by zero or overflow: the dataset's
+/// cell coordinates then stay within +/-2^52 and resolve points about one
+/// ulp of M apart. Keys pack each axis's low 21 bits, so cells 2^21 apart
+/// share a slot; the aliased candidates are distance-checked like any other.
+/// The irrational phi keeps data on a power-of-two lattice (coordinates
+/// k * M / 2^j) from landing on cell coordinates that share all 21 low bits
+/// and piling into one slot.
 class GridCellIndex {
  public:
   GridCellIndex(const Dataset& dataset, double radius);
@@ -104,14 +116,19 @@ class GridCellIndex {
   }
 
  private:
+  /// The clamp keeps the cast defined for query points far outside the
+  /// dataset relative to w. It never separates two points within r:
+  /// clamping moves no pair of coordinates further apart.
   int64_t CellCoordinate(double x) const {
-    return static_cast<int64_t>(std::floor(x / radius_));
+    return static_cast<int64_t>(
+        std::clamp(std::floor(x / width_), -0x1p62, 0x1p62));
   }
   /// Packs up to 3 cell coordinates (21 bits each, offset to stay positive)
   /// into one hash key.
   uint64_t PackCell(const std::array<int64_t, 3>& cell) const;
 
   double radius_;
+  double width_;
   size_t dim_;
   /// 3^dim: the cells ForEachNearbyCell visits per point.
   size_t cells_per_probe_;
@@ -127,7 +144,7 @@ CsrAdjacency BuildAdjacencyBruteForce(const Dataset& dataset,
                                       const DistanceMetric& metric,
                                       double radius, ThreadPool* pool);
 
-/// Uniform-grid accelerated scan (requires GridCompatible and radius > 0):
+/// Uniform-grid accelerated scan (requires GridCompatible):
 /// compares only same-or-adjacent cell pairs — still exactly one distance
 /// computation per unordered candidate pair — and produces the identical
 /// structure BuildAdjacencyBruteForce does. When `distance_computations` is

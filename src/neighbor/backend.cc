@@ -1,60 +1,15 @@
 #include "neighbor/backend.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <iterator>
+#include <string>
 #include <utility>
 
 #include "neighbor/exact_backend.h"
 #include "neighbor/grid_backend.h"
-#include "neighbor/lsh_backend.h"
 #include "neighbor/sharded_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
-
-namespace {
-
-// Row v of the result lists every u whose row in `adjacency` lists v.
-// Sources are scattered in ascending order, so every row comes out sorted.
-CsrAdjacency Transpose(const CsrAdjacency& adjacency) {
-  const size_t n = adjacency.size();
-  CsrAdjacency reverse(n);
-  for (ObjectId v : adjacency.ids) ++reverse.offsets[v + 1];
-  for (size_t v = 0; v < n; ++v) {
-    reverse.offsets[v + 1] += reverse.offsets[v];
-  }
-  reverse.ids.resize(adjacency.ids.size());
-  std::vector<uint64_t> cursor(reverse.offsets.begin(),
-                               reverse.offsets.end() - 1);
-  for (ObjectId u = 0; u < n; ++u) {
-    for (ObjectId v : adjacency.row(u)) reverse.ids[cursor[v]++] = u;
-  }
-  return reverse;
-}
-
-// The symmetric closure: row v becomes the union of its own row and every
-// u whose row lists v. Rows are sorted on entry and stay sorted on exit.
-// Approximate backends need this — a hash probe from i can find j while
-// the probe from j misses i — and a symmetric union only ever ADDS true
-// neighbors (every reported id is distance-verified), so recall can only
-// improve.
-CsrAdjacency SymmetrizeAdjacency(const CsrAdjacency& adjacency) {
-  const CsrAdjacency reverse = Transpose(adjacency);
-  const size_t n = adjacency.size();
-  CsrAdjacency symmetric(n);
-  symmetric.ids.reserve(adjacency.ids.size());
-  for (ObjectId v = 0; v < n; ++v) {
-    const auto own = adjacency.row(v);
-    const auto back = reverse.row(v);
-    std::set_union(own.begin(), own.end(), back.begin(), back.end(),
-                   std::back_inserter(symmetric.ids));
-    symmetric.offsets[v + 1] = symmetric.ids.size();
-  }
-  return symmetric;
-}
-
-}  // namespace
 
 const char* NeighborBackendKindToString(NeighborBackendKind kind) {
   switch (kind) {
@@ -62,12 +17,8 @@ const char* NeighborBackendKindToString(NeighborBackendKind kind) {
       return "exact";
     case NeighborBackendKind::kGrid:
       return "grid";
-    case NeighborBackendKind::kLsh:
-      return "lsh";
     case NeighborBackendKind::kSharded:
       return "sharded";
-    case NeighborBackendKind::kLshSharded:
-      return "lsh-sharded";
   }
   return "unknown";
 }
@@ -75,37 +26,37 @@ const char* NeighborBackendKindToString(NeighborBackendKind kind) {
 Result<NeighborBackendKind> ParseNeighborBackendKind(const std::string& name) {
   if (name == "exact") return NeighborBackendKind::kExact;
   if (name == "grid") return NeighborBackendKind::kGrid;
-  if (name == "lsh") return NeighborBackendKind::kLsh;
   if (name == "sharded") return NeighborBackendKind::kSharded;
-  if (name == "lsh-sharded") return NeighborBackendKind::kLshSharded;
-  return Status::InvalidArgument(
-      "unknown neighbor backend '" + name +
-      "' (want exact, grid, lsh, sharded, or lsh-sharded)");
-}
-
-bool NeighborBackendIsExact(NeighborBackendKind kind) {
-  return kind != NeighborBackendKind::kLsh &&
-         kind != NeighborBackendKind::kLshSharded;
+  return Status::InvalidArgument("unknown neighbor backend '" + name +
+                                 "' (want exact, grid, or sharded)");
 }
 
 std::string NeighborBackendCacheKey(const NeighborBackendOptions& options) {
-  std::string key = NeighborBackendKindToString(options.kind);
-  const bool sharded = options.kind == NeighborBackendKind::kSharded ||
-                       options.kind == NeighborBackendKind::kLshSharded;
-  const bool lsh = options.kind == NeighborBackendKind::kLsh ||
-                   options.kind == NeighborBackendKind::kLshSharded;
-  if (lsh) {
-    char knobs[96];
-    std::snprintf(knobs, sizeof(knobs), ":t%zu:h%zu:p%zu:w%g:s%llu",
-                  options.lsh.tables, options.lsh.hashes, options.lsh.probes,
-                  options.lsh.width_factor,
-                  static_cast<unsigned long long>(options.lsh.seed));
-    key += knobs;
+  return NeighborBackendKindToString(options.kind);
+}
+
+Status CheckExactPointCap(const Dataset& dataset, const DistanceMetric& metric,
+                          const NeighborBackendOptions& options) {
+  const size_t n = dataset.size();
+  if (options.max_exact_points == 0 || n <= options.max_exact_points ||
+      options.kind == NeighborBackendKind::kSharded) {
+    return Status::OK();
   }
-  if (sharded && options.shards != 0) {
-    key += ":n" + std::to_string(options.shards);
+  // Where the grid applies it builds the exact graph in near-linear time;
+  // where it does not, a grid build degrades to the O(n^2) scan — exactly
+  // the silent-fallback OOM the cap guards.
+  const bool grid = GridCompatible(metric, dataset.dim(), n);
+  if (options.kind == NeighborBackendKind::kGrid && grid) return Status::OK();
+  std::string message = "dataset has " + std::to_string(n) +
+                        " points, above the exact-backend cap of " +
+                        std::to_string(options.max_exact_points) + "; ";
+  if (grid) {
+    return Status::InvalidArgument(message + "use the grid neighbor backend");
   }
-  return key;
+  return Status::InvalidArgument(
+      message + "the grid would fall back to the O(n^2) scan (" +
+      metric.name() + " metric, dim " + std::to_string(dataset.dim()) +
+      "), so use the sharded neighbor backend");
 }
 
 void NeighborBackend::RangeQueryAround(ObjectId center, double radius,
@@ -170,64 +121,24 @@ Result<CsrAdjacency> NeighborBackend::BuildNeighborhoods(
           ++row;
         }
       });
-  if (!exact()) return SymmetrizeAdjacency(adjacency);
   return adjacency;
 }
 
 Result<std::unique_ptr<NeighborBackend>> CreateNeighborBackend(
     const Dataset& dataset, const DistanceMetric& metric,
     const NeighborBackendOptions& options, ThreadPool* pool) {
-  const size_t n = dataset.size();
-  const bool capped = options.max_exact_points > 0;
+  DISC_RETURN_NOT_OK(CheckExactPointCap(dataset, metric, options));
   switch (options.kind) {
     case NeighborBackendKind::kExact: {
-      if (capped && n > options.max_exact_points) {
-        return Status::InvalidArgument(
-            "dataset has " + std::to_string(n) +
-            " points, above the exact-backend cap of " +
-            std::to_string(options.max_exact_points) +
-            "; use the sharded, lsh, or lsh-sharded neighbor backend");
-      }
       auto backend = ExactMTreeBackend::Create(dataset, metric);
       if (!backend.ok()) return backend.status();
       return std::unique_ptr<NeighborBackend>(std::move(backend).value());
     }
-    case NeighborBackendKind::kGrid: {
-      // When the grid does not apply, every batched build degrades to the
-      // O(n^2) scan — exactly the silent-fallback OOM the cap guards.
-      if (capped && n > options.max_exact_points &&
-          !GridCompatible(metric, dataset.dim(), n)) {
-        return Status::InvalidArgument(
-            "grid backend would fall back to the O(n^2) scan (" +
-            std::string(metric.name()) + " metric, dim " +
-            std::to_string(dataset.dim()) + ") over " + std::to_string(n) +
-            " points, above the cap of " +
-            std::to_string(options.max_exact_points) +
-            "; use the sharded, lsh, or lsh-sharded neighbor backend");
-      }
+    case NeighborBackendKind::kGrid:
       return std::unique_ptr<NeighborBackend>(
           std::make_unique<GridBackend>(dataset, metric));
-    }
-    case NeighborBackendKind::kLsh: {
-      if (metric.kind() == MetricKind::kHamming) {
-        return Status::InvalidArgument(
-            "lsh neighbor backend does not support the hamming metric "
-            "(no p-stable projection for unordered categories); use exact "
-            "or sharded");
-      }
-      return std::unique_ptr<NeighborBackend>(
-          std::make_unique<LshBackend>(dataset, metric, options.lsh));
-    }
-    case NeighborBackendKind::kSharded:
-    case NeighborBackendKind::kLshSharded: {
-      if (options.kind == NeighborBackendKind::kLshSharded &&
-          metric.kind() == MetricKind::kHamming) {
-        return Status::InvalidArgument(
-            "lsh-sharded neighbor backend does not support the hamming "
-            "metric (no p-stable projection for unordered categories); use "
-            "exact or sharded");
-      }
-      auto backend = ShardedBackend::Create(dataset, metric, options, pool);
+    case NeighborBackendKind::kSharded: {
+      auto backend = ShardedBackend::Create(dataset, metric, 0, pool);
       if (!backend.ok()) return backend.status();
       return std::unique_ptr<NeighborBackend>(std::move(backend).value());
     }

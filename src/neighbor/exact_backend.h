@@ -1,8 +1,7 @@
 // ExactMTreeBackend: today's index-backed neighbor path behind the
 // NeighborBackend interface — an owned M-tree, one range query per object.
 //
-// Results are exactly N_r(p) (the oracle every approximate backend is
-// measured against); accounting is the tree's own node-access counting,
+// Results are exactly N_r(p); accounting is the tree's own node-access counting,
 // redirected per query through MTree::ThreadStatsScope so concurrent
 // batched builds charge private sinks.
 

@@ -12,7 +12,7 @@ Result<CsrAdjacency> GridBackend::BuildNeighborhoods(double radius,
   AccessStats batch;
   batch.range_queries = n;
   CsrAdjacency adjacency;
-  if (GridCompatible(metric_, dataset_.dim(), n) && radius > 0) {
+  if (GridCompatible(metric_, dataset_.dim(), n)) {
     uint64_t distance_calls = 0;
     adjacency = BuildAdjacencyWithGrid(dataset_, metric_, radius, pool,
                                        &distance_calls);
@@ -50,7 +50,7 @@ void GridBackend::DoRangeQuery(const Point& center, ObjectId exclude,
                                AccessStats* sink) const {
   sink->range_queries += 1;
   const size_t n = dataset_.size();
-  if (!GridCompatible(metric_, dataset_.dim(), n) || radius <= 0) {
+  if (!GridCompatible(metric_, dataset_.dim(), n)) {
     // Exact fallback: a single full scan.
     sink->node_accesses += 1;
     for (ObjectId j = 0; j < n; ++j) {

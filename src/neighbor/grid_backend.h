@@ -7,7 +7,7 @@
 // radius only (a query holds its index alive, so replacing it under a
 // running query at the old radius is safe). When the grid does not
 // apply (Hamming metric, dim > 3, tiny inputs) every path falls back to the
-// exact O(n^2)/O(n) scans — the fallback CreateNeighborBackend's
+// exact O(n^2)/O(n) scans — the fallback CheckExactPointCap's
 // max_exact_points cap guards against at daemon scale.
 //
 // Accounting: each point query charges one range query, one node access per

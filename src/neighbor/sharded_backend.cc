@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "neighbor/exact_backend.h"
-#include "neighbor/lsh_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -21,12 +20,13 @@ size_t ShardedBackend::DefaultShardCount(size_t n) {
 
 Result<std::unique_ptr<ShardedBackend>> ShardedBackend::Create(
     const Dataset& dataset, const DistanceMetric& metric,
-    const NeighborBackendOptions& options, ThreadPool* pool) {
+    size_t shard_count, ThreadPool* pool) {
   const size_t n = dataset.size();
   if (n == 0) {
     return Status::InvalidArgument("cannot shard an empty dataset");
   }
-  size_t count = options.shards != 0 ? options.shards : DefaultShardCount(n);
+  size_t count =
+      shard_count != 0 ? shard_count : DefaultShardCount(n);
   count = std::min(count, n);  // at least one point per shard
 
   // Contiguous ranges via the same arithmetic as util/parallel.h chunking:
@@ -51,29 +51,18 @@ Result<std::unique_ptr<ShardedBackend>> ShardedBackend::Create(
   ParallelFor(pool, 0, shards.size(), 1, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       Shard& shard = shards[s];
-      if (options.kind == NeighborBackendKind::kLshSharded) {
-        // One shared hash family (same seed): the sharded graph is
-        // byte-identical to the unsharded LshBackend's.
-        shard.backend = std::make_unique<LshBackend>(*shard.local, metric,
-                                                     options.lsh);
-      } else {
-        auto built = ExactMTreeBackend::Create(*shard.local, metric);
-        if (!built.ok()) {
-          statuses[s] = built.status();
-          continue;
-        }
-        shard.backend = std::move(built).value();
+      auto built = ExactMTreeBackend::Create(*shard.local, metric);
+      if (!built.ok()) {
+        statuses[s] = built.status();
+        continue;
       }
+      shard.backend = std::move(built).value();
     }
   });
   for (const Status& status : statuses) DISC_RETURN_NOT_OK(status);
 
-  const NeighborBackendKind kind =
-      options.kind == NeighborBackendKind::kLshSharded
-          ? NeighborBackendKind::kLshSharded
-          : NeighborBackendKind::kSharded;
   return std::unique_ptr<ShardedBackend>(
-      new ShardedBackend(dataset, metric, kind, std::move(shards)));
+      new ShardedBackend(dataset, metric, std::move(shards)));
 }
 
 void ShardedBackend::DoRangeQuery(const Point& center, ObjectId exclude,

@@ -2,21 +2,18 @@
 //
 // The dataset splits into contiguous global-id ranges (a pure function of n
 // and the configured shard count — never of the thread count). Each shard
-// holds a copy of its slice as a local dataset plus an inner backend over
-// it (an exact M-tree for kSharded, an LshBackend for kLshSharded), and the
-// shards are constructed concurrently on the shared thread pool — this is
-// what unsticks build time and per-index memory at million-point scale.
+// holds a copy of its slice as a local dataset plus an exact M-tree backend
+// over it, and the shards are constructed concurrently on the shared thread
+// pool — this bounds per-index build time and memory for large inputs the
+// grid cannot serve (Hamming, dim > 3).
 //
 // A range query fans out to every shard IN ASCENDING SHARD ORDER, maps
 // local ids back by adding the shard's base offset, and concatenates: since
 // shard ranges are contiguous and each per-shard result is sorted, the
 // concatenation is globally sorted with no merge step — the
-// ordered-reduction contract applied to shards. Exact shards therefore
+// ordered-reduction contract applied to shards. The shards therefore
 // reproduce the unsharded exact neighbor sets identically, and stats (which
 // accumulate in shard order) are deterministic for every thread count.
-// LSH shards share one hash family (same seed), so the sharded LSH graph is
-// byte-identical to the unsharded LSH graph — bucket contents just split by
-// shard.
 
 #ifndef DISC_NEIGHBOR_SHARDED_BACKEND_H_
 #define DISC_NEIGHBOR_SHARDED_BACKEND_H_
@@ -30,20 +27,20 @@ namespace disc {
 
 class ShardedBackend final : public NeighborBackend {
  public:
-  /// Builds the shards (concurrently when `pool` has more than one thread).
-  /// options.kind selects the inner engine (kSharded -> exact M-trees,
-  /// kLshSharded -> LSH with options.lsh); options.shards = 0 picks a
-  /// deterministic default from n alone.
+  /// Builds `shard_count` shards (concurrently when `pool` has more than
+  /// one thread); 0 picks a deterministic default from n alone.
   static Result<std::unique_ptr<ShardedBackend>> Create(
       const Dataset& dataset, const DistanceMetric& metric,
-      const NeighborBackendOptions& options, ThreadPool* pool = nullptr);
+      size_t shard_count, ThreadPool* pool = nullptr);
 
-  NeighborBackendKind kind() const override { return kind_; }
+  NeighborBackendKind kind() const override {
+    return NeighborBackendKind::kSharded;
+  }
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// The shard count `options.shards = 0` resolves to for a dataset of n
-  /// points — exposed so cache keys and tests agree with construction.
+  /// The shard count `shard_count = 0` resolves to for a dataset of n
+  /// points — exposed so tests agree with construction.
   static size_t DefaultShardCount(size_t n);
 
  protected:
@@ -59,12 +56,9 @@ class ShardedBackend final : public NeighborBackend {
   };
 
   ShardedBackend(const Dataset& dataset, const DistanceMetric& metric,
-                 NeighborBackendKind kind, std::vector<Shard> shards)
-      : NeighborBackend(dataset, metric),
-        kind_(kind),
-        shards_(std::move(shards)) {}
+                 std::vector<Shard> shards)
+      : NeighborBackend(dataset, metric), shards_(std::move(shards)) {}
 
-  const NeighborBackendKind kind_;
   std::vector<Shard> shards_;
 };
 

@@ -76,14 +76,15 @@ struct ServerOptions {
   size_t max_inflight = 0;
   /// The neighbor backend applied to OPENs that carry no backend= key
   /// (disc_serve --neighbor-backend=). Part of the pool key off the
-  /// default: exact and approximate engines never share memoized results.
+  /// default: M-tree and graph-mode engines never share memoized results.
   NeighborBackendKind default_backend = NeighborBackendKind::kExact;
-  /// Guardrail for the exact-family backends (exact, grid without its
+  /// Guardrail for the single-index backends (exact, grid without its
   /// accelerator): an OPEN whose dataset exceeds this many points is
   /// refused with InvalidArgument instead of building an index / falling
-  /// back to an O(n^2) scan that could take the daemon down. The sharded
-  /// and LSH backends are exempt — they are the supported way past the
-  /// cap. 0 = unlimited (disc_serve --max-exact-points=).
+  /// back to an O(n^2) scan that could take the daemon down
+  /// (CheckExactPointCap, neighbor/backend.h). Grid where it applies and
+  /// sharded are exempt — they are the supported ways past the cap.
+  /// 0 = unlimited (disc_serve --max-exact-points=).
   size_t max_exact_points = 262144;
 };
 

@@ -38,9 +38,8 @@ std::string EnginePoolKey(const EngineConfig& config) {
   key += "|";
   key += BuildStrategyToString(config.tree.build.strategy);
   // The backend is part of the identity only off the default, so every
-  // pre-backend pool key is unchanged. Approximate engines must never be
-  // matched with exact ones (their memoized solutions differ), hence the
-  // full knob-carrying cache key, not just the kind name.
+  // pre-backend pool key is unchanged. Graph-mode engines must never be
+  // matched with M-tree ones (no tree, no zoom).
   if (config.neighbor.kind != NeighborBackendKind::kExact) {
     key += "|";
     key += NeighborBackendCacheKey(config.neighbor);

@@ -147,16 +147,6 @@ TEST(DiscCliSmokeTest, RejectsUnknownAlgorithm) {
   EXPECT_NE(r.output.find("unknown algorithm"), std::string::npos) << r.output;
 }
 
-TEST(DiscCliSmokeTest, LshBackendYieldsAVerifiedSubset) {
-  CommandResult r = RunCli(
-      "--dataset=clustered --n=500 --dim=2 --seed=7 --radius=0.1 "
-      "--neighbor-backend=lsh --algorithm=greedy");
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("OK"), std::string::npos) << r.output;
-  long size = ExtractCount(r.output, "solution size");
-  EXPECT_GT(size, 0) << r.output;
-}
-
 TEST(DiscCliSmokeTest, ShardedBackendMatchesTheExactSolutionSize) {
   const std::string workload = "--dataset=clustered --n=400 --dim=2 --seed=7 "
                                "--radius=0.1 --algorithm=greedy";
@@ -186,7 +176,7 @@ TEST(DiscCliSmokeTest, RejectsUnknownNeighborBackendWithUsage) {
 TEST(DiscCliSmokeTest, ZoomWithGraphModeBackendFailsCleanly) {
   CommandResult r = RunCli(
       "--dataset=clustered --n=300 --dim=2 --seed=7 --radius=0.1 "
-      "--neighbor-backend=lsh --zoom-to=0.05");
+      "--neighbor-backend=grid --zoom-to=0.05");
   EXPECT_NE(r.exit_code, 0);
   EXPECT_NE(r.output.find("FailedPrecondition"), std::string::npos)
       << r.output;

@@ -152,6 +152,22 @@ TEST_F(DatasetCsvTest, LoadNonNumericIsCorruption) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(DatasetCsvTest, LoadNonFiniteIsCorruption) {
+  // strtod accepts all of these; none is a coordinate.
+  for (const std::string field : {"nan", "inf", "-inf", "1e999"}) {
+    std::string path = Path("nonfinite.csv");
+    std::ofstream out(path);
+    out << "0.5,0.5\n0.25," << field << "\n";
+    out.close();
+    auto loaded = LoadPointsCsv(path);
+    ASSERT_FALSE(loaded.ok()) << field;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << field;
+    EXPECT_NE(loaded.status().message().find("'" + field + "' at row 1"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST_F(DatasetCsvTest, LoadRaggedRowsIsInvalidArgument) {
   std::string path = Path("ragged.csv");
   std::ofstream out(path);

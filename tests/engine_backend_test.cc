@@ -1,15 +1,16 @@
 // DiscEngine in graph mode (EngineConfig::neighbor != kExact): algorithms
 // run on the backend-built neighborhood graph instead of tree colors.
 //
-// The contracts under test (ISSUE 8):
-//  * an exact backend (sharded) reproduces the reference graph algorithms
+// The contracts under test:
+//  * every graph-mode backend (grid, sharded) is exact, so it reproduces the reference graph algorithms
 //    and the exact engine's own solutions byte-for-byte;
 //  * index-bound algorithm variants answer Unimplemented, the adaptive
 //    operations (Zoom, Weighted, MultiRadius) answer FailedPrecondition;
 //  * the solution cache works in graph mode (repeat = from_cache, zero
 //    additional stats);
 //  * Snapshot reports the backend, graph mode (no tree), and the zoom
-//    blocker; Create enforces the exact-backend dataset cap.
+//    blocker; Create enforces the exact-backend dataset cap and names the
+//    over-cap path that applies.
 
 #include "engine/engine.h"
 
@@ -95,7 +96,7 @@ TEST(EngineBackendTest, GraphModeGreedyEqualsTheExactEngineSolution) {
 }
 
 TEST(EngineBackendTest, IndexBoundVariantsAnswerUnimplemented) {
-  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kLsh));
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid));
   ASSERT_NE(engine, nullptr);
   for (Algorithm algorithm :
        {Algorithm::kGreedyWhite, Algorithm::kLazyGrey, Algorithm::kLazyWhite,
@@ -108,7 +109,7 @@ TEST(EngineBackendTest, IndexBoundVariantsAnswerUnimplemented) {
 }
 
 TEST(EngineBackendTest, AdaptiveOperationsAnswerFailedPrecondition) {
-  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kLshSharded));
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kSharded));
   ASSERT_NE(engine, nullptr);
   auto solved = engine->Diversify(Request(Algorithm::kGreedy, 0.07));
   ASSERT_TRUE(solved.ok()) << solved.status().ToString();
@@ -118,7 +119,7 @@ TEST(EngineBackendTest, AdaptiveOperationsAnswerFailedPrecondition) {
   auto zoomed = engine->Zoom(zoom);
   ASSERT_FALSE(zoomed.ok());
   EXPECT_EQ(zoomed.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(zoomed.status().message().find("lsh-sharded"), std::string::npos)
+  EXPECT_NE(zoomed.status().message().find("'sharded'"), std::string::npos)
       << zoomed.status().ToString();
 
   WeightedRequest weighted;
@@ -138,7 +139,7 @@ TEST(EngineBackendTest, AdaptiveOperationsAnswerFailedPrecondition) {
 }
 
 TEST(EngineBackendTest, RepeatedRequestIsServedFromTheSolutionCache) {
-  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kLsh));
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid));
   ASSERT_NE(engine, nullptr);
   const DiversifyRequest request = Request(Algorithm::kGreedy, 0.06);
 
@@ -161,11 +162,11 @@ TEST(EngineBackendTest, RepeatedRequestIsServedFromTheSolutionCache) {
 }
 
 TEST(EngineBackendTest, SnapshotDescribesGraphMode) {
-  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kLsh));
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid));
   ASSERT_NE(engine, nullptr);
 
   EngineSnapshot before = engine->Snapshot();
-  EXPECT_EQ(before.backend, NeighborBackendKind::kLsh);
+  EXPECT_EQ(before.backend, NeighborBackendKind::kGrid);
   EXPECT_EQ(before.tree_nodes, 0u);
   EXPECT_EQ(before.tree_height, 0u);
   EXPECT_FALSE(before.has_solution);
@@ -175,25 +176,10 @@ TEST(EngineBackendTest, SnapshotDescribesGraphMode) {
   EngineSnapshot after = engine->Snapshot();
   EXPECT_TRUE(after.has_solution);
   EXPECT_FALSE(after.zoomable);
-  EXPECT_NE(after.zoom_blocker.find("lsh"), std::string::npos)
+  EXPECT_NE(after.zoom_blocker.find("'grid'"), std::string::npos)
       << after.zoom_blocker;
   EXPECT_EQ(after.solution_size, solved->solution.size());
   EXPECT_GT(after.lifetime_stats.range_queries, 0u);
-}
-
-TEST(EngineBackendTest, LshSolutionCoversTheDatasetWell) {
-  auto engine =
-      MustCreate(GraphModeConfig(NeighborBackendKind::kLsh, 2000, 42));
-  ASSERT_NE(engine, nullptr);
-  DiversifyRequest request = Request(Algorithm::kGreedy, 0.05);
-  request.compute_quality = true;
-  auto response = engine->Diversify(request);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_TRUE(response->quality.has_value());
-  // Recall < 1 can cost a covered object or an independence pair, but the
-  // default configuration must stay close to the exact result.
-  EXPECT_GE(response->quality->coverage, 0.95);
-  EXPECT_GT(response->size(), 0u);
 }
 
 TEST(EngineBackendTest, CreateRefusesExactEngineAboveTheCap) {
@@ -202,13 +188,20 @@ TEST(EngineBackendTest, CreateRefusesExactEngineAboveTheCap) {
   auto refused = DiscEngine::Create(std::move(config));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().message().find("lsh-sharded"),
+  // Clustered 2-D Euclidean: the grid applies, so the refusal names it.
+  EXPECT_NE(refused.status().message().find(
+                "dataset has 500 points, above the exact-backend cap of 499; "
+                "use the grid neighbor backend"),
             std::string::npos)
       << refused.status().ToString();
 
-  EngineConfig exempt = GraphModeConfig(NeighborBackendKind::kLshSharded, 500);
-  exempt.neighbor.max_exact_points = 499;
-  EXPECT_NE(MustCreate(std::move(exempt)), nullptr);
+  for (NeighborBackendKind kind :
+       {NeighborBackendKind::kGrid, NeighborBackendKind::kSharded}) {
+    EngineConfig exempt = GraphModeConfig(kind, 500);
+    exempt.neighbor.max_exact_points = 499;
+    EXPECT_NE(MustCreate(std::move(exempt)), nullptr)
+        << NeighborBackendKindToString(kind);
+  }
 }
 
 }  // namespace

@@ -1,18 +1,15 @@
 // Property tests for the pluggable neighbor backends (neighbor/backend.h).
 //
-// The contracts under test (ISSUE 8):
-//  * exact family (exact, grid, sharded-with-exact-shards): the adjacency
-//    structure is byte-identical to NeighborhoodGraph's own build paths, at
-//    every thread count — sharding and fan-out may not change a single id;
-//  * LSH family: deterministic for a fixed seed, always a SUBSET of the true
-//    neighbor sets (candidates are distance-verified), and recall on the
-//    paper workloads clears the documented default-config floor;
-//  * lsh-sharded equals unsharded lsh byte-for-byte (same seed per shard);
+// The contracts under test:
+//  * every backend (exact, grid, sharded): the adjacency structure is
+//    byte-identical to NeighborhoodGraph's own build paths, at every thread
+//    count — sharding and fan-out may not change a single id;
 //  * the exact-family guardrail refuses datasets above max_exact_points
-//    with InvalidArgument instead of risking the O(n^2) fallback;
+//    with InvalidArgument instead of risking an oversized index or the
+//    O(n^2) fallback, and names the over-cap path that applies;
 //  * stats accounting: one range_queries unit per logical query regardless
 //    of shard fan-out;
-//  * the grid and LSH backends retain only the latest radius's index, and
+//  * the grid backend retains only the latest radius's index, and
 //    replacing it never changes a result.
 
 #include "neighbor/backend.h"
@@ -27,22 +24,19 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "eval/neighbor_eval.h"
 #include "graph/neighborhood.h"
 #include "metric/metric.h"
 #include "neighbor/adjacency.h"
 #include "neighbor/grid_backend.h"
-#include "neighbor/lsh_backend.h"
 #include "neighbor/sharded_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
 namespace {
 
-NeighborBackendOptions Options(NeighborBackendKind kind, size_t shards = 0) {
+NeighborBackendOptions Options(NeighborBackendKind kind) {
   NeighborBackendOptions options;
   options.kind = kind;
-  options.shards = shards;
   return options;
 }
 
@@ -109,8 +103,7 @@ Dataset Scaled(const Dataset& dataset, double scale) {
 TEST(NeighborBackendTest, KindNamesRoundTripThroughParse) {
   for (NeighborBackendKind kind :
        {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
-        NeighborBackendKind::kLsh, NeighborBackendKind::kSharded,
-        NeighborBackendKind::kLshSharded}) {
+        NeighborBackendKind::kSharded}) {
     auto parsed = ParseNeighborBackendKind(NeighborBackendKindToString(kind));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(*parsed, kind);
@@ -118,16 +111,9 @@ TEST(NeighborBackendTest, KindNamesRoundTripThroughParse) {
   auto bogus = ParseNeighborBackendKind("bogus");
   ASSERT_FALSE(bogus.ok());
   EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bogus.status().message().find("lsh-sharded"), std::string::npos)
+  EXPECT_NE(bogus.status().message().find("exact, grid, or sharded"),
+            std::string::npos)
       << bogus.status().ToString();
-}
-
-TEST(NeighborBackendTest, ExactnessPredicateMatchesTheLshFamily) {
-  EXPECT_TRUE(NeighborBackendIsExact(NeighborBackendKind::kExact));
-  EXPECT_TRUE(NeighborBackendIsExact(NeighborBackendKind::kGrid));
-  EXPECT_TRUE(NeighborBackendIsExact(NeighborBackendKind::kSharded));
-  EXPECT_FALSE(NeighborBackendIsExact(NeighborBackendKind::kLsh));
-  EXPECT_FALSE(NeighborBackendIsExact(NeighborBackendKind::kLshSharded));
 }
 
 TEST(NeighborBackendTest, CacheKeyCarriesEveryResultChangingKnob) {
@@ -135,17 +121,8 @@ TEST(NeighborBackendTest, CacheKeyCarriesEveryResultChangingKnob) {
             "exact");
   EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kGrid)),
             "grid");
-  EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kLsh)),
-            "lsh:t6:h4:p8:w4:s42");
   EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kSharded)),
             "sharded");
-  EXPECT_EQ(
-      NeighborBackendCacheKey(Options(NeighborBackendKind::kSharded, 8)),
-      "sharded:n8");
-  NeighborBackendOptions tuned = Options(NeighborBackendKind::kLshSharded, 4);
-  tuned.lsh.tables = 3;
-  tuned.lsh.seed = 7;
-  EXPECT_EQ(NeighborBackendCacheKey(tuned), "lsh-sharded:t3:h4:p8:w4:s7:n4");
 }
 
 TEST(NeighborBackendTest, DefaultShardCountIsAPureFunctionOfN) {
@@ -237,7 +214,7 @@ TEST(NeighborBackendTest, RangeQueryAroundExcludesCenterAndSorts) {
   for (NeighborBackendKind kind :
        {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
         NeighborBackendKind::kSharded}) {
-    auto backend = MustCreate(dataset, metric, Options(kind, 4));
+    auto backend = MustCreate(dataset, metric, Options(kind));
     ASSERT_NE(backend, nullptr);
     std::vector<ObjectId> out;
     backend->RangeQueryAround(55, 0.115, &out);  // axis neighbors only
@@ -249,9 +226,9 @@ TEST(NeighborBackendTest, RangeQueryAroundExcludesCenterAndSorts) {
 TEST(NeighborBackendTest, ShardFanOutChargesOneRangeQueryPerCall) {
   const Dataset dataset = MakeClusteredDataset(600, 2, 3);
   EuclideanMetric metric;
-  auto backend =
-      MustCreate(dataset, metric, Options(NeighborBackendKind::kSharded, 6));
-  ASSERT_NE(backend, nullptr);
+  auto created = ShardedBackend::Create(dataset, metric, 6);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<ShardedBackend> backend = std::move(created).value();
   backend->ResetStats();
   std::vector<ObjectId> out;
   backend->RangeQueryAround(0, 0.05, &out);
@@ -260,108 +237,12 @@ TEST(NeighborBackendTest, ShardFanOutChargesOneRangeQueryPerCall) {
       << "fan-out across 6 shards must still count as one logical query";
 }
 
-// ---------------------------------------------------------------------------
-// LSH family: determinism, subset-of-truth, recall, sharding transparency
-// ---------------------------------------------------------------------------
-
-TEST(NeighborBackendTest, LshIsDeterministicForAFixedSeed) {
-  const Dataset dataset = MakeClusteredDataset(1500, 2, 23);
-  EuclideanMetric metric;
-  const double radius = 0.04;
-  auto first = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-  auto second =
-      MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(second, nullptr);
-  EXPECT_TRUE(BuildLists(*first, radius) == BuildLists(*second, radius));
-
-  NeighborBackendOptions reseeded = Options(NeighborBackendKind::kLsh);
-  reseeded.lsh.seed = 1234;
-  auto other = MustCreate(dataset, metric, reseeded);
-  ASSERT_NE(other, nullptr);
-  // The graphs themselves may coincide (both seeds can reach full recall on
-  // an easy workload), so seed sensitivity is asserted where it is a hard
-  // invariant: the memo identity, and the work the hash family induces.
-  EXPECT_NE(NeighborBackendCacheKey(Options(NeighborBackendKind::kLsh)),
-            NeighborBackendCacheKey(reseeded));
-  first->ResetStats();
-  other->ResetStats();
-  BuildLists(*first, radius);
-  BuildLists(*other, radius);
-  EXPECT_NE(first->stats().distance_computations,
-            other->stats().distance_computations)
-      << "a different hash family must induce different candidate sets";
-}
-
-TEST(NeighborBackendTest, LshReportsOnlyTrueNeighborsAndClearsRecallFloor) {
-  const Dataset dataset = MakeClusteredDataset(2000, 2, 42);
-  EuclideanMetric metric;
-  const double radius = 0.04;
-  const CsrAdjacency oracle = OracleLists(dataset, metric, radius);
-  auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-  ASSERT_NE(lsh, nullptr);
-  const CsrAdjacency lists = BuildLists(*lsh, radius);
-
-  AdjacencyComparison comparison = CompareAdjacency(oracle, lists);
-  EXPECT_EQ(comparison.false_edges, 0u)
-      << "distance verification must keep every reported edge true";
-  EXPECT_GE(comparison.recall, 0.9)
-      << "default LSH config under the documented floor: "
-      << comparison.missing_edges << "/" << comparison.oracle_edges
-      << " edges missed";
-}
-
-TEST(NeighborBackendTest, LshShardedEqualsUnshardedLshByteForByte) {
-  const Dataset dataset = MakeClusteredDataset(1800, 2, 11);
-  EuclideanMetric metric;
-  const double radius = 0.045;
-  auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-  auto sharded = MustCreate(dataset, metric,
-                            Options(NeighborBackendKind::kLshSharded, 4));
-  ASSERT_NE(lsh, nullptr);
-  ASSERT_NE(sharded, nullptr);
-  // Same seed => same hash family in every shard => identical unions; the
-  // property that makes the shard count a pure capacity knob.
-  EXPECT_TRUE(BuildLists(*lsh, radius) == BuildLists(*sharded, radius));
-}
-
-TEST(NeighborBackendTest, LshAdjacencyIsSymmetric) {
-  const Dataset dataset = MakeUniformDataset(1000, 2, 31);
-  EuclideanMetric metric;
-  auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-  ASSERT_NE(lsh, nullptr);
-  const CsrAdjacency lists = BuildLists(*lsh, 0.05);
-  for (ObjectId i = 0; i < lists.size(); ++i) {
-    for (ObjectId j : lists.row(i)) {
-      const auto back = lists.row(j);
-      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), i))
-          << "edge " << i << "->" << j << " has no reverse entry";
-    }
-  }
-}
-
 TEST(NeighborBackendTest, OnlyTheLatestRadiusIndexIsRetained) {
   const Dataset dataset = MakeClusteredDataset(800, 2, 19);
   EuclideanMetric metric;
   const std::vector<double> radii = {0.02, 0.03, 0.04, 0.05, 0.06, 0.07};
 
-  // LSH: graph builds. Every build must match a fresh backend's build at the
-  // same radius, so replacing the index never changes a graph.
-  auto lsh = MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-  ASSERT_NE(lsh, nullptr);
-  for (int round = 0; round < 2; ++round) {
-    for (double radius : radii) {
-      auto fresh =
-          MustCreate(dataset, metric, Options(NeighborBackendKind::kLsh));
-      ASSERT_NE(fresh, nullptr);
-      EXPECT_TRUE(BuildLists(*lsh, radius) == BuildLists(*fresh, radius))
-          << "lsh graph changed at radius " << radius;
-    }
-  }
-  const auto& lsh_backend = static_cast<const LshBackend&>(*lsh);
-  EXPECT_EQ(lsh_backend.index_radius(), radii.back());
-
-  // Grid: point queries, which are what build its cell index.
+  // Point queries are what build the grid's cell index.
   auto grid = MustCreate(dataset, metric, Options(NeighborBackendKind::kGrid));
   ASSERT_NE(grid, nullptr);
   const auto& grid_backend = static_cast<const GridBackend&>(*grid);
@@ -381,17 +262,6 @@ TEST(NeighborBackendTest, OnlyTheLatestRadiusIndexIsRetained) {
   EXPECT_EQ(grid_backend.index_radius(), radii.front());
 }
 
-TEST(NeighborBackendTest, LshRejectsTheHammingMetric) {
-  const Dataset dataset = MakeUniformDataset(50, 4, 1);
-  HammingMetric metric;
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kLsh, NeighborBackendKind::kLshSharded}) {
-    auto backend = CreateNeighborBackend(dataset, metric, Options(kind));
-    ASSERT_FALSE(backend.ok()) << NeighborBackendKindToString(kind);
-    EXPECT_EQ(backend.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The exact-family guardrail
 // ---------------------------------------------------------------------------
@@ -404,18 +274,28 @@ TEST(NeighborBackendTest, ExactBackendRefusesDatasetsAboveTheCap) {
   auto backend = CreateNeighborBackend(dataset, metric, capped);
   ASSERT_FALSE(backend.ok());
   EXPECT_EQ(backend.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(backend.status().message().find("lsh-sharded"), std::string::npos)
+  // 2-D Euclidean: the refusal names the grid, which applies here.
+  EXPECT_NE(backend.status().message().find("use the grid neighbor backend"),
+            std::string::npos)
       << backend.status().ToString();
 
-  // The sharded and LSH kinds are the supported way past the cap.
+  // Grid and sharded are the supported ways past the cap.
   for (NeighborBackendKind kind :
-       {NeighborBackendKind::kSharded, NeighborBackendKind::kLsh,
-        NeighborBackendKind::kLshSharded}) {
+       {NeighborBackendKind::kGrid, NeighborBackendKind::kSharded}) {
     NeighborBackendOptions exempt = Options(kind);
     exempt.max_exact_points = 499;
     EXPECT_NE(MustCreate(dataset, metric, exempt), nullptr)
         << NeighborBackendKindToString(kind);
   }
+
+  // Where the grid does not apply, the refusal names sharded instead.
+  const Dataset wide = MakeUniformDataset(500, 4, 2);
+  auto wide_refused = CreateNeighborBackend(wide, metric, capped);
+  ASSERT_FALSE(wide_refused.ok());
+  EXPECT_NE(wide_refused.status().message().find(
+                "use the sharded neighbor backend"),
+            std::string::npos)
+      << wide_refused.status().ToString();
 }
 
 TEST(NeighborBackendTest, GridBackendCapAppliesOnlyWhenGridCannotApply) {
@@ -431,6 +311,11 @@ TEST(NeighborBackendTest, GridBackendCapAppliesOnlyWhenGridCannotApply) {
   auto refused = CreateNeighborBackend(wide, euclidean, capped);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find(
+                "the grid would fall back to the O(n^2) scan (euclidean "
+                "metric, dim 4), so use the sharded neighbor backend"),
+            std::string::npos)
+      << refused.status().ToString();
 }
 
 }  // namespace

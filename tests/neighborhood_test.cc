@@ -6,12 +6,14 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "data/generators.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
 #include "neighbor/adjacency.h"
 #include "neighbor/exact_backend.h"
+#include "neighbor/grid_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -238,6 +240,87 @@ TEST(NeighborhoodGraphTest, GridComputesAtMostEachPairOnce) {
   EXPECT_LT(metric.calls(), n * (n - 1) / 2);  // the accelerator must pay off
   // (GridEquivalenceTest pins the resulting graph against brute force; this
   // test pins the cost model: dedupe means at most one call per pair.)
+}
+
+TEST(NeighborhoodGraphTest, GridStaysSubquadraticAtZeroAndTinyRadii) {
+  // Cells of side r would overflow floor(x / r) at r = 1e-30 and are empty
+  // at r = 0; the grid widens them to about one ulp of the dataset's largest
+  // |coordinate| instead, so both radii keep the grid's exact graph without
+  // a quadratic scan: for data near and far from the origin, and on a
+  // power-of-two lattice, whose cell coordinates must not share the low
+  // bits the cell keys pack.
+  // Half the points are duplicates so the graph has edges.
+  const size_t n = 2000;
+  const Dataset uniform = MakeUniformDataset(n / 2, 2, 13);
+  auto distinct_point = [&](const std::string& layout, ObjectId i) {
+    if (layout == "lattice") {
+      // Coordinates in {0, 32, ..., 1024}: multiples of 2^5 up to 2^10.
+      return Point{static_cast<double>(i % 33) * 32,
+                   static_cast<double>(i / 33) * 32};
+    }
+    Point point = uniform.point(i);
+    if (layout == "offset") {
+      for (size_t k = 0; k < 2; ++k) point[k] += 1e6;
+    }
+    return point;
+  };
+  EuclideanMetric inner;
+  for (const std::string layout : {"uniform", "offset", "lattice"}) {
+    Dataset d(2);
+    for (ObjectId i = 0; i < n; ++i) {
+      ASSERT_TRUE(d.Add(distinct_point(layout, i % (n / 2))).ok());
+    }
+    for (double radius : {0.0, 1e-30}) {
+      SCOPED_TRACE(layout + " r=" + ::testing::PrintToString(radius));
+      CountingMetric metric(inner);
+      NeighborhoodGraph g(d, metric, radius);
+      EXPECT_LT(metric.calls(), n * (n - 1) / 2);
+      EXPECT_EQ(g.num_edges(), n / 2);
+      EXPECT_TRUE(g.adjacency() ==
+                  BuildAdjacencyBruteForce(d, inner, radius, nullptr));
+
+      // The grid backend's point queries probe the same cells.
+      GridBackend backend(d, metric);
+      metric.Reset();
+      std::vector<ObjectId> out;
+      size_t queries = 0;
+      for (ObjectId v = 0; v < n; v += 97, ++queries) {
+        backend.RangeQueryAround(v, radius, &out);
+        EXPECT_TRUE(std::ranges::equal(out, g.neighbors(v))) << "vertex " << v;
+      }
+      // A full scan costs n - 1 calls per query.
+      EXPECT_LT(metric.calls(), queries * (n - 1));
+      // A query point far outside the dataset's range finds nothing.
+      backend.RangeQuery(Point{1e300, -1e300}, radius, &out);
+      EXPECT_TRUE(out.empty());
+    }
+  }
+}
+
+TEST(NeighborhoodGraphTest, GridCellsStaySideRWithAFarOutlier) {
+  // One point far from the rest must not widen every cell: the outlier
+  // sits alone in its cell, so the grid computes exactly the distances it
+  // computes without it.
+  const size_t n = 2000;
+  const double radius = 0.003;
+  const Dataset base = MakeUniformDataset(n, 2, 21);
+  Dataset with_outlier(2);
+  for (ObjectId i = 0; i < n; ++i) {
+    ASSERT_TRUE(with_outlier.Add(base.point(i)).ok());
+  }
+  ASSERT_TRUE(with_outlier.Add(Point{1e5, 0.0}).ok());
+
+  EuclideanMetric metric;
+  uint64_t base_calls = 0;
+  uint64_t outlier_calls = 0;
+  const CsrAdjacency base_graph =
+      BuildAdjacencyWithGrid(base, metric, radius, nullptr, &base_calls);
+  const CsrAdjacency outlier_graph = BuildAdjacencyWithGrid(
+      with_outlier, metric, radius, nullptr, &outlier_calls);
+  EXPECT_EQ(outlier_calls, base_calls);
+  EXPECT_EQ(outlier_graph.num_edges(), base_graph.num_edges());
+  EXPECT_TRUE(outlier_graph ==
+              BuildAdjacencyBruteForce(with_outlier, metric, radius, nullptr));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // End-to-end tests for the OPEN backend= protocol field and the server's
-// neighbor-backend plumbing (ISSUE 8): graph-mode sessions over the wire,
-// pool-key separation between exact and approximate engines, the operator
-// default (ServerOptions::default_backend), and strict rejection of unknown
-// backend values.
+// neighbor-backend plumbing: graph-mode sessions over the wire, pool-key
+// separation between M-tree and graph-mode engines, the operator default
+// (ServerOptions::default_backend), and strict rejection of unknown backend
+// values.
 
 #include <gtest/gtest.h>
 
@@ -44,9 +44,9 @@ TEST(ServerBackendTest, BackendFieldOpensAGraphModeSession) {
   LineClient client = ConnectTo(*server);
 
   std::string open = MustRoundtrip(
-      client, "OPEN dataset=clustered n=400 dim=2 seed=9 backend=lsh");
+      client, "OPEN dataset=clustered n=400 dim=2 seed=9 backend=grid");
   EXPECT_NE(open.find("\"ok\":true"), std::string::npos) << open;
-  EXPECT_NE(open.find("\"backend\":\"lsh\""), std::string::npos) << open;
+  EXPECT_NE(open.find("\"backend\":\"grid\""), std::string::npos) << open;
 
   std::string diversify = MustRoundtrip(client, "DIVERSIFY r=0.08 algo=basic");
   EXPECT_NE(diversify.find("\"ok\":true"), std::string::npos) << diversify;
@@ -58,7 +58,7 @@ TEST(ServerBackendTest, BackendFieldOpensAGraphModeSession) {
       << zoom;
 
   std::string stats = MustRoundtrip(client, "STATS");
-  EXPECT_NE(stats.find("\"backend\":\"lsh\""), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"backend\":\"grid\""), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"has_solution\":true"), std::string::npos) << stats;
   MustRoundtrip(client, "CLOSE");
 }
@@ -108,22 +108,23 @@ TEST(ServerBackendTest, BackendIsPartOfThePoolingIdentity) {
   // Same dataset, three backends: each first OPEN builds a fresh engine.
   MustRoundtrip(client, "OPEN dataset=clustered n=300 dim=2 seed=5");
   MustRoundtrip(client, "CLOSE");
-  std::string lsh_open = MustRoundtrip(
-      client, "OPEN dataset=clustered n=300 dim=2 seed=5 backend=lsh");
-  EXPECT_NE(lsh_open.find("\"reused\":false"), std::string::npos) << lsh_open;
+  std::string grid_open = MustRoundtrip(
+      client, "OPEN dataset=clustered n=300 dim=2 seed=5 backend=grid");
+  EXPECT_NE(grid_open.find("\"reused\":false"), std::string::npos)
+      << grid_open;
   MustRoundtrip(client, "DIVERSIFY r=0.08");
   MustRoundtrip(client, "CLOSE");
 
   // Reopening the same (dataset, backend) leases the pooled engine back,
   // and its memoized solution returns as an honest cache hit.
   std::string reopened = MustRoundtrip(
-      client, "OPEN dataset=clustered n=300 dim=2 seed=5 backend=lsh");
+      client, "OPEN dataset=clustered n=300 dim=2 seed=5 backend=grid");
   EXPECT_NE(reopened.find("\"reused\":true"), std::string::npos) << reopened;
   std::string warm = MustRoundtrip(client, "DIVERSIFY r=0.08");
   EXPECT_NE(warm.find("\"from_cache\":true"), std::string::npos) << warm;
   MustRoundtrip(client, "CLOSE");
 
-  // The exact engine's memo was never shared with the approximate one.
+  // The M-tree engine's memo was never shared with the graph-mode one.
   std::string exact = MustRoundtrip(
       client, "OPEN dataset=clustered n=300 dim=2 seed=5");
   EXPECT_NE(exact.find("\"reused\":true"), std::string::npos) << exact;
@@ -134,13 +135,13 @@ TEST(ServerBackendTest, BackendIsPartOfThePoolingIdentity) {
 
 TEST(ServerBackendTest, OperatorDefaultAppliesOnlyWithoutTheField) {
   ServerOptions options;
-  options.default_backend = NeighborBackendKind::kLsh;
+  options.default_backend = NeighborBackendKind::kGrid;
   auto server = StartServer(std::move(options));
   LineClient client = ConnectTo(*server);
 
   std::string defaulted =
       MustRoundtrip(client, "OPEN dataset=clustered n=300 dim=2 seed=5");
-  EXPECT_NE(defaulted.find("\"backend\":\"lsh\""), std::string::npos)
+  EXPECT_NE(defaulted.find("\"backend\":\"grid\""), std::string::npos)
       << defaulted;
   MustRoundtrip(client, "CLOSE");
 

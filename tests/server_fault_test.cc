@@ -438,15 +438,18 @@ TEST(ServerFaultTest, ExactOpenAboveTheCapIsRefusedWithoutTakingTheDaemon) {
   EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
   EXPECT_NE(refused.find("\"code\":\"InvalidArgument\""), std::string::npos)
       << refused;
-  EXPECT_NE(refused.find("lsh-sharded"), std::string::npos) << refused;
+  // 2-D Euclidean: the refusal names the grid, which applies here.
+  EXPECT_NE(refused.find("dataset has 400 points, above the exact-backend "
+                         "cap of 300; use the grid neighbor backend"),
+            std::string::npos)
+      << refused;
 
-  // The daemon is alive and the connection usable: the sharded/LSH kinds
-  // are exempt from the cap, so the same dataset opens in graph mode.
+  // The daemon is alive and the connection usable: the grid is exempt from
+  // the cap where it applies, so the same dataset opens in graph mode.
   std::string opened = MustRoundtrip(
-      client,
-      "OPEN dataset=clustered n=400 dim=2 seed=9 backend=lsh-sharded");
+      client, "OPEN dataset=clustered n=400 dim=2 seed=9 backend=grid");
   EXPECT_NE(opened.find("\"ok\":true"), std::string::npos) << opened;
-  EXPECT_NE(opened.find("\"backend\":\"lsh-sharded\""), std::string::npos)
+  EXPECT_NE(opened.find("\"backend\":\"grid\""), std::string::npos)
       << opened;
   EXPECT_NE(MustRoundtrip(client, "DIVERSIFY r=0.08").find("\"ok\":true"),
             std::string::npos);
