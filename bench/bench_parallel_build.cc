@@ -16,8 +16,13 @@
 // the index-backed FromBackend path over ExactMTreeBackend) plus the
 // engine's neighborhood-count pass — the passes rewired onto
 // util/parallel.h. Wall times land in google-benchmark's real_time; the
-// deterministic counters double as the cross-leg identity proof.
+// deterministic counters double as the cross-leg identity proof. The grid
+// rows also report their candidate pairs (distance_computations) and the
+// wall time per candidate (per_candidate_ns, a wall-clock metric), and two
+// extra grid rows build open-churn's shape serially and on 4 threads in
+// both legs.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -26,6 +31,7 @@
 
 #include "bench/common.h"
 #include "graph/neighborhood.h"
+#include "neighbor/adjacency.h"
 #include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
@@ -75,15 +81,15 @@ void AddParallelRow(const char* pass, size_t n, double ms, uint64_t edges,
 
 // Word-wise FNV-1a over every row's degree and ids. 32 bits, so the value
 // survives the JSON's doubles exactly.
-uint32_t AdjacencyChecksum(const NeighborhoodGraph& graph) {
+uint32_t AdjacencyChecksum(const CsrAdjacency& adjacency) {
   uint32_t hash = 2166136261u;
   auto mix = [&hash](uint32_t word) {
     hash ^= word;
     hash *= 16777619u;
   };
-  for (ObjectId v = 0; v < graph.num_vertices(); ++v) {
-    mix(static_cast<uint32_t>(graph.degree(v)));
-    for (ObjectId id : graph.neighbors(v)) mix(id);
+  for (ObjectId v = 0; v < adjacency.size(); ++v) {
+    mix(static_cast<uint32_t>(adjacency.degree(v)));
+    for (ObjectId id : adjacency.row(v)) mix(id);
   }
   return hash;
 }
@@ -102,7 +108,7 @@ void BM_GraphBrute(benchmark::State& state, size_t n) {
     NeighborhoodGraph graph(dataset, metric, radius, BenchPool());
     ms = watch.ElapsedMillis();
     edges = graph.num_edges();
-    checksum = AdjacencyChecksum(graph);
+    checksum = AdjacencyChecksum(graph.adjacency());
     benchmark::DoNotOptimize(checksum);
   }
   state.counters["edges"] = static_cast<double>(edges);
@@ -110,24 +116,37 @@ void BM_GraphBrute(benchmark::State& state, size_t n) {
   AddParallelRow("brute", n, ms, edges, 0, checksum);
 }
 
-// Grid path: the default for the paper's 2-D workloads.
-void BM_GraphGrid(benchmark::State& state, size_t n) {
-  const Dataset& dataset = Clustered(n, 2);
-  const double radius = 0.03;
+// Grid path: the default for the paper's 2-D workloads, built by the
+// builder NeighborhoodGraph delegates to, so the candidate-pair count (one
+// distance each) is reported too: a deterministic counter, and divided
+// into the best iteration's wall time as the cost per candidate.
+void RunGraphGrid(benchmark::State& state, const char* pass,
+                  const Dataset& dataset, double radius, ThreadPool* pool) {
   double ms = 0.0;
   uint64_t edges = 0;
+  uint64_t candidates = 0;
   uint32_t checksum = 0;
   for (auto _ : state) {
     Stopwatch watch;
-    NeighborhoodGraph graph(dataset, Euclidean(), radius, BenchPool());
-    ms = watch.ElapsedMillis();
-    edges = graph.num_edges();
-    checksum = AdjacencyChecksum(graph);
+    const CsrAdjacency adjacency =
+        BuildAdjacencyWithGrid(dataset, Euclidean(), radius, pool,
+                               &candidates);
+    const double elapsed = watch.ElapsedMillis();
+    ms = ms == 0.0 ? elapsed : std::min(ms, elapsed);
+    edges = adjacency.num_edges();
+    checksum = AdjacencyChecksum(adjacency);
     benchmark::DoNotOptimize(checksum);
   }
   state.counters["edges"] = static_cast<double>(edges);
   state.counters["adjacency_checksum"] = checksum;
-  AddParallelRow("grid", n, ms, edges, 0, checksum);
+  state.counters["distance_computations"] = static_cast<double>(candidates);
+  state.counters["per_candidate_ns"] =
+      candidates > 0 ? ms * 1e6 / static_cast<double>(candidates) : 0.0;
+  AddParallelRow(pass, dataset.size(), ms, edges, 0, checksum);
+}
+
+void BM_GraphGrid(benchmark::State& state, size_t n) {
+  RunGraphGrid(state, "grid", Clustered(n, 2), 0.03, BenchPool());
 }
 
 // Index-backed path (one range query per object) through ExactMTreeBackend
@@ -156,7 +175,7 @@ void BM_GraphIndex(benchmark::State& state, size_t n) {
       return;
     }
     edges = graph->num_edges();
-    checksum = AdjacencyChecksum(*graph);
+    checksum = AdjacencyChecksum(graph->adjacency());
     benchmark::DoNotOptimize(checksum);
   }
   const AccessStats& stats = (*backend)->stats();
@@ -194,7 +213,27 @@ void BM_Counts(benchmark::State& state, size_t n) {
   AddParallelRow("counts", n, ms, 0, accesses, 0);
 }
 
+// open-churn's grid shape (its first pool key's dataset, clustered n=6000
+// seed 1, at r=0.05) serially and on a fixed 4-thread pool, whatever the
+// leg: the build's cost per candidate and its scaling side by side.
+void BM_GraphGridChurn(benchmark::State& state, size_t threads) {
+  static const Dataset dataset = MakeClusteredDataset(6000, 2, 1);
+  static ThreadPool pool(4);
+  RunGraphGrid(state, threads == 1 ? "grid-churn-t1" : "grid-churn-t4",
+               dataset, 0.05, threads == 1 ? nullptr : &pool);
+}
+
 [[maybe_unused]] const bool registered = [] {
+  for (size_t threads : {1, 4}) {
+    benchmark::RegisterBenchmark(
+        ("Parallel/GraphGrid/n=6000/threads=" + std::to_string(threads))
+            .c_str(),
+        [threads](benchmark::State& state) {
+          BM_GraphGridChurn(state, threads);
+        })
+        ->Iterations(5)
+        ->Unit(benchmark::kMillisecond);
+  }
   const size_t kSizes[] = {10000, 20000};
   for (size_t n : kSizes) {
     for (auto& [name, fn] :

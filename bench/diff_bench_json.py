@@ -8,7 +8,7 @@ metrics from both shapes — node accesses, distance computations, node counts,
 fat factors — and fails when the candidate regressed by more than the
 threshold against the baseline.
 
-Wall-clock metrics (real_time / cpu_time / *_ms columns) are machine
+Wall-clock metrics (real_time / cpu_time / *_ms and *_ns columns) are machine
 dependent and excluded by default; pass --check-time to gate them too (only
 meaningful when baseline and candidate ran on comparable hardware).
 
@@ -77,6 +77,7 @@ def is_time_metric(name):
     # rides with the time metrics: excluded from the deterministic diff,
     # available to --require-floor / --require-ceiling bounds.
     return (name in GB_TIME_FIELDS or name.endswith("_ms")
+            or name.endswith("_ns")
             or name.endswith("_time") or name == "ms"
             or name == "rps" or name.endswith("_rps"))
 

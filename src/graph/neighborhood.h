@@ -14,8 +14,8 @@
 // engine all plug into everything defined on this graph and all build the
 // same exact graph. Either way the graph adopts the CsrAdjacency the builder returns, rows already
 // sorted. Both paths accept an optional util/parallel.h thread pool and
-// follow its ordered-reduction contract, so the graph is byte-identical to
-// the serial build for every thread count.
+// follow its determinism contract, so the graph is byte-identical to the
+// serial build for every thread count.
 
 #ifndef DISC_GRAPH_NEIGHBORHOOD_H_
 #define DISC_GRAPH_NEIGHBORHOOD_H_

@@ -83,7 +83,7 @@ Result<CsrAdjacency> NeighborBackend::BuildNeighborhoods(
   // to per-chunk sinks summed back in chunk order (exact integer totals,
   // same as serial). Serial runs take the whole range as one chunk.
   struct ChunkRows {
-    std::vector<ObjectId> ids;
+    decltype(CsrAdjacency::ids) ids;
     std::vector<uint32_t> counts;
     AccessStats stats;
   };

@@ -127,6 +127,8 @@ enum class Shape {
   kIsolatedEnds,   // vertices 0 and n-1 far from everything else
   kDuplicates,     // the second half repeats the first
   kOneCell,        // every point inside one cell of side `radius`
+  kFarOutlier,     // the last vertex at 1e5 along the first axis
+  kLattice,        // coordinates multiples of 32, at most 1024, per axis
 };
 
 struct GridParam {
@@ -150,6 +152,12 @@ Dataset MakeShape(const GridParam& p) {
       point = generated.point(i - p.n / 2);
     } else if (p.shape == Shape::kOneCell) {
       for (size_t k = 0; k < p.dim; ++k) point[k] *= 0.99 * p.radius;
+    } else if (p.shape == Shape::kFarOutlier && i + 1 == p.n) {
+      point[0] = 1e5;
+    } else if (p.shape == Shape::kLattice) {
+      for (size_t k = 0, rem = i; k < p.dim; ++k, rem /= 33) {
+        point[k] = static_cast<double>(rem % 33) * 32;
+      }
     }
     EXPECT_TRUE(d.Add(point).ok());
   }
@@ -202,13 +210,100 @@ INSTANTIATE_TEST_SUITE_P(
         GridParam{300, 2, MetricKind::kEuclidean, 0.0, Shape::kDuplicates},
         GridParam{300, 2, MetricKind::kEuclidean, 0.05, Shape::kDuplicates},
         GridParam{300, 2, MetricKind::kEuclidean, 0.05, Shape::kOneCell},
-        GridParam{300, 3, MetricKind::kManhattan, 0.1, Shape::kOneCell}),
+        GridParam{300, 3, MetricKind::kManhattan, 0.1, Shape::kOneCell},
+        GridParam{400, 1, MetricKind::kEuclidean, 0.002},
+        GridParam{300, 1, MetricKind::kManhattan, 0.01},
+        GridParam{256, 1, MetricKind::kChebyshev, 0.004},
+        GridParam{300, 1, MetricKind::kEuclidean, 0.0, Shape::kDuplicates},
+        GridParam{300, 1, MetricKind::kChebyshev, 0.01, Shape::kOneCell}),
     [](const ::testing::TestParamInfo<GridParam>& param_info) {
       const GridParam& p = param_info.param;
       return std::string(MetricKindToString(p.kind)) + "_n" +
              std::to_string(p.n) + "_d" + std::to_string(p.dim) + "_i" +
              std::to_string(param_info.index);
     });
+
+// The grid build's contract, pinned: edge count, candidate pairs (one
+// distance each) and a hash of the CSR bytes, identical at 1, 2 and 4
+// threads. The values come from a per-point scan (each point against the
+// ids above it in its 3^dim cells), so any change to the graph or to the
+// work shows here.
+struct GridContract {
+  const char* name;
+  GridParam input;
+  uint64_t edges;
+  uint64_t distance_computations;
+  uint64_t csr_hash;
+};
+
+// Byte-wise 64-bit FNV-1a over the offsets, then the ids.
+uint64_t CsrHash(const CsrAdjacency& csr) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](const void* data, size_t bytes) {
+    const auto* byte = static_cast<const unsigned char*>(data);
+    for (size_t k = 0; k < bytes; ++k) {
+      hash ^= byte[k];
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(csr.offsets.data(), csr.offsets.size() * sizeof(csr.offsets[0]));
+  mix(csr.ids.data(), csr.ids.size() * sizeof(csr.ids[0]));
+  return hash;
+}
+
+TEST(GridContractTest, EdgesDistancesAndBytesArePinned) {
+  using K = MetricKind;
+  const GridContract kContracts[] = {
+      {"euclidean_d1", {600, 1, K::kEuclidean, 0.002},
+       1745, 2531, 9834914494322187193ull},
+      {"euclidean_d2", {600, 2, K::kEuclidean, 0.05},
+       9328, 18959, 12748070992511642400ull},
+      {"euclidean_d3", {600, 3, K::kEuclidean, 0.12},
+       17974, 36519, 15978305700518006436ull},
+      {"manhattan_d1", {600, 1, K::kManhattan, 0.005},
+       1787, 2714, 11047967409004261005ull},
+      {"manhattan_d2", {600, 2, K::kManhattan, 0.06},
+       1202, 5390, 14157928533810268338ull},
+      {"manhattan_d3", {600, 3, K::kManhattan, 0.2},
+       1637, 24817, 6686548768901958446ull},
+      {"chebyshev_d1", {600, 1, K::kChebyshev, 0.004},
+       1442, 2133, 14027258277563148236ull},
+      {"chebyshev_d2", {600, 2, K::kChebyshev, 0.04},
+       1084, 2451, 15044644577062651150ull},
+      {"chebyshev_d3", {600, 3, K::kChebyshev, 0.1},
+       1209, 3989, 6310004884589457142ull},
+      {"one_cell", {500, 2, K::kEuclidean, 0.05, Shape::kOneCell},
+       124750, 124750, 6005237795702687896ull},
+      {"duplicates", {600, 2, K::kEuclidean, 0.03, Shape::kDuplicates},
+       9480, 20128, 2027513040608962547ull},
+      {"zero_radius", {600, 3, K::kManhattan, 0.0, Shape::kDuplicates},
+       300, 300, 1656900144386985335ull},
+      {"far_outlier", {600, 2, K::kEuclidean, 0.02, Shape::kFarOutlier},
+       1849, 4605, 8400700828221341094ull},
+      {"lattice_r0", {1000, 2, K::kEuclidean, 0.0, Shape::kLattice},
+       0, 0, 11920499126216567493ull},
+      {"lattice_spacing", {1000, 2, K::kEuclidean, 32.0, Shape::kLattice},
+       1936, 3811, 17318721728995376640ull},
+  };
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  for (const GridContract& c : kContracts) {
+    SCOPED_TRACE(c.name);
+    const Dataset d = MakeShape(c.input);
+    auto metric = MakeMetric(c.input.kind);
+    ASSERT_TRUE(GridCompatible(*metric, d.dim(), d.size()));
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                             &pool4}) {
+      SCOPED_TRACE(pool == nullptr ? 1 : pool->threads());
+      uint64_t calls = 0;
+      const CsrAdjacency csr =
+          BuildAdjacencyWithGrid(d, *metric, c.input.radius, pool, &calls);
+      EXPECT_EQ(csr.num_edges(), c.edges);
+      EXPECT_EQ(calls, c.distance_computations);
+      EXPECT_EQ(CsrHash(csr), c.csr_hash);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Distance-call accounting: one computation per unordered pair.
@@ -228,16 +323,17 @@ TEST(NeighborhoodGraphTest, BruteForceComputesEachPairOnce) {
 }
 
 TEST(NeighborhoodGraphTest, GridComputesAtMostEachPairOnce) {
-  // The grid path (n >= 256, low dim) sees each candidate pair from both
-  // endpoints' cell enumerations; the j <= i skip must dedupe it to at most
-  // one Distance call per unordered pair (fewer: distant pairs never meet).
+  // The grid path (n >= 256, low dim) meets each candidate pair from both
+  // endpoints' cells; it must compute at most one distance per unordered
+  // pair (fewer: distant pairs never meet). The builder calls the metric's
+  // inline kernel, so its own counter is the measure, pinned exactly.
   const size_t n = 400;
   Dataset d = MakeClusteredDataset(n, 2, 11);
-  EuclideanMetric inner;
-  CountingMetric metric(inner);
-  NeighborhoodGraph g(d, metric, 0.05);
-  EXPECT_GT(metric.calls(), 0u);
-  EXPECT_LT(metric.calls(), n * (n - 1) / 2);  // the accelerator must pay off
+  EuclideanMetric metric;
+  uint64_t calls = 0;
+  BuildAdjacencyWithGrid(d, metric, 0.05, nullptr, &calls);
+  EXPECT_EQ(calls, 9318u);
+  EXPECT_LT(calls, n * (n - 1) / 2);  // the accelerator must pay off
   // (GridEquivalenceTest pins the resulting graph against brute force; this
   // test pins the cost model: dedupe means at most one call per pair.)
 }
@@ -264,24 +360,36 @@ TEST(NeighborhoodGraphTest, GridStaysSubquadraticAtZeroAndTinyRadii) {
     }
     return point;
   };
+  // The build's distance count per layout and radius, recorded from the
+  // per-point scan the cell-pair build replaced: each duplicate pair once.
+  const struct {
+    const char* layout;
+    uint64_t build_calls;
+  } kLayouts[] = {{"uniform", 1000}, {"offset", 1000}, {"lattice", 1000}};
   EuclideanMetric inner;
-  for (const std::string layout : {"uniform", "offset", "lattice"}) {
+  for (const auto& [layout, build_calls] : kLayouts) {
     Dataset d(2);
     for (ObjectId i = 0; i < n; ++i) {
       ASSERT_TRUE(d.Add(distinct_point(layout, i % (n / 2))).ok());
     }
     for (double radius : {0.0, 1e-30}) {
-      SCOPED_TRACE(layout + " r=" + ::testing::PrintToString(radius));
-      CountingMetric metric(inner);
-      NeighborhoodGraph g(d, metric, radius);
-      EXPECT_LT(metric.calls(), n * (n - 1) / 2);
-      EXPECT_EQ(g.num_edges(), n / 2);
-      EXPECT_TRUE(g.adjacency() ==
+      SCOPED_TRACE(std::string(layout) +
+                   " r=" + ::testing::PrintToString(radius));
+      uint64_t calls = 0;
+      const CsrAdjacency csr =
+          BuildAdjacencyWithGrid(d, inner, radius, nullptr, &calls);
+      EXPECT_EQ(calls, build_calls);
+      EXPECT_LT(calls, n * (n - 1) / 2);
+      EXPECT_EQ(csr.num_edges(), n / 2);
+      EXPECT_TRUE(csr ==
                   BuildAdjacencyBruteForce(d, inner, radius, nullptr));
+      NeighborhoodGraph g(d, inner, radius);
+      EXPECT_TRUE(g.adjacency() == csr);
 
-      // The grid backend's point queries probe the same cells.
+      // The grid backend's point queries probe the same cells; they still
+      // call the virtual metric, so a counting wrapper measures them.
+      CountingMetric metric(inner);
       GridBackend backend(d, metric);
-      metric.Reset();
       std::vector<ObjectId> out;
       size_t queries = 0;
       for (ObjectId v = 0; v < n; v += 97, ++queries) {
