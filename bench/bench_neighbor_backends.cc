@@ -2,20 +2,21 @@
 //
 // Two claims ride on this binary, both gated in CI
 // (bench/diff_bench_json.py over the merged BENCH JSON):
-//   * exactness — every backend builds the full neighborhood structure of
-//     two workloads and must match the exact oracle bit-for-bit
+//   * exactness — both backends build the full neighborhood structure of
+//     three workloads and must match the exact oracle bit-for-bit
 //     (mismatches == 0): the paper's clustered 2-D workload, where the grid
-//     accelerator applies, and uniform 8-D, where the grid falls back to
-//     the O(n^2) scan and the M-tree kinds (exact, sharded) compete with it.
-//     Build wall times are reported so sharded can be judged against the
-//     single M-tree and the scan in both regimes.
+//     accelerator applies, and two 8-D workloads, where the grid falls back
+//     to the O(n^2) scan — uniform (r=0.4), where the scan wins, and
+//     clustered (r=0.05), where the M-tree wins. Build wall times are
+//     reported so the exact-point cap's choice of kind per regime stays
+//     grounded.
 //   * scale — the grid backend builds the exact million-point 2-D
-//     neighborhood graph (the path the exact-family guardrail points
+//     neighborhood graph (the path the exact-point cap points
 //     low-dimensional inputs to); its edge count is pinned.
 //
 // Workload sizes scale via DISC_NEIGHBOR_N (clustered 2-D rows, default
-// 10000) and DISC_NEIGHBOR_SCALE_N (scale row, default 1000000, 0 skips
-// it); the uniform 8-D rows hold 20000 points.
+// 10000; 0 keeps the default) and DISC_NEIGHBOR_SCALE_N (scale row, default
+// 1000000, 0 skips it); the 8-D rows hold 20000 points.
 
 #include <cstdlib>
 #include <string>
@@ -32,11 +33,14 @@ namespace disc {
 namespace bench {
 namespace {
 
+// The non-negative integer in environment variable `name` (0 included), or
+// `fallback` when it is unset or holds anything else.
 size_t EnvSize(const char* name, size_t fallback) {
   const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  const long parsed = std::strtol(env, &end, 10);
+  return *end == '\0' && parsed >= 0 ? static_cast<size_t>(parsed) : fallback;
 }
 
 // One pool for the whole binary; build wall times are reported, not gated,
@@ -61,7 +65,7 @@ TableCollector* ScaleTable() {
 }
 
 struct Workload {
-  const char* name;
+  const char* name;  // "clustered" or "uniform"
   size_t n;
   size_t dim;
   double radius;
@@ -75,7 +79,7 @@ struct Workload {
 void Prepare(Workload& workload) {
   if (workload.dataset != nullptr) return;
   workload.dataset =
-      workload.dim == 2
+      std::string(workload.name) == "clustered"
           ? &Clustered(workload.n, workload.dim)
           : new Dataset(MakeUniformDataset(workload.n, workload.dim, 42));
   workload.oracle = new CsrAdjacency(
@@ -127,9 +131,8 @@ void BM_BackendExactness(benchmark::State& state, Workload& workload,
 }
 
 // The scale row: the grid over a million uniform 2-D points — above the
-// exact-family cap, which exempts grid-compatible inputs.
-void BM_GridScale(benchmark::State& state) {
-  const size_t n = EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000);
+// exact-point cap, which sends grid-compatible inputs to the grid.
+void BM_GridScale(benchmark::State& state, size_t n) {
   const Dataset dataset = MakeUniformDataset(n, 2, 42);
   const double radius = 0.003;
 
@@ -162,16 +165,17 @@ void BM_GridScale(benchmark::State& state) {
 }
 
 [[maybe_unused]] const bool registered = [] {
-  static Workload* workloads = new Workload[2]{
-      {"clustered", EnvSize("DISC_NEIGHBOR_N", 10000), 2, 0.03},
-      {"uniform", 20000, 8, 0.4}};
-  for (Workload* workload = workloads; workload != workloads + 2;
+  const size_t clustered_n = EnvSize("DISC_NEIGHBOR_N", 10000);
+  static Workload* workloads = new Workload[3]{
+      {"clustered", clustered_n > 0 ? clustered_n : 10000, 2, 0.03},
+      {"uniform", 20000, 8, 0.4},
+      {"clustered", 20000, 8, 0.05}};
+  for (Workload* workload = workloads; workload != workloads + 3;
        ++workload) {
     for (auto& [name, kind] :
          {std::pair<const char*, NeighborBackendKind>{
               "Exact", NeighborBackendKind::kExact},
-          {"Grid", NeighborBackendKind::kGrid},
-          {"Sharded", NeighborBackendKind::kSharded}}) {
+          {"Grid", NeighborBackendKind::kGrid}}) {
       auto kind_copy = kind;
       std::string bench_name = "NeighborExactness/" + std::string(name) +
                                "/" + workload->name +
@@ -186,13 +190,12 @@ void BM_GridScale(benchmark::State& state) {
           ->Unit(benchmark::kMillisecond);
     }
   }
-  if (EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000) > 0) {
-    std::string scale_name =
-        "NeighborScale/Grid/n=" +
-        std::to_string(EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000));
+  const size_t scale_n = EnvSize("DISC_NEIGHBOR_SCALE_N", 1000000);
+  if (scale_n > 0) {
+    std::string scale_name = "NeighborScale/Grid/n=" + std::to_string(scale_n);
     benchmark::RegisterBenchmark(
         scale_name.c_str(),
-        [](benchmark::State& state) { BM_GridScale(state); })
+        [scale_n](benchmark::State& state) { BM_GridScale(state, scale_n); })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
   }

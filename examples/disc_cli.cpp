@@ -11,7 +11,7 @@
 //            [--algorithm=basic|greedy|greedy-white|lazy-grey|lazy-white|
 //                         greedy-c|fast-c]
 //            [--build=insert|bulk] [--threads=0] [--radius=0.05]
-//            [--neighbor-backend=exact|grid|sharded]
+//            [--neighbor-backend=exact|grid]
 //            [--zoom-to=<r'>] [--out=<points.csv>] [--help]
 //
 // Examples:
@@ -42,7 +42,7 @@ constexpr const char* kUsage =
     "                [--algorithm=basic|greedy|greedy-white|lazy-grey|"
     "lazy-white|greedy-c|fast-c]\n"
     "                [--build=insert|bulk] [--threads=<count>]\n"
-    "                [--neighbor-backend=exact|grid|sharded]\n"
+    "                [--neighbor-backend=exact|grid]\n"
     "                [--radius=<r>] [--zoom-to=<r'>] [--out=<points.csv>]\n"
     "                [--help]\n"
     "\n"
@@ -50,10 +50,10 @@ constexpr const char* kUsage =
     "           per hardware thread, 1 = serial; results are byte-identical\n"
     "           either way).\n"
     "--neighbor-backend: the neighbor engine computing N_r(p). 'exact'\n"
-    "           (default) is the M-tree session engine; the others run in\n"
+    "           (default) is the M-tree session engine; 'grid' runs in\n"
     "           graph mode (algorithms basic/greedy/greedy-c only, no\n"
-    "           --zoom-to) on the same exact graph — 'grid' opens\n"
-    "           million-point workloads in dims 1-3 (non-Hamming).\n";
+    "           --zoom-to) on the same exact graph and opens million-point\n"
+    "           workloads in dims 1-3 (non-Hamming).\n";
 
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());

@@ -78,9 +78,8 @@ Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
                                 config.tree);
     DISC_RETURN_NOT_OK(engine->tree_->Build(engine->pool()));
   } else {
-    // Graph mode: the backend computes N_r(p); no tree is ever built (for
-    // the grid and sharded kinds the whole point is that one global M-tree
-    // would not scale).
+    // Graph mode: the grid backend computes N_r(p); no tree is ever built
+    // (where the grid applies, one global M-tree would not scale).
     DISC_ASSIGN_OR_RETURN(
         engine->backend_,
         CreateNeighborBackend(engine->dataset_, *engine->metric_,

@@ -8,11 +8,11 @@
 // Construction is the r-neighborhood computation that dominates every DisC
 // pass (N_r(p) for all p, §4–§6). The direct constructor delegates to the
 // shared adjacency builders in neighbor/adjacency.h (grid accelerator or
-// exact O(n^2) scan), and FromBackend builds the graph through any pluggable
+// exact O(n^2) scan), and FromBackend builds the graph through either
 // NeighborBackend (neighbor/backend.h): the index-backed path (one M-tree
-// range query per object, ExactMTreeBackend), the grid and the sharded
-// engine all plug into everything defined on this graph and all build the
-// same exact graph. Either way the graph adopts the CsrAdjacency the builder returns, rows already
+// range query per object, ExactMTreeBackend) or the grid. Both plug into
+// everything defined on this graph and build the same exact graph. Either
+// way the graph adopts the CsrAdjacency the builder returns, rows already
 // sorted. Both paths accept an optional util/parallel.h thread pool and
 // follow its determinism contract, so the graph is byte-identical to the
 // serial build for every thread count.

@@ -103,8 +103,8 @@ struct CsrAdjacency {
 bool GridCompatible(const DistanceMetric& metric, size_t dim, size_t n);
 
 /// Points hashed into cells of side w >= r: any pair within distance r lies
-/// in the same or an adjacent cell along every axis. The one cell index
-/// behind both the grid builder below and GridBackend's point queries.
+/// in the same or an adjacent cell along every axis. The cell index behind
+/// the grid builder below.
 /// Requires GridCompatible (dim <= 3) and radius >= 0; immutable once built.
 ///
 /// The side is w = max(r, M * phi * 2^-52, DBL_MIN), M the dataset's
@@ -146,18 +146,6 @@ class GridCellIndex {
             neighbor_starts_[cell + 1] - neighbor_starts_[cell]};
   }
 
-  /// Calls visit(ids) for each of the 3^dim cells around `p` (the same or
-  /// adjacent along every axis) in a fixed order. `ids` lists the cell's
-  /// objects ascending and is empty for a cell with no points.
-  template <typename Visit>
-  void ForEachNearbyCell(const Point& p, Visit&& visit) const {
-    std::array<int64_t, 3> base{};
-    for (size_t d = 0; d < dim_; ++d) base[d] = CellCoordinate(p[d]);
-    ForEachProbe(base, [&](const uint32_t* cell) {
-      visit(cell == nullptr ? std::span<const ObjectId>() : cell_ids(*cell));
-    });
-  }
-
  private:
   /// Calls visit(cell) for each of the 3^dim cells around `base` in a fixed
   /// order, with a pointer to the occupied cell's number or nullptr.
@@ -175,9 +163,8 @@ class GridCellIndex {
     }
   }
 
-  /// The clamp keeps the cast defined for query points far outside the
-  /// dataset relative to w. It never separates two points within r:
-  /// clamping moves no pair of coordinates further apart.
+  /// The clamp keeps the cast defined for any x. It never separates two
+  /// points within r: clamping moves no pair of coordinates further apart.
   int64_t CellCoordinate(double x) const {
     return static_cast<int64_t>(
         std::clamp(std::floor(x / width_), -0x1p62, 0x1p62));
@@ -189,7 +176,7 @@ class GridCellIndex {
   double radius_;
   double width_;
   size_t dim_;
-  /// 3^dim: the cells ForEachNearbyCell visits per point.
+  /// 3^dim: the cells ForEachProbe visits per cell.
   size_t cells_per_probe_;
   /// Cell key -> cell; cell c holds ids_[starts_[c], starts_[c + 1]).
   std::unordered_map<uint64_t, uint32_t> slots_;

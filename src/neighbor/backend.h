@@ -1,43 +1,32 @@
-// Pluggable neighbor backends: the r-neighborhood computation as a service.
+// Pluggable neighbor backends: the batched G_{P,r} build as a service.
 //
-// Every DisC pass is dominated by computing N_r(p) (§4–§6 of the paper), and
-// until this layer existed the only providers were the exact paths wired
-// directly into NeighborhoodGraph: the O(n^2) scan, the uniform grid, and
-// one M-tree range query per object. This layer defines one interface —
-// range query at radius r plus a batched neighborhood build, with
-// accounting compatible with MTree::AccessStats — and three engines behind
-// it, all exact (every reported N_r(p) equals the true one):
+// Every DisC pass is dominated by computing N_r(p) (§4–§6 of the paper).
+// This layer defines one job — build the full adjacency structure for one
+// radius, with accounting compatible with MTree::AccessStats — and two
+// engines behind it, both exact (every reported N_r(p) equals the true one):
 //
 //   * ExactMTreeBackend  — an owned M-tree, one range query per object.
-//   * GridBackend        — the uniform-grid accelerator (batched builds only
-//                          pay the grid price once). For low-dimensional
-//                          Minkowski inputs it is the million-point path:
-//                          the exact-family cap exempts it there.
-//   * ShardedBackend     — partitions the dataset into contiguous id ranges,
-//                          builds a per-shard M-tree concurrently on the
-//                          shared pool, and merges per-shard results in
-//                          ascending shard order — the ordered-reduction
-//                          contract again, so it reproduces the unsharded
-//                          neighbor sets exactly. It is the over-cap path
-//                          for inputs the grid cannot serve.
+//   * GridBackend        — the uniform-grid accelerator, falling back to the
+//                          exact O(n^2) scan where the grid cannot apply.
+//                          For low-dimensional Minkowski inputs it is the
+//                          million-point path.
 //
-// Backends are immutable once constructed (the grid backend builds a
-// per-radius cell index lazily under a lock and keeps only the latest
-// radius's; a query holds its index alive, and each index is read-only once
-// built), so batched builds may fan queries out across a thread pool.
-// Accounting follows the M-tree's convention: every query charges node
-// accesses (cell probes for the grid), distance computations, and one range
-// query to a caller-supplied sink or, when none is given, to the backend's
-// own running stats().
+// Above NeighborBackendOptions::max_exact_points each input is served by
+// whichever of the two is the faster one for it (CheckExactPointCap): the
+// grid where it applies, the single M-tree where the grid would scan.
+//
+// Backends are immutable once constructed and hold no locks, so a batched
+// build may fan out across a thread pool. Accounting follows the M-tree's
+// convention: a build charges node accesses (cell probes for the grid),
+// distance computations and one range query per object to the backend's
+// running stats().
 
 #ifndef DISC_NEIGHBOR_BACKEND_H_
 #define DISC_NEIGHBOR_BACKEND_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "data/dataset.h"
 #include "metric/metric.h"
@@ -53,12 +42,11 @@ class ThreadPool;  // util/parallel.h
 /// preserves historical behavior exactly; kGrid opens million-point
 /// low-dimensional workloads.
 enum class NeighborBackendKind {
-  kExact,    // one M-tree range query per object
-  kGrid,     // uniform-grid accelerator (falls back to brute force)
-  kSharded,  // sharded M-trees, merged in shard order
+  kExact,  // one M-tree range query per object
+  kGrid,   // uniform-grid accelerator (falls back to brute force)
 };
 
-/// "exact" / "grid" / "sharded".
+/// "exact" / "grid".
 const char* NeighborBackendKindToString(NeighborBackendKind kind);
 
 /// Parses the names above; anything else is InvalidArgument listing them.
@@ -68,31 +56,28 @@ Result<NeighborBackendKind> ParseNeighborBackendKind(const std::string& name);
 /// the --neighbor-backend= flags and the OPEN protocol field.
 struct NeighborBackendOptions {
   NeighborBackendKind kind = NeighborBackendKind::kExact;
-  /// Guardrail: the single-index kinds (exact, and grid where it would fall
-  /// back to the O(n^2) scan) are refused over datasets larger than this,
-  /// instead of letting an oversized index or a quadratic scan take the
-  /// process down. 0 = unlimited. Grid-compatible grid builds and the
-  /// sharded kind are exempt — they are the supported ways past the cap.
+  /// Guardrail: over datasets larger than this, the kind that is the slower
+  /// one for the input is refused — exact where the grid applies, grid
+  /// where it would fall back to the O(n^2) scan — instead of letting an
+  /// oversized index or a quadratic scan take the process down. The other
+  /// kind is the supported way past the cap. 0 = unlimited.
   size_t max_exact_points = 0;
 };
 
 /// A stable identity string for engine pooling and cache keys: the kind
-/// name. Sharded backends always take the default shard count, which never
-/// depends on the thread count (results must not either).
+/// name.
 std::string NeighborBackendCacheKey(const NeighborBackendOptions& options);
 
-/// The exact-family cap (NeighborBackendOptions::max_exact_points), the one
+/// The exact-point cap (NeighborBackendOptions::max_exact_points), the one
 /// copy of the rule DiscEngine::Create and CreateNeighborBackend both apply.
 /// OK unless the cap is set, the dataset is above it, and options.kind is
-/// kExact, or kGrid where the grid does not apply. The InvalidArgument
-/// message names the over-cap path that does apply: grid when
-/// GridCompatible, otherwise sharded.
+/// kExact where GridCompatible, or kGrid where not. The InvalidArgument
+/// message names the other kind, the one that applies.
 Status CheckExactPointCap(const Dataset& dataset, const DistanceMetric& metric,
                           const NeighborBackendOptions& options);
 
-/// The neighbor-computation interface. Implementations are thread-safe for
-/// concurrent queries after construction; the dataset and metric must
-/// outlive the backend.
+/// The neighbor-computation interface. Immutable after construction; the
+/// dataset and metric must outlive the backend.
 class NeighborBackend {
  public:
   NeighborBackend(const Dataset& dataset, const DistanceMetric& metric)
@@ -109,56 +94,29 @@ class NeighborBackend {
   const DistanceMetric& metric() const { return metric_; }
   size_t size() const { return dataset_.size(); }
 
-  /// N_r(center): ids at distance <= radius from the stored object `center`,
-  /// excluding center itself, sorted ascending. Accounting goes to `sink`
-  /// when given, else to stats(). Thread-safe; concurrent callers must pass
-  /// private sinks (the same discipline as MTree::ThreadStatsScope).
-  void RangeQueryAround(ObjectId center, double radius,
-                        std::vector<ObjectId>* out,
-                        AccessStats* sink = nullptr) const;
-
-  /// All ids at distance <= radius from an arbitrary point (nothing
-  /// excluded), sorted ascending — the fan-out entry point ShardedBackend
-  /// uses against shards that do not hold the query object. Same accounting
-  /// and thread-safety contract as RangeQueryAround.
-  void RangeQuery(const Point& center, double radius,
-                  std::vector<ObjectId>* out,
-                  AccessStats* sink = nullptr) const;
-
   /// Batched build of the full adjacency structure for one radius: a CSR
   /// with size() rows, row v holding N_r(v) sorted ascending (the edge
-  /// count is its num_edges()). The default implementation fans
-  /// RangeQueryAround over the pool under the ordered-reduction contract
-  /// with per-chunk stat sinks; rows arrive in id order, so chunks
-  /// concatenate straight into the CSR and both the rows and the stats
-  /// totals are byte-identical to the serial loop at any thread count.
-  /// Backends with a cheaper batch path (the grid) override it.
+  /// count is its num_edges()). The structure and the stats totals are
+  /// byte-identical to the serial build at any thread count. Not safe to
+  /// call concurrently on one backend (it adds to stats()).
   virtual Result<CsrAdjacency> BuildNeighborhoods(double radius,
-                                                  ThreadPool* pool) const;
+                                                  ThreadPool* pool) const = 0;
 
-  /// Running totals of all accounting not redirected to a sink.
+  /// Running totals of every build's accounting.
   const AccessStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = AccessStats{}; }
 
  protected:
-  /// The one method implementations provide: append every id at distance
-  /// <= radius from `center` (any order) to `out`, skipping `exclude`
-  /// (kInvalidObject = skip nothing; otherwise `center` is that object's
-  /// stored point), and charge ALL accounting to `sink` (never null here).
-  /// The public wrappers sort and route stats.
-  virtual void DoRangeQuery(const Point& center, ObjectId exclude,
-                            double radius, std::vector<ObjectId>* out,
-                            AccessStats* sink) const = 0;
-
   const Dataset& dataset_;
   const DistanceMetric& metric_;
   mutable AccessStats stats_;
 };
 
 /// Constructs the backend `options` describes over (dataset, metric).
-/// Returns CheckExactPointCap's InvalidArgument for capped kinds over
-/// datasets above options.max_exact_points.
-/// `pool` parallelizes construction (per-shard builds); it is not retained.
+/// Returns CheckExactPointCap's InvalidArgument for a capped kind over a
+/// dataset above options.max_exact_points.
+/// `pool` parallelizes construction (the exact kind's tree build); it is
+/// not retained.
 Result<std::unique_ptr<NeighborBackend>> CreateNeighborBackend(
     const Dataset& dataset, const DistanceMetric& metric,
     const NeighborBackendOptions& options, ThreadPool* pool = nullptr);

@@ -1,9 +1,9 @@
-// ExactMTreeBackend: today's index-backed neighbor path behind the
+// ExactMTreeBackend: the index-backed neighbor path behind the
 // NeighborBackend interface — an owned M-tree, one range query per object.
 //
-// Results are exactly N_r(p); accounting is the tree's own node-access counting,
-// redirected per query through MTree::ThreadStatsScope so concurrent
-// batched builds charge private sinks.
+// Results are exactly N_r(p); accounting is the tree's own node-access
+// counting, redirected per chunk through MTree::ThreadStatsScope so
+// concurrent batched builds charge private sinks.
 
 #ifndef DISC_NEIGHBOR_EXACT_BACKEND_H_
 #define DISC_NEIGHBOR_EXACT_BACKEND_H_
@@ -17,26 +17,34 @@ namespace disc {
 
 class ExactMTreeBackend final : public NeighborBackend {
  public:
-  /// Builds the backend's tree (bulk-loaded by default — cheaper to
-  /// construct and query-identical to insert-built). Fails when MTree::Build
-  /// does (empty dataset).
+  /// The tree CreateNeighborBackend builds: the paper's defaults,
+  /// bulk-loaded (cheaper to construct and query-identical to
+  /// insert-built).
+  static MTreeOptions DefaultTreeOptions() {
+    return {.node_capacity = 50,
+            .split_policy = SplitPolicy::MinOverlap(),
+            .random_seed = 42,
+            .build = {BuildStrategy::kBulkLoad}};
+  }
+
+  /// Builds the backend's tree; `pool` parallelizes a bulk load (the tree
+  /// is byte-identical at any thread count) and is not retained. Fails when
+  /// MTree::Build does (empty dataset).
   static Result<std::unique_ptr<ExactMTreeBackend>> Create(
       const Dataset& dataset, const DistanceMetric& metric,
-      MTreeOptions options = {.node_capacity = 50,
-                              .split_policy = SplitPolicy::MinOverlap(),
-                              .random_seed = 42,
-                              .build = {BuildStrategy::kBulkLoad}});
+      MTreeOptions options = DefaultTreeOptions(), ThreadPool* pool = nullptr);
 
   NeighborBackendKind kind() const override {
     return NeighborBackendKind::kExact;
   }
 
-  const MTree& tree() const { return *tree_; }
+  /// One MTree::RangeQueryAround per object, fanned over the pool under the
+  /// ordered-reduction contract with per-chunk stat sinks: rows arrive in
+  /// id order, so chunks concatenate straight into the CSR.
+  Result<CsrAdjacency> BuildNeighborhoods(double radius,
+                                          ThreadPool* pool) const override;
 
- protected:
-  void DoRangeQuery(const Point& center, ObjectId exclude, double radius,
-                    std::vector<ObjectId>* out,
-                    AccessStats* sink) const override;
+  const MTree& tree() const { return *tree_; }
 
  private:
   ExactMTreeBackend(const Dataset& dataset, const DistanceMetric& metric,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 
 namespace disc {
 
@@ -28,52 +27,6 @@ Result<CsrAdjacency> GridBackend::BuildNeighborhoods(double radius,
   }
   stats_ += batch;
   return adjacency;
-}
-
-std::optional<double> GridBackend::index_radius() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (index_ == nullptr) return std::nullopt;
-  return index_->radius();
-}
-
-std::shared_ptr<const GridCellIndex> GridBackend::EnsureIndex(
-    double radius) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (index_ == nullptr || index_->radius() != radius) {
-    index_ = std::make_shared<const GridCellIndex>(dataset_, radius);
-  }
-  return index_;
-}
-
-void GridBackend::DoRangeQuery(const Point& center, ObjectId exclude,
-                               double radius, std::vector<ObjectId>* out,
-                               AccessStats* sink) const {
-  sink->range_queries += 1;
-  const size_t n = dataset_.size();
-  if (!GridCompatible(metric_, dataset_.dim(), n)) {
-    // Exact fallback: a single full scan.
-    sink->node_accesses += 1;
-    for (ObjectId j = 0; j < n; ++j) {
-      if (j == exclude) continue;
-      ++sink->distance_computations;
-      if (metric_.Distance(center, dataset_.point(j)) <= radius) {
-        out->push_back(j);
-      }
-    }
-    return;
-  }
-
-  const std::shared_ptr<const GridCellIndex> index = EnsureIndex(radius);
-  index->ForEachNearbyCell(center, [&](std::span<const ObjectId> cell) {
-    ++sink->node_accesses;
-    for (ObjectId j : cell) {
-      if (j == exclude) continue;
-      ++sink->distance_computations;
-      if (metric_.Distance(center, dataset_.point(j)) <= radius) {
-        out->push_back(j);
-      }
-    }
-  });
 }
 
 }  // namespace disc

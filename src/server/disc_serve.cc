@@ -12,7 +12,7 @@
 //   disc_serve [--host=127.0.0.1] [--port=4817] [--workers=4]
 //              [--max-engines=8] [--threads=0] [--prewarm=<ds>[,<ds>...]]
 //              [--max-pending=64] [--max-inflight=0]
-//              [--neighbor-backend=exact|grid|sharded]
+//              [--neighbor-backend=exact|grid]
 //              [--max-exact-points=262144] [--help]
 //
 // --port=0 picks an ephemeral port. The daemon prints exactly one line
@@ -43,19 +43,19 @@ constexpr const char* kUsage =
     "                  [--max-engines=<count>] [--threads=<count>]\n"
     "                  [--prewarm=<dataset>[,<dataset>...]]\n"
     "                  [--max-pending=<count>] [--max-inflight=<count>]\n"
-    "                  [--neighbor-backend=exact|grid|sharded]\n"
+    "                  [--neighbor-backend=exact|grid]\n"
     "                  [--max-exact-points=<count>] [--help]\n"
     "\n"
     "--neighbor-backend: default neighbor engine for OPENs that carry no\n"
     "           backend= key. 'exact' (default) is the historical M-tree\n"
-    "           session engine; the others run in graph mode (no ZOOM)\n"
-    "           and build the same exact graph. 'grid' opens\n"
-    "           million-point workloads in dims 1-3 (non-Hamming).\n"
-    "--max-exact-points: above this many points, refuse 'exact' OPENs\n"
-    "           and 'grid' OPENs the grid cannot serve (it would fall back\n"
-    "           to an O(n^2) scan) (0 = unlimited; default 262144). The\n"
-    "           refusal names the backend to use: 'grid' where it\n"
-    "           applies, otherwise 'sharded', which is exempt.\n"
+    "           session engine; 'grid' runs in graph mode (no ZOOM) and\n"
+    "           builds the same exact graph, opening million-point\n"
+    "           workloads in dims 1-3 (non-Hamming).\n"
+    "--max-exact-points: above this many points, refuse the slower\n"
+    "           backend for the input: 'exact' where the grid applies,\n"
+    "           'grid' where it would fall back to an O(n^2) scan\n"
+    "           (0 = unlimited; default 262144). The refusal names the\n"
+    "           other backend, which serves the input.\n"
     "--threads: engine worker threads for parallel read-only passes\n"
     "           (0 = one per hardware thread, 1 = serial; results are\n"
     "           byte-identical either way).\n"
@@ -76,7 +76,7 @@ constexpr const char* kUsage =
     "       [n=<count>] [dim=<dims>] [seed=<seed>]\n"
     "       [metric=euclidean|manhattan|chebyshev|hamming]\n"
     "       [build=insert|bulk]\n"
-    "       [backend=exact|grid|sharded]\n"
+    "       [backend=exact|grid]\n"
     "  DIVERSIFY r=<radius> [algo=basic|greedy|greedy-white|lazy-grey|\n"
     "            lazy-white|greedy-c|fast-c] [pruned=<bool>]\n"
     "            [quality=<bool>] [adapt=<bool>]\n"

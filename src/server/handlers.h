@@ -33,9 +33,9 @@ struct CommandContext {
   /// changes results, so it IS in the wire vocabulary and the pool key.
   NeighborBackendKind default_backend = NeighborBackendKind::kExact;
   /// ServerOptions::max_exact_points, stamped onto every OPEN-built config:
-  /// exact-family backends over larger datasets are refused with
-  /// InvalidArgument instead of risking an O(n^2) scan or an oversized
-  /// index taking the daemon down. 0 = unlimited.
+  /// over larger datasets the slower backend for the input is refused with
+  /// InvalidArgument (CheckExactPointCap) instead of risking an O(n^2) scan
+  /// or an oversized index taking the daemon down. 0 = unlimited.
   size_t max_exact_points = 0;
 };
 

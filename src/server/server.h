@@ -78,12 +78,12 @@ struct ServerOptions {
   /// (disc_serve --neighbor-backend=). Part of the pool key off the
   /// default: M-tree and graph-mode engines never share memoized results.
   NeighborBackendKind default_backend = NeighborBackendKind::kExact;
-  /// Guardrail for the single-index backends (exact, grid without its
-  /// accelerator): an OPEN whose dataset exceeds this many points is
-  /// refused with InvalidArgument instead of building an index / falling
-  /// back to an O(n^2) scan that could take the daemon down
-  /// (CheckExactPointCap, neighbor/backend.h). Grid where it applies and
-  /// sharded are exempt — they are the supported ways past the cap.
+  /// Guardrail over the two backends: an OPEN whose dataset exceeds this
+  /// many points is refused with InvalidArgument when it asks for the
+  /// slower kind for its input — exact where the grid applies, grid where
+  /// the grid would fall back to an O(n^2) scan — instead of a build that
+  /// could take the daemon down (CheckExactPointCap, neighbor/backend.h).
+  /// The refusal names the other kind, the supported way past the cap.
   /// 0 = unlimited (disc_serve --max-exact-points=).
   size_t max_exact_points = 262144;
 };

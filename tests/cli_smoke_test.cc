@@ -147,18 +147,19 @@ TEST(DiscCliSmokeTest, RejectsUnknownAlgorithm) {
   EXPECT_NE(r.output.find("unknown algorithm"), std::string::npos) << r.output;
 }
 
-TEST(DiscCliSmokeTest, ShardedBackendMatchesTheExactSolutionSize) {
-  const std::string workload = "--dataset=clustered --n=400 --dim=2 --seed=7 "
+TEST(DiscCliSmokeTest, GridBackendMatchesTheExactSolutionSize) {
+  // Dim 4: the grid backend builds the graph with its O(n^2) scan.
+  const std::string workload = "--dataset=clustered --n=400 --dim=4 --seed=7 "
                                "--radius=0.1 --algorithm=greedy";
   CommandResult exact = RunCli(workload);
-  CommandResult sharded = RunCli(workload + " --neighbor-backend=sharded");
+  CommandResult grid = RunCli(workload + " --neighbor-backend=grid");
   ASSERT_EQ(exact.exit_code, 0) << exact.output;
-  ASSERT_EQ(sharded.exit_code, 0) << sharded.output;
-  // Exact shards reproduce the neighborhood structure exactly, so the two
+  ASSERT_EQ(grid.exit_code, 0) << grid.output;
+  // The scan reproduces the neighborhood structure exactly, so the two
   // engine modes report the same (verified) solution size.
   EXPECT_EQ(ExtractCount(exact.output, "solution size"),
-            ExtractCount(sharded.output, "solution size"))
-      << sharded.output;
+            ExtractCount(grid.output, "solution size"))
+      << grid.output;
 }
 
 TEST(DiscCliSmokeTest, RejectsUnknownNeighborBackendWithUsage) {

@@ -2,15 +2,17 @@
 // run on the backend-built neighborhood graph instead of tree colors.
 //
 // The contracts under test:
-//  * every graph-mode backend (grid, sharded) is exact, so it reproduces the reference graph algorithms
-//    and the exact engine's own solutions byte-for-byte;
+//  * the graph-mode backend (grid) is exact — through its accelerator and
+//    through its O(n^2) scan fallback alike — so it reproduces the
+//    reference graph algorithms and the exact engine's own solutions
+//    byte-for-byte;
 //  * index-bound algorithm variants answer Unimplemented, the adaptive
 //    operations (Zoom, Weighted, MultiRadius) answer FailedPrecondition;
 //  * the solution cache works in graph mode (repeat = from_cache, zero
 //    additional stats);
 //  * Snapshot reports the backend, graph mode (no tree), and the zoom
-//    blocker; Create enforces the exact-backend dataset cap and names the
-//    over-cap path that applies.
+//    blocker; Create enforces the exact-point cap: above it, the slower
+//    kind for the input is refused and the refusal names the other.
 
 #include "engine/engine.h"
 
@@ -32,9 +34,9 @@ namespace disc {
 namespace {
 
 EngineConfig GraphModeConfig(NeighborBackendKind kind, size_t n = 600,
-                             uint64_t seed = 9) {
+                             size_t dim = 2) {
   EngineConfig config;
-  config.dataset = DatasetSpec::Clustered(n, 2, seed);
+  config.dataset = DatasetSpec::Clustered(n, dim, 9);
   config.threads = 1;
   config.neighbor.kind = kind;
   return config;
@@ -53,13 +55,15 @@ DiversifyRequest Request(Algorithm algorithm, double radius) {
   return request;
 }
 
-TEST(EngineBackendTest, ExactShardedBackendMatchesReferenceAlgorithms) {
-  const double radius = 0.07;
-  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kSharded));
+TEST(EngineBackendTest, GridScanFallbackMatchesReferenceAlgorithms) {
+  // Dim 4 keeps the grid accelerator out: the backend builds the graph with
+  // its O(n^2) scan.
+  const double radius = 0.1;
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid, 600, 4));
   ASSERT_NE(engine, nullptr);
 
   // The same graph, built directly at the graph layer.
-  const Dataset dataset = MakeClusteredDataset(600, 2, 9);
+  const Dataset dataset = MakeClusteredDataset(600, 4, 9);
   EuclideanMetric metric;
   NeighborhoodGraph graph(dataset, metric, radius);
   std::vector<ObjectId> order(dataset.size());
@@ -79,19 +83,20 @@ TEST(EngineBackendTest, ExactShardedBackendMatchesReferenceAlgorithms) {
 }
 
 TEST(EngineBackendTest, GraphModeGreedyEqualsTheExactEngineSolution) {
-  const double radius = 0.08;
-  auto exact = MustCreate(GraphModeConfig(NeighborBackendKind::kExact));
-  auto sharded = MustCreate(GraphModeConfig(NeighborBackendKind::kSharded));
+  const double radius = 0.1;
+  auto exact =
+      MustCreate(GraphModeConfig(NeighborBackendKind::kExact, 600, 4));
+  auto grid = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid, 600, 4));
   ASSERT_NE(exact, nullptr);
-  ASSERT_NE(sharded, nullptr);
+  ASSERT_NE(grid, nullptr);
 
   auto tree_solution = exact->Diversify(Request(Algorithm::kGreedy, radius));
-  auto graph_solution =
-      sharded->Diversify(Request(Algorithm::kGreedy, radius));
+  auto graph_solution = grid->Diversify(Request(Algorithm::kGreedy, radius));
   ASSERT_TRUE(tree_solution.ok()) << tree_solution.status().ToString();
   ASSERT_TRUE(graph_solution.ok()) << graph_solution.status().ToString();
-  // Greedy-DisC is deterministic in the neighborhood structure, and exact
-  // shards reproduce it exactly — the two engine modes must agree.
+  // Greedy-DisC is deterministic in the neighborhood structure, and the
+  // grid's scan fallback reproduces it exactly — the two engine modes must
+  // agree.
   EXPECT_EQ(tree_solution->solution, graph_solution->solution);
 }
 
@@ -109,7 +114,7 @@ TEST(EngineBackendTest, IndexBoundVariantsAnswerUnimplemented) {
 }
 
 TEST(EngineBackendTest, AdaptiveOperationsAnswerFailedPrecondition) {
-  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kSharded));
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid));
   ASSERT_NE(engine, nullptr);
   auto solved = engine->Diversify(Request(Algorithm::kGreedy, 0.07));
   ASSERT_TRUE(solved.ok()) << solved.status().ToString();
@@ -119,7 +124,7 @@ TEST(EngineBackendTest, AdaptiveOperationsAnswerFailedPrecondition) {
   auto zoomed = engine->Zoom(zoom);
   ASSERT_FALSE(zoomed.ok());
   EXPECT_EQ(zoomed.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(zoomed.status().message().find("'sharded'"), std::string::npos)
+  EXPECT_NE(zoomed.status().message().find("'grid'"), std::string::npos)
       << zoomed.status().ToString();
 
   WeightedRequest weighted;
@@ -195,13 +200,40 @@ TEST(EngineBackendTest, CreateRefusesExactEngineAboveTheCap) {
             std::string::npos)
       << refused.status().ToString();
 
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kGrid, NeighborBackendKind::kSharded}) {
-    EngineConfig exempt = GraphModeConfig(kind, 500);
-    exempt.neighbor.max_exact_points = 499;
-    EXPECT_NE(MustCreate(std::move(exempt)), nullptr)
-        << NeighborBackendKindToString(kind);
-  }
+  EngineConfig grid = GraphModeConfig(NeighborBackendKind::kGrid, 500);
+  grid.neighbor.max_exact_points = 499;
+  EXPECT_NE(MustCreate(std::move(grid)), nullptr);
+}
+
+TEST(EngineBackendTest, CreateServesANonGridInputAboveTheCapOnExact) {
+  // Dim 4: the grid would fall back to the O(n^2) scan, so above the cap
+  // the grid is the refused kind and the one-tree session engine serves.
+  EngineConfig grid = GraphModeConfig(NeighborBackendKind::kGrid, 400, 4);
+  grid.neighbor.max_exact_points = 300;
+  auto refused = DiscEngine::Create(std::move(grid));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find(
+                "dataset has 400 points, above the exact-backend cap of 300; "
+                "the grid would fall back to the O(n^2) scan (euclidean "
+                "metric, dim 4), so use the exact neighbor backend"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  EngineConfig exact = GraphModeConfig(NeighborBackendKind::kExact, 400, 4);
+  exact.neighbor.max_exact_points = 300;
+  auto engine = MustCreate(std::move(exact));
+  ASSERT_NE(engine, nullptr);
+  EXPECT_GT(engine->Snapshot().tree_nodes, 0u);
+  auto solved = engine->Diversify(Request(Algorithm::kGreedy, 0.1));
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+
+  // The exact engine is the index-mode session: it zooms.
+  ZoomRequest zoom;
+  zoom.radius = 0.08;
+  auto zoomed = engine->Zoom(zoom);
+  ASSERT_TRUE(zoomed.ok()) << zoomed.status().ToString();
+  EXPECT_FALSE(zoomed->solution.empty());
 }
 
 }  // namespace

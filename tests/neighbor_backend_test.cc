@@ -1,24 +1,20 @@
 // Property tests for the pluggable neighbor backends (neighbor/backend.h).
 //
 // The contracts under test:
-//  * every backend (exact, grid, sharded): the adjacency structure is
-//    byte-identical to NeighborhoodGraph's own build paths, at every thread
-//    count — sharding and fan-out may not change a single id;
-//  * the exact-family guardrail refuses datasets above max_exact_points
-//    with InvalidArgument instead of risking an oversized index or the
-//    O(n^2) fallback, and names the over-cap path that applies;
-//  * stats accounting: one range_queries unit per logical query regardless
-//    of shard fan-out;
-//  * the grid backend retains only the latest radius's index, and
-//    replacing it never changes a result.
+//  * both backends (exact, grid): the adjacency structure is byte-identical
+//    to NeighborhoodGraph's own build paths, at every thread count — the
+//    fan-out may not change a single id;
+//  * the exact-point guardrail: above max_exact_points the slower kind for
+//    the input (exact where the grid applies, grid where it would fall back
+//    to the O(n^2) scan) is refused with InvalidArgument naming the other;
+//  * stats accounting: a build charges one range_queries unit per object,
+//    with totals identical at every thread count.
 
 #include "neighbor/backend.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,8 +23,7 @@
 #include "graph/neighborhood.h"
 #include "metric/metric.h"
 #include "neighbor/adjacency.h"
-#include "neighbor/grid_backend.h"
-#include "neighbor/sharded_backend.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -102,18 +97,20 @@ Dataset Scaled(const Dataset& dataset, double scale) {
 
 TEST(NeighborBackendTest, KindNamesRoundTripThroughParse) {
   for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
-        NeighborBackendKind::kSharded}) {
+       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
     auto parsed = ParseNeighborBackendKind(NeighborBackendKindToString(kind));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(*parsed, kind);
   }
-  auto bogus = ParseNeighborBackendKind("bogus");
-  ASSERT_FALSE(bogus.ok());
-  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bogus.status().message().find("exact, grid, or sharded"),
-            std::string::npos)
-      << bogus.status().ToString();
+  // "sharded" named a backend that no longer exists.
+  for (const char* name : {"bogus", "sharded"}) {
+    auto unknown = ParseNeighborBackendKind(name);
+    ASSERT_FALSE(unknown.ok()) << name;
+    EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(unknown.status().message().find("want one of: exact, grid)"),
+              std::string::npos)
+        << unknown.status().ToString();
+  }
 }
 
 TEST(NeighborBackendTest, CacheKeyCarriesEveryResultChangingKnob) {
@@ -121,23 +118,13 @@ TEST(NeighborBackendTest, CacheKeyCarriesEveryResultChangingKnob) {
             "exact");
   EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kGrid)),
             "grid");
-  EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kSharded)),
-            "sharded");
-}
-
-TEST(NeighborBackendTest, DefaultShardCountIsAPureFunctionOfN) {
-  EXPECT_EQ(ShardedBackend::DefaultShardCount(100), 2u);
-  EXPECT_EQ(ShardedBackend::DefaultShardCount(4096), 4u);
-  EXPECT_EQ(ShardedBackend::DefaultShardCount(32768), 8u);
-  EXPECT_EQ(ShardedBackend::DefaultShardCount(262144), 16u);
-  EXPECT_EQ(ShardedBackend::DefaultShardCount(1000000), 16u);
 }
 
 // ---------------------------------------------------------------------------
-// Exact family: byte-identical to the graph layer at every thread count
+// Both kinds: byte-identical to the graph layer at every thread count
 // ---------------------------------------------------------------------------
 
-TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
+TEST(NeighborBackendTest, BothKindsMatchGraphLayerAtEveryThreadCount) {
   EuclideanMetric metric;
   struct Input {
     std::string name;
@@ -146,7 +133,8 @@ TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
   };
   // The paper workload plus the CSR edge cases: empty and single-vertex
   // inputs, either side of the grid threshold, isolated first and last
-  // vertices, duplicate points at radius 0, and one grid cell.
+  // vertices, duplicate points at radius 0, one grid cell, and dim 4, where
+  // the grid falls back to the O(n^2) scan.
   std::vector<Input> inputs;
   inputs.push_back({"clustered", MakeClusteredDataset(1200, 2, 17), 0.05});
   inputs.push_back({"n=0", Dataset(2), 0.05});
@@ -159,6 +147,7 @@ TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
       {"duplicates-r0", Doubled(MakeUniformDataset(150, 2, 17)), 0.0});
   inputs.push_back(
       {"one-cell", Scaled(MakeUniformDataset(400, 2, 17), 0.049), 0.05});
+  inputs.push_back({"dim-4", MakeClusteredDataset(500, 4, 17), 0.1});
 
   for (const Input& input : inputs) {
     const CsrAdjacency oracle =
@@ -167,10 +156,9 @@ TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
                                                    input.radius, nullptr))
         << input.name << ": the graph layer differs from brute force";
     for (NeighborBackendKind kind :
-         {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
-          NeighborBackendKind::kSharded}) {
-      if (input.dataset.size() == 0 && kind != NeighborBackendKind::kGrid) {
-        // The M-tree-backed kinds refuse an empty dataset by design.
+         {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
+      if (input.dataset.size() == 0 && kind == NeighborBackendKind::kExact) {
+        // The M-tree-backed kind refuses an empty dataset by design.
         EXPECT_FALSE(
             CreateNeighborBackend(input.dataset, metric, Options(kind)).ok());
         continue;
@@ -189,14 +177,14 @@ TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
   }
 }
 
-TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForExactKinds) {
+TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForBothKinds) {
   const Dataset dataset = MakeUniformDataset(800, 3, 5);
   EuclideanMetric metric;
   const double radius = 0.12;
   NeighborhoodGraph direct(dataset, metric, radius);
 
   for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kSharded}) {
+       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
     auto backend = MustCreate(dataset, metric, Options(kind));
     ASSERT_NE(backend, nullptr);
     auto graph = NeighborhoodGraph::FromBackend(*backend, radius);
@@ -208,62 +196,44 @@ TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForExactKinds) {
   }
 }
 
-TEST(NeighborBackendTest, RangeQueryAroundExcludesCenterAndSorts) {
-  const Dataset dataset = MakeGridDataset(10);  // 100 points, spacing 1/9
-  EuclideanMetric metric;
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
-        NeighborBackendKind::kSharded}) {
-    auto backend = MustCreate(dataset, metric, Options(kind));
-    ASSERT_NE(backend, nullptr);
-    std::vector<ObjectId> out;
-    backend->RangeQueryAround(55, 0.115, &out);  // axis neighbors only
-    EXPECT_EQ(out, (std::vector<ObjectId>{45, 54, 56, 65}))
-        << NeighborBackendKindToString(kind);
-  }
-}
-
-TEST(NeighborBackendTest, ShardFanOutChargesOneRangeQueryPerCall) {
+TEST(NeighborBackendTest, ExactKindBulkLoadsThePaperDefaultTree) {
   const Dataset dataset = MakeClusteredDataset(600, 2, 3);
   EuclideanMetric metric;
-  auto created = ShardedBackend::Create(dataset, metric, 6);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<ShardedBackend> backend = std::move(created).value();
-  backend->ResetStats();
-  std::vector<ObjectId> out;
-  backend->RangeQueryAround(0, 0.05, &out);
-  backend->RangeQueryAround(1, 0.05, &out);
-  EXPECT_EQ(backend->stats().range_queries, 2u)
-      << "fan-out across 6 shards must still count as one logical query";
+  ThreadPool pool(4);
+  auto backend = MustCreate(dataset, metric,
+                            Options(NeighborBackendKind::kExact), &pool);
+  ASSERT_NE(backend, nullptr);
+  const MTree& tree = static_cast<const ExactMTreeBackend&>(*backend).tree();
+  EXPECT_EQ(tree.options().build.strategy, BuildStrategy::kBulkLoad);
+  EXPECT_EQ(tree.options().node_capacity, 50u);
 }
 
-TEST(NeighborBackendTest, OnlyTheLatestRadiusIndexIsRetained) {
-  const Dataset dataset = MakeClusteredDataset(800, 2, 19);
+TEST(NeighborBackendTest, BuildChargesOneRangeQueryPerObject) {
+  const Dataset dataset = MakeClusteredDataset(600, 2, 3);
   EuclideanMetric metric;
-  const std::vector<double> radii = {0.02, 0.03, 0.04, 0.05, 0.06, 0.07};
+  for (NeighborBackendKind kind :
+       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
+    auto backend = MustCreate(dataset, metric, Options(kind));
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->stats().range_queries, 0u)
+        << "construction stays out of the accounting";
+    BuildLists(*backend, 0.05);
+    const AccessStats serial = backend->stats();
+    EXPECT_EQ(serial.range_queries, dataset.size())
+        << NeighborBackendKindToString(kind);
+    EXPECT_GT(serial.distance_computations, 0u);
 
-  // Point queries are what build the grid's cell index.
-  auto grid = MustCreate(dataset, metric, Options(NeighborBackendKind::kGrid));
-  ASSERT_NE(grid, nullptr);
-  const auto& grid_backend = static_cast<const GridBackend&>(*grid);
-  EXPECT_EQ(grid_backend.index_radius(), std::nullopt);
-  const CsrAdjacency direct = OracleLists(dataset, metric, radii.front());
-  std::vector<ObjectId> out;
-  for (int round = 0; round < 2; ++round) {
-    for (double radius : radii) {
-      grid->RangeQueryAround(7, radius, &out);
-      EXPECT_EQ(grid_backend.index_radius(), radius);
-    }
+    backend->ResetStats();
+    ThreadPool pool(4);
+    BuildLists(*backend, 0.05, &pool);
+    EXPECT_TRUE(backend->stats() == serial)
+        << NeighborBackendKindToString(kind)
+        << ": totals depend on the thread count";
   }
-  for (ObjectId v = 0; v < dataset.size(); ++v) {
-    grid->RangeQueryAround(v, radii.front(), &out);
-    ASSERT_TRUE(std::ranges::equal(out, direct.row(v))) << "vertex " << v;
-  }
-  EXPECT_EQ(grid_backend.index_radius(), radii.front());
 }
 
 // ---------------------------------------------------------------------------
-// The exact-family guardrail
+// The exact-point cap
 // ---------------------------------------------------------------------------
 
 TEST(NeighborBackendTest, ExactBackendRefusesDatasetsAboveTheCap) {
@@ -279,23 +249,18 @@ TEST(NeighborBackendTest, ExactBackendRefusesDatasetsAboveTheCap) {
             std::string::npos)
       << backend.status().ToString();
 
-  // Grid and sharded are the supported ways past the cap.
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kGrid, NeighborBackendKind::kSharded}) {
-    NeighborBackendOptions exempt = Options(kind);
-    exempt.max_exact_points = 499;
-    EXPECT_NE(MustCreate(dataset, metric, exempt), nullptr)
-        << NeighborBackendKindToString(kind);
-  }
+  // The grid is the supported way past the cap here.
+  NeighborBackendOptions grid = Options(NeighborBackendKind::kGrid);
+  grid.max_exact_points = 499;
+  EXPECT_NE(MustCreate(dataset, metric, grid), nullptr);
 
-  // Where the grid does not apply, the refusal names sharded instead.
-  const Dataset wide = MakeUniformDataset(500, 4, 2);
-  auto wide_refused = CreateNeighborBackend(wide, metric, capped);
-  ASSERT_FALSE(wide_refused.ok());
-  EXPECT_NE(wide_refused.status().message().find(
-                "use the sharded neighbor backend"),
-            std::string::npos)
-      << wide_refused.status().ToString();
+  // Where the grid does not apply the M-tree is the faster exact path, so
+  // the same cap admits the exact kind.
+  const Dataset wide = MakeClusteredDataset(400, 4, 2);
+  capped.max_exact_points = 300;
+  auto exact = MustCreate(wide, metric, capped);
+  ASSERT_NE(exact, nullptr);
+  EXPECT_TRUE(BuildLists(*exact, 0.1) == OracleLists(wide, metric, 0.1));
 }
 
 TEST(NeighborBackendTest, GridBackendCapAppliesOnlyWhenGridCannotApply) {
@@ -306,14 +271,17 @@ TEST(NeighborBackendTest, GridBackendCapAppliesOnlyWhenGridCannotApply) {
   capped.max_exact_points = 100;
   EXPECT_NE(MustCreate(flat, euclidean, capped), nullptr);
 
-  // Dim 4 keeps the grid out; the same cap now refuses the O(n^2) fallback.
-  const Dataset wide = MakeUniformDataset(600, 4, 4);
+  // Dim 4 keeps the grid out; the same cap now refuses the O(n^2) fallback
+  // and names the exact kind, which serves the input.
+  const Dataset wide = MakeClusteredDataset(400, 4, 4);
+  capped.max_exact_points = 300;
   auto refused = CreateNeighborBackend(wide, euclidean, capped);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(refused.status().message().find(
+                "dataset has 400 points, above the exact-backend cap of 300; "
                 "the grid would fall back to the O(n^2) scan (euclidean "
-                "metric, dim 4), so use the sharded neighbor backend"),
+                "metric, dim 4), so use the exact neighbor backend"),
             std::string::npos)
       << refused.status().ToString();
 }

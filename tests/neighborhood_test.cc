@@ -13,7 +13,6 @@
 #include "mtree/mtree.h"
 #include "neighbor/adjacency.h"
 #include "neighbor/exact_backend.h"
-#include "neighbor/grid_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -385,22 +384,6 @@ TEST(NeighborhoodGraphTest, GridStaysSubquadraticAtZeroAndTinyRadii) {
                   BuildAdjacencyBruteForce(d, inner, radius, nullptr));
       NeighborhoodGraph g(d, inner, radius);
       EXPECT_TRUE(g.adjacency() == csr);
-
-      // The grid backend's point queries probe the same cells; they still
-      // call the virtual metric, so a counting wrapper measures them.
-      CountingMetric metric(inner);
-      GridBackend backend(d, metric);
-      std::vector<ObjectId> out;
-      size_t queries = 0;
-      for (ObjectId v = 0; v < n; v += 97, ++queries) {
-        backend.RangeQueryAround(v, radius, &out);
-        EXPECT_TRUE(std::ranges::equal(out, g.neighbors(v))) << "vertex " << v;
-      }
-      // A full scan costs n - 1 calls per query.
-      EXPECT_LT(metric.calls(), queries * (n - 1));
-      // A query point far outside the dataset's range finds nothing.
-      backend.RangeQuery(Point{1e300, -1e300}, radius, &out);
-      EXPECT_TRUE(out.empty());
     }
   }
 }

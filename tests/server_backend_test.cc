@@ -81,11 +81,11 @@ TEST(ServerBackendTest, GraphModeResponsesMatchADirectEngineByteForByte) {
   auto server = StartServer();
   LineClient client = ConnectTo(*server);
   MustRoundtrip(client,
-                "OPEN dataset=clustered n=400 dim=2 seed=9 backend=sharded");
+                "OPEN dataset=clustered n=400 dim=4 seed=9 backend=grid");
 
   EngineConfig config;
-  config.dataset = DatasetSpec::Clustered(400, 2, 9);
-  config.neighbor.kind = NeighborBackendKind::kSharded;
+  config.dataset = DatasetSpec::Clustered(400, 4, 9);
+  config.neighbor.kind = NeighborBackendKind::kGrid;
   auto engine = DiscEngine::Create(std::move(config));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   DiversifyRequest request;

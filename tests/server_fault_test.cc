@@ -431,8 +431,8 @@ TEST(ServerFaultTest, ExactOpenAboveTheCapIsRefusedWithoutTakingTheDaemon) {
   auto server = StartFaultServer(std::move(options));
   LineClient client = ConnectTo(*server);
 
-  // The oversized exact OPEN is refused with an error line — never an
-  // unbounded index build or an O(n^2) fallback.
+  // Where the grid applies, the oversized exact OPEN is refused with an
+  // error line — never an index build the grid does in near-linear time.
   std::string refused = MustRoundtrip(
       client, "OPEN dataset=clustered n=400 dim=2 seed=9");
   EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
@@ -460,6 +460,40 @@ TEST(ServerFaultTest, ExactOpenAboveTheCapIsRefusedWithoutTakingTheDaemon) {
                           "OPEN dataset=clustered n=200 dim=2 seed=9")
                 .find("\"ok\":true"),
             std::string::npos);
+  MustRoundtrip(client, "CLOSE");
+  ExpectNoLeakedLeases(*server);
+}
+
+TEST(ServerFaultTest, NonGridOpenAboveTheCapServesOnExact) {
+  ServerOptions options;
+  options.max_exact_points = 300;
+  auto server = StartFaultServer(std::move(options));
+  LineClient client = ConnectTo(*server);
+
+  // Dim 4: the grid would fall back to the O(n^2) scan, so it is the
+  // refused kind, and the refusal names the exact backend.
+  std::string refused = MustRoundtrip(
+      client, "OPEN dataset=clustered n=400 dim=4 seed=9 backend=grid");
+  EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("\"code\":\"InvalidArgument\""), std::string::npos)
+      << refused;
+  EXPECT_NE(refused.find("dataset has 400 points, above the exact-backend "
+                         "cap of 300; the grid would fall back to the O(n^2) "
+                         "scan (euclidean metric, dim 4), so use the exact "
+                         "neighbor backend"),
+            std::string::npos)
+      << refused;
+
+  // The same dataset opens on the exact backend: the one-tree session,
+  // which zooms.
+  std::string opened =
+      MustRoundtrip(client, "OPEN dataset=clustered n=400 dim=4 seed=9");
+  EXPECT_NE(opened.find("\"ok\":true"), std::string::npos) << opened;
+  EXPECT_EQ(opened.find("backend"), std::string::npos) << opened;
+  EXPECT_NE(MustRoundtrip(client, "DIVERSIFY r=0.1").find("\"ok\":true"),
+            std::string::npos);
+  std::string zoomed = MustRoundtrip(client, "ZOOM to=0.08");
+  EXPECT_NE(zoomed.find("\"ok\":true"), std::string::npos) << zoomed;
   MustRoundtrip(client, "CLOSE");
   ExpectNoLeakedLeases(*server);
 }
