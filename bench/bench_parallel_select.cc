@@ -8,18 +8,24 @@
 // The Select rows time the greedy selection loops, which are serial (each
 // step's range query depends on the colors the previous step changed), so
 // they run without the pool and read the same on both legs.
+// The GraphSelect rows time the same loops in graph mode — the reference
+// solvers a grid-backed session runs over its CSR — where L' upkeep is
+// nearly the whole cost.
 // The BulkLoad row times the parallel M-tree bulk load, and the ZoomChain
 // rows are the A/B for the greedy zoom-in observe-all variant (core/zoom.h)
 // that decide whether observing every neighbor during selection beats
 // recomputing closest-black distances before each chained zoom-in.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "core/reference.h"
 #include "core/zoom.h"
+#include "graph/neighborhood.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -91,6 +97,32 @@ void BM_Select(benchmark::State& state, Algorithm algorithm, size_t n) {
   SelectTable()->AddRow({AlgorithmToString(algorithm), std::to_string(n),
                          FormatDouble(ms, 4), std::to_string(result.size()),
                          std::to_string(result.stats.node_accesses)});
+}
+
+// Graph-mode selection on open-churn's grid shape (clustered n=6000 seed 1,
+// r=0.05): the graph is built once on the grid (the CSR a grid session
+// builds for this input) and only the reference solver is timed (best of
+// the iterations).
+void BM_GraphSelect(benchmark::State& state, Algorithm algorithm) {
+  static const Dataset dataset = MakeClusteredDataset(6000, 2, 1);
+  static const NeighborhoodGraph graph(dataset, Euclidean(), 0.05);
+  std::vector<ObjectId> solution;
+  double ms = 0.0;
+  for (auto _ : state) {
+    Stopwatch watch;
+    solution = algorithm == Algorithm::kGreedyC ? ReferenceGreedyC(graph)
+                                                : ReferenceGreedyDisc(graph);
+    const double elapsed = watch.ElapsedMillis();
+    ms = ms == 0.0 ? elapsed : std::min(ms, elapsed);
+    benchmark::DoNotOptimize(solution.data());
+  }
+  state.counters["select_ms"] = ms;
+  state.counters["solution_size"] = static_cast<double>(solution.size());
+  state.counters["solution_checksum"] =
+      static_cast<double>(SolutionChecksum(solution));
+  SelectTable()->AddRow({std::string("graph-") + AlgorithmToString(algorithm),
+                         std::to_string(dataset.size()), FormatDouble(ms, 4),
+                         std::to_string(solution.size()), "0"});
 }
 
 // Parallel bulk load: the whole Build through the pool. The tree must be
@@ -171,6 +203,18 @@ void BM_ZoomChain(benchmark::State& state, size_t n, bool observe_all) {
           BM_Select(state, algorithm, kN);
         })
         ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (Algorithm algorithm : {Algorithm::kGreedy, Algorithm::kGreedyC}) {
+    std::string bench_name = "GraphSelect/" +
+                             std::string(AlgorithmToString(algorithm)) +
+                             "/n=6000";
+    benchmark::RegisterBenchmark(
+        bench_name.c_str(),
+        [algorithm](benchmark::State& state) {
+          BM_GraphSelect(state, algorithm);
+        })
+        ->Iterations(5)
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::RegisterBenchmark(

@@ -105,11 +105,13 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
     }
     // Each newly-grey object pj loses its own +1 bonus, and every candidate
     // counting pj as a white neighbor loses 1. The latter requires a range
-    // query per covered object — the dominant cost of Greedy-C. Fast-C
-    // replaces it with a one-access look at pj's own leaf (most affected
-    // candidates are leaf-mates, by M-tree locality) and lets the lazy
-    // re-validation above absorb the remaining staleness: this is where its
-    // access savings come from.
+    // query per covered object — the dominant cost of Greedy-C; the
+    // decrements themselves are O(1) (the heap defers each one until the
+    // entry reaches the top, util/indexed_heap.h). Fast-C replaces the query
+    // with a one-access look at pj's own leaf (most affected candidates are
+    // leaf-mates, by M-tree locality) and lets the lazy re-validation above
+    // absorb the remaining staleness: this is where its access savings come
+    // from.
     for (ObjectId pj : newly_grey) {
       if (heap.contains(pj)) heap.Adjust(pj, -1);
       update_found.clear();
