@@ -99,7 +99,7 @@ void BM_BackendExactness(benchmark::State& state, Workload& workload,
   NeighborBackendOptions options;
   options.kind = kind;
   auto backend =
-      CreateNeighborBackend(dataset, Euclidean(), options, BenchPool());
+      CreateNeighborBackend(dataset, Euclidean(), options);
   if (!backend.ok()) {
     state.SkipWithError(backend.status().ToString().c_str());
     return;
@@ -139,7 +139,7 @@ void BM_GridScale(benchmark::State& state, size_t n) {
   NeighborBackendOptions options;
   options.kind = NeighborBackendKind::kGrid;
   auto backend =
-      CreateNeighborBackend(dataset, Euclidean(), options, BenchPool());
+      CreateNeighborBackend(dataset, Euclidean(), options);
   if (!backend.ok()) {
     state.SkipWithError(backend.status().ToString().c_str());
     return;

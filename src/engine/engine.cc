@@ -76,14 +76,14 @@ Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
     engine->tree_ =
         std::make_unique<MTree>(engine->dataset_, *engine->metric_,
                                 config.tree);
-    DISC_RETURN_NOT_OK(engine->tree_->Build(engine->pool()));
+    DISC_RETURN_NOT_OK(engine->tree_->Build());
   } else {
     // Graph mode: the grid backend computes N_r(p); no tree is ever built
     // (where the grid applies, one global M-tree would not scale).
     DISC_ASSIGN_OR_RETURN(
         engine->backend_,
         CreateNeighborBackend(engine->dataset_, *engine->metric_,
-                              config.neighbor, engine->pool()));
+                              config.neighbor));
   }
   return engine;
 }

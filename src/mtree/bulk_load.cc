@@ -19,14 +19,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mtree/mtree.h"
 #include "mtree/mtree_internal.h"
-#include "util/parallel.h"
 
 namespace disc {
 
@@ -50,22 +48,13 @@ struct Cluster {
 // Sampled-recursive partitioner. Works on plain object ids, so the same
 // instance clusters dataset objects into leaves and node pivots into
 // internal levels.
-//
-// Parallelism: the nearest-seed assignment — the n*k distance computations
-// that dominate the build — fans out across the pool. Seed sampling stays on
-// the calling thread (it is the sole consumer of the random state, and its
-// draw order must not depend on scheduling), each assignment chunk runs
-// under a private stats sink, and chunk results merge in ascending order, so
-// clusters, the random stream, and stats totals are byte-identical to the
-// serial partitioner at any thread count.
 class SeedPartitioner {
  public:
   using DistFn = double (*)(const MTree&, ObjectId, ObjectId);
 
   SeedPartitioner(const MTree& tree, DistFn dist, size_t max_group,
-                  uint64_t* rng, ThreadPool* pool)
-      : tree_(tree), dist_(dist), max_group_(max_group), rng_(rng),
-        pool_(pool) {}
+                  uint64_t* rng)
+      : tree_(tree), dist_(dist), max_group_(max_group), rng_(rng) {}
 
   std::vector<Cluster> Partition(std::vector<ObjectId> ids) {
     std::vector<Cluster> out;
@@ -97,55 +86,17 @@ class SeedPartitioner {
 
     // Assign every id to its nearest seed (ties toward the earlier seed).
     std::vector<std::vector<Member>> groups(k);
-    if (pool_ == nullptr || pool_->threads() <= 1) {
-      for (ObjectId id : ids) {
-        size_t best = 0;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (size_t s = 0; s < k; ++s) {
-          double d = dist_(tree_, id, ids[s]);
-          if (d < best_dist) {
-            best_dist = d;
-            best = s;
-          }
+    for (ObjectId id : ids) {
+      size_t best = 0;
+      double best_dist = std::numeric_limits<double>::infinity();
+      for (size_t s = 0; s < k; ++s) {
+        double d = dist_(tree_, id, ids[s]);
+        if (d < best_dist) {
+          best_dist = d;
+          best = s;
         }
-        groups[best].push_back(Member{id, best_dist});
       }
-    } else {
-      // Per-id seed choices are independent; compute them on the workers
-      // under private stats sinks, then append to the groups (and sum the
-      // sinks) in ascending chunk order — exactly the serial loop's result.
-      struct Choice {
-        std::vector<std::pair<size_t, double>> best;  // (seed index, dist)
-        AccessStats stats;
-      };
-      const size_t grain = RecommendedGrain(n, pool_->threads());
-      size_t next = 0;  // consume sees chunks in order: ids[next] advances
-      ParallelOrderedReduce<Choice>(
-          pool_, 0, n, grain,
-          [&](size_t chunk_begin, size_t chunk_end) {
-            Choice choice;
-            MTree::ThreadStatsScope scope(tree_, &choice.stats);
-            choice.best.reserve(chunk_end - chunk_begin);
-            for (size_t i = chunk_begin; i < chunk_end; ++i) {
-              size_t best = 0;
-              double best_dist = std::numeric_limits<double>::infinity();
-              for (size_t s = 0; s < k; ++s) {
-                double d = dist_(tree_, ids[i], ids[s]);
-                if (d < best_dist) {
-                  best_dist = d;
-                  best = s;
-                }
-              }
-              choice.best.emplace_back(best, best_dist);
-            }
-            return choice;
-          },
-          [&](Choice& choice) {
-            tree_.stats() += choice.stats;
-            for (const auto& [best, dist] : choice.best) {
-              groups[best].push_back(Member{ids[next++], dist});
-            }
-          });
+      groups[best].push_back(Member{id, best_dist});
     }
 
     for (size_t s = 0; s < k; ++s) {
@@ -188,7 +139,6 @@ class SeedPartitioner {
   DistFn dist_;
   size_t max_group_;
   uint64_t* rng_;
-  ThreadPool* pool_;
 };
 
 double TreeDistance(const MTree& tree, ObjectId a, ObjectId b) {
@@ -197,7 +147,7 @@ double TreeDistance(const MTree& tree, ObjectId a, ObjectId b) {
 
 }  // namespace
 
-Status MTree::BulkLoad(ThreadPool* pool) {
+Status MTree::BulkLoad() {
   DISC_RETURN_NOT_OK(CheckBuildPreconditions());
   InitObjectState();
   const size_t n = dataset_.size();
@@ -206,76 +156,59 @@ Status MTree::BulkLoad(ThreadPool* pool) {
   if (n <= capacity) {
     // Everything fits in one leaf, which doubles as the root (pivot-less,
     // infinite radius — the same degenerate shape the insert path produces).
-    root_ = std::make_unique<Node>(/*leaf=*/true);
-    first_leaf_ = root_.get();
-    num_nodes_ = 1;
+    root_ = NewNode(/*is_leaf=*/true, n);
+    first_leaf_ = root_;
     ++stats_.node_accesses;
-    root_->objects.reserve(n);
     for (ObjectId id = 0; id < n; ++id) {
-      root_->objects.push_back(LeafEntry{id, 0.0});
-      leaf_of_[id] = root_.get();
+      AppendEntry(root_, Entry{id, kNoNode, 0.0, 0.0});
+      leaf_of_[id] = root_;
     }
-    root_->white_count = static_cast<uint32_t>(n);
     built_ = true;
     ResetColors();
     return Status::OK();
   }
 
-  SeedPartitioner partitioner(*this, &TreeDistance, capacity, &rng_state_,
-                              pool);
+  SeedPartitioner partitioner(*this, &TreeDistance, capacity, &rng_state_);
 
   // ---- Phase 1: cluster objects into leaf-sized groups ----
   std::vector<ObjectId> ids(n);
   for (ObjectId id = 0; id < n; ++id) ids[id] = id;
   std::vector<Cluster> clusters = partitioner.Partition(std::move(ids));
 
+  // Every node gets exactly its entries' slots: the leaves hold the n
+  // objects, and every node but the root is one routing entry of its parent.
+  entries_.reserve(n + 2 * clusters.size());
+  entry_coords_.reserve((n + 2 * clusters.size()) * dim_);
+
   // ---- Phase 2a: materialize the leaf level (and the leaf chain) ----
-  // Each cluster becomes one leaf, built independently on the workers (the
-  // clusters partition the objects, so the leaf_of_ writes are disjoint);
-  // the chunk-ordered merge then threads the leaf chain and the counters in
-  // cluster order, identical to the serial loop.
-  std::vector<std::unique_ptr<Node>> level;
+  // `level` holds the current level's nodes, `level_radius` their covering
+  // radii (what the routing entries pointing at them will record).
+  std::vector<NodeId> level;
+  std::vector<double> level_radius;
   level.reserve(clusters.size());
-  Node* prev_leaf = nullptr;
-  const size_t leaf_grain =
-      pool == nullptr ? clusters.size()
-                      : RecommendedGrain(clusters.size(), pool->threads());
-  ParallelOrderedReduce<std::vector<std::unique_ptr<Node>>>(
-      pool, 0, clusters.size(), leaf_grain,
-      [&](size_t chunk_begin, size_t chunk_end) {
-        std::vector<std::unique_ptr<Node>> built;
-        built.reserve(chunk_end - chunk_begin);
-        for (size_t c = chunk_begin; c < chunk_end; ++c) {
-          Cluster& cluster = clusters[c];
-          auto leaf = std::make_unique<Node>(/*leaf=*/true);
-          leaf->pivot = cluster.seed;
-          double radius = 0.0;
-          leaf->objects.reserve(cluster.members.size());
-          for (const Member& m : cluster.members) {
-            leaf->objects.push_back(LeafEntry{m.id, m.dist_to_seed});
-            leaf_of_[m.id] = leaf.get();
-            radius = std::max(radius, m.dist_to_seed);
-          }
-          leaf->radius = radius;
-          leaf->white_count = static_cast<uint32_t>(cluster.members.size());
-          built.push_back(std::move(leaf));
-        }
-        return built;
-      },
-      [&](std::vector<std::unique_ptr<Node>>& built) {
-        for (std::unique_ptr<Node>& leaf : built) {
-          ++num_nodes_;
-          ++stats_.node_accesses;  // the new leaf is written
-          leaf->prev_leaf = prev_leaf;
-          if (prev_leaf != nullptr) {
-            prev_leaf->next_leaf = leaf.get();
-          } else {
-            first_leaf_ = leaf.get();
-          }
-          prev_leaf = leaf.get();
-          level.push_back(std::move(leaf));
-        }
-      });
+  level_radius.reserve(clusters.size());
+  NodeId prev_leaf = kNoNode;
+  for (const Cluster& cluster : clusters) {
+    const NodeId leaf = NewNode(/*is_leaf=*/true, cluster.members.size());
+    ++stats_.node_accesses;  // the new leaf is written
+    nodes_[leaf].pivot = cluster.seed;
+    double radius = 0.0;
+    for (const Member& m : cluster.members) {
+      AppendEntry(leaf, Entry{m.id, kNoNode, m.dist_to_seed, 0.0});
+      leaf_of_[m.id] = leaf;
+      radius = std::max(radius, m.dist_to_seed);
+    }
+    white_counts_[leaf] = static_cast<uint32_t>(cluster.members.size());
+    nodes_[leaf].prev_leaf = prev_leaf;
+    if (prev_leaf != kNoNode) {
+      nodes_[prev_leaf].next_leaf = leaf;
+    } else {
+      first_leaf_ = leaf;
+    }
+    prev_leaf = leaf;
+    level.push_back(leaf);
+    level_radius.push_back(radius);
+  }
 
   // ---- Phase 2b: assemble internal levels bottom-up ----
   // Each pass clusters the current level's pivots and wraps every cluster in
@@ -287,8 +220,8 @@ Status MTree::BulkLoad(ThreadPool* pool) {
     std::vector<ObjectId> pivots;
     pivots.reserve(level.size());
     for (size_t i = 0; i < level.size(); ++i) {
-      index_of_pivot.emplace(level[i]->pivot, i);
-      pivots.push_back(level[i]->pivot);
+      index_of_pivot.emplace(nodes_[level[i]].pivot, i);
+      pivots.push_back(nodes_[level[i]].pivot);
     }
 
     std::vector<Cluster> groups = partitioner.Partition(std::move(pivots));
@@ -299,48 +232,51 @@ Status MTree::BulkLoad(ThreadPool* pool) {
       for (size_t begin = 0; begin < level.size(); begin += capacity) {
         const size_t end = std::min(level.size(), begin + capacity);
         Cluster group;
-        group.seed = level[begin]->pivot;
+        group.seed = nodes_[level[begin]].pivot;
         for (size_t i = begin; i < end; ++i) {
-          group.members.push_back(
-              Member{level[i]->pivot, Distance(level[i]->pivot, group.seed)});
+          const ObjectId pivot = nodes_[level[i]].pivot;
+          group.members.push_back(Member{pivot, Distance(pivot, group.seed)});
         }
         groups.push_back(std::move(group));
       }
     }
 
-    std::vector<std::unique_ptr<Node>> next_level;
+    std::vector<NodeId> next_level;
+    std::vector<double> next_radius;
     next_level.reserve(groups.size());
-    for (Cluster& group : groups) {
-      auto parent = std::make_unique<Node>(/*leaf=*/false);
-      ++num_nodes_;
+    next_radius.reserve(groups.size());
+    for (const Cluster& group : groups) {
+      const NodeId parent =
+          NewNode(/*is_leaf=*/false, group.members.size());
       ++stats_.node_accesses;  // the new internal node is written
-      parent->pivot = group.seed;
+      nodes_[parent].pivot = group.seed;
       double radius = 0.0;
-      parent->children.reserve(group.members.size());
       for (const Member& m : group.members) {
-        std::unique_ptr<Node>& child = level[index_of_pivot.at(m.id)];
-        radius = std::max(radius, m.dist_to_seed + child->radius);
-        parent->white_count += child->white_count;
-        child->parent = parent.get();
-        parent->children.push_back(RoutingEntry{
-            child->pivot, child->radius, m.dist_to_seed, std::move(child)});
+        const size_t index = index_of_pivot.at(m.id);
+        const NodeId child = level[index];
+        const double child_radius = level_radius[index];
+        radius = std::max(radius, m.dist_to_seed + child_radius);
+        white_counts_[parent] += white_counts_[child];
+        nodes_[child].parent = parent;
+        AppendEntry(parent,
+                    Entry{m.id, child, m.dist_to_seed, child_radius});
       }
-      parent->radius = radius;
-      next_level.push_back(std::move(parent));
+      next_level.push_back(parent);
+      next_radius.push_back(radius);
     }
     level = std::move(next_level);
+    level_radius = std::move(next_radius);
   }
 
   // ---- Phase 2c: the root adopts the surviving top level ----
-  root_ = std::make_unique<Node>(/*leaf=*/false);
-  ++num_nodes_;
+  root_ = NewNode(/*is_leaf=*/false, level.size());
   ++stats_.node_accesses;  // the root is written
-  root_->children.reserve(level.size());
-  for (std::unique_ptr<Node>& child : level) {
-    root_->white_count += child->white_count;
-    child->parent = root_.get();
-    root_->children.push_back(
-        RoutingEntry{child->pivot, child->radius, 0.0, std::move(child)});
+  for (size_t i = 0; i < level.size(); ++i) {
+    const NodeId child = level[i];
+    white_counts_[root_] += white_counts_[child];
+    nodes_[child].parent = root_;
+    AppendEntry(root_,
+                Entry{nodes_[child].pivot, child, 0.0, level_radius[i]});
   }
 
   built_ = true;

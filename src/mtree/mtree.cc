@@ -7,11 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "mtree/mtree_internal.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -69,14 +67,15 @@ const char* BuildStrategyToString(BuildStrategy strategy) {
   return "unknown";
 }
 
-Status MTree::Build(ThreadPool* pool) {
+Status MTree::Build() {
   if (options_.build.strategy == BuildStrategy::kBulkLoad) {
-    return BulkLoad(pool);
+    return BulkLoad();
   }
   DISC_RETURN_NOT_OK(CheckBuildPreconditions());
   for (ObjectId id = 0; id < dataset_.size(); ++id) {
     Insert(id);
   }
+  PackSlots();
   built_ = true;
   ResetColors();
   return Status::OK();
@@ -93,14 +92,14 @@ Status MTree::BuildWithNeighborCounts(double radius,
     // The bulk loader has no insert loop to fold the counting into; build
     // first, then count with one range query per object. The counts are
     // identical to the insert path's (both are exact neighborhood sizes).
-    DISC_RETURN_NOT_OK(BulkLoad(pool));
+    DISC_RETURN_NOT_OK(BulkLoad());
     ComputeNeighborCountsPostBuild(radius, counts, pool);
     return Status::OK();
   }
   counts->assign(dataset_.size(), 0);
   std::vector<Neighbor> found;
   for (ObjectId id = 0; id < dataset_.size(); ++id) {
-    if (root_ != nullptr) {
+    if (root_ != kNoNode) {
       // Query the partial tree before inserting: every already-present
       // neighbor contributes 1 to the new object's count and gains 1 itself.
       // The tree is mid-construction by design, so the built_ precondition
@@ -113,6 +112,7 @@ Status MTree::BuildWithNeighborCounts(double radius,
     }
     Insert(id);
   }
+  PackSlots();
   built_ = true;
   ResetColors();
   return Status::OK();
@@ -158,7 +158,7 @@ void MTree::ComputeNeighborCountsPostBuild(double radius,
 }
 
 Status MTree::CheckBuildPreconditions() const {
-  if (built_ || root_ != nullptr) {
+  if (built_ || root_ != kNoNode) {
     return Status::FailedPrecondition("tree already built");
   }
   if (options_.node_capacity < 2) {
@@ -174,41 +174,79 @@ Status MTree::CheckBuildPreconditions() const {
 
 void MTree::InitObjectState() {
   dim_ = dataset_.dim();
-  coords_.resize(dataset_.size() * dim_);
-  for (ObjectId id = 0; id < dataset_.size(); ++id) {
-    const Point& p = dataset_.point(id);
-    assert(p.dim() == dim_);
-    std::copy(p.data(), p.data() + dim_, coords_.begin() + id * dim_);
-  }
-  leaf_of_.assign(dataset_.size(), nullptr);
+  leaf_of_.assign(dataset_.size(), kNoNode);
   colors_.assign(dataset_.size(), Color::kWhite);
   closest_black_dist_.assign(dataset_.size(),
                              std::numeric_limits<double>::infinity());
   total_white_ = dataset_.size();
 }
 
+MTree::NodeId MTree::NewNode(bool is_leaf, size_t slots) {
+  assert(entries_.size() + slots <= std::numeric_limits<uint32_t>::max());
+  Node node;
+  node.begin = static_cast<uint32_t>(entries_.size());
+  node.is_leaf = is_leaf;
+  entries_.resize(entries_.size() + slots);
+  entry_coords_.resize(entry_coords_.size() + slots * dim_);
+  nodes_.push_back(node);
+  white_counts_.push_back(0);
+  return static_cast<NodeId>(nodes_.size() - 1);
+}
+
+void MTree::WriteEntry(size_t slot, const Entry& entry) {
+  entries_[slot] = entry;
+  const double* point = dataset_.point(entry.id).data();
+  std::copy(point, point + dim_, entry_coords_.begin() + slot * dim_);
+}
+
+void MTree::AppendEntry(NodeId node, const Entry& entry) {
+  Node& target = nodes_[node];
+  WriteEntry(target.begin + target.size, entry);
+  ++target.size;
+}
+
+void MTree::PackSlots() {
+  // Nodes are numbered in allocation order, so their blocks lie in node
+  // order and each one only moves toward the front.
+  size_t next = 0;
+  for (Node& node : nodes_) {
+    std::copy(entries_.begin() + node.begin,
+              entries_.begin() + node.begin + node.size,
+              entries_.begin() + next);
+    std::copy(entry_coords_.begin() + node.begin * dim_,
+              entry_coords_.begin() + (node.begin + node.size) * dim_,
+              entry_coords_.begin() + next * dim_);
+    node.begin = static_cast<uint32_t>(next);
+    next += node.size;
+  }
+  entries_.resize(next);
+  entries_.shrink_to_fit();
+  entry_coords_.resize(next * dim_);
+  entry_coords_.shrink_to_fit();
+}
+
 void MTree::Insert(ObjectId id) {
   const Point& p = dataset_.point(id);
-  if (root_ == nullptr) {
-    root_ = std::make_unique<Node>(/*leaf=*/true);
-    first_leaf_ = root_.get();
-    num_nodes_ = 1;
+  if (root_ == kNoNode) {
     InitObjectState();
+    root_ = NewNode(/*is_leaf=*/true, options_.node_capacity + 1);
+    first_leaf_ = root_;
   }
 
-  Node* node = root_.get();
+  NodeId node = root_;
   ++LiveStats().node_accesses;
-  while (!node->is_leaf) {
+  while (!nodes_[node].is_leaf) {
     // Choose the child needing the least covering-radius enlargement,
     // preferring children that already contain the point.
+    Entry* entries = node_entries(node);
     size_t best = 0;
     double best_inside = std::numeric_limits<double>::infinity();
     double best_enlarge = std::numeric_limits<double>::infinity();
     double best_dist = 0.0;
     bool found_inside = false;
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      RoutingEntry& entry = node->children[i];
-      double d = DistanceToPoint(p, entry.pivot);
+    for (size_t i = 0; i < nodes_[node].size; ++i) {
+      const Entry& entry = entries[i];
+      double d = DistanceToPoint(p, entry.id);
       if (d <= entry.radius) {
         if (!found_inside || d < best_inside) {
           found_inside = true;
@@ -225,30 +263,28 @@ void MTree::Insert(ObjectId id) {
         }
       }
     }
-    RoutingEntry& chosen = node->children[best];
-    if (best_dist > chosen.radius) {
-      chosen.radius = best_dist;
-      chosen.child->radius = best_dist;
-    }
-    node = chosen.child.get();
+    Entry& chosen = entries[best];
+    if (best_dist > chosen.radius) chosen.radius = best_dist;
+    node = chosen.child;
     ++LiveStats().node_accesses;
   }
 
+  const ObjectId pivot = nodes_[node].pivot;
   double parent_dist =
-      node->pivot == kInvalidObject ? 0.0 : DistanceToPoint(p, node->pivot);
-  node->objects.push_back(LeafEntry{id, parent_dist});
+      pivot == kInvalidObject ? 0.0 : DistanceToPoint(p, pivot);
+  AppendEntry(node, Entry{id, kNoNode, parent_dist, 0.0});
   leaf_of_[id] = node;
   AdjustWhiteCount(node, +1);
 
-  if (node->objects.size() > options_.node_capacity) {
+  if (nodes_[node].size > options_.node_capacity) {
     SplitNode(node);
   }
 }
 
-void MTree::AdjustWhiteCount(Node* leaf, int delta) {
-  for (Node* n = leaf; n != nullptr; n = n->parent) {
-    n->white_count = static_cast<uint32_t>(
-        static_cast<int64_t>(n->white_count) + delta);
+void MTree::AdjustWhiteCount(NodeId leaf, int delta) {
+  for (NodeId n = leaf; n != kNoNode; n = nodes_[n].parent) {
+    white_counts_[n] = static_cast<uint32_t>(
+        static_cast<int64_t>(white_counts_[n]) + delta);
   }
 }
 
@@ -283,16 +319,17 @@ void MTree::RangeQueryUnchecked(const Point& center, double radius,
   assert(center.dim() == dim_);
   Query q{center.data(), radius, filter, pruned, kInvalidObject, out, {}};
   q.stats.range_queries = 1;
-  RunQuery(root_.get(), Climb::kNone, &q);
+  RunQuery(root_, Climb::kNone, &q);
 }
 
 void MTree::RangeQueryAround(ObjectId center, double radius,
                              QueryFilter filter, bool pruned,
                              std::vector<Neighbor>* out) const {
   assert(built_);
-  Query q{coords(center), radius, filter, pruned, center, out, {}};
+  Query q{dataset_.point(center).data(), radius, filter, pruned, center, out,
+          {}};
   q.stats.range_queries = 1;
-  RunQuery(root_.get(), Climb::kNone, &q);
+  RunQuery(root_, Climb::kNone, &q);
 }
 
 void MTree::LeafMatesWithin(ObjectId center, double radius,
@@ -300,7 +337,8 @@ void MTree::LeafMatesWithin(ObjectId center, double radius,
   assert(built_);
   // The leaf alone, no parent-distance shortcut: one node access and one
   // distance per leaf-mate. Not a range query in the stats.
-  Query q{coords(center), radius, QueryFilter::kAll, false, center, out, {}};
+  Query q{dataset_.point(center).data(), radius, QueryFilter::kAll, false,
+          center, out, {}};
   RunQuery(leaf_of_[center], Climb::kNone, &q);
 }
 
@@ -309,98 +347,130 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
                                bool stop_at_grey,
                                std::vector<Neighbor>* out) const {
   assert(built_);
-  Query q{coords(center), radius, filter, pruned, center, out, {}};
+  Query q{dataset_.point(center).data(), radius, filter, pruned, center, out,
+          {}};
   q.stats.range_queries = 1;
   RunQuery(leaf_of_[center], stop_at_grey ? Climb::kUntilGrey : Climb::kToRoot,
            &q);
 }
 
-void MTree::RunQuery(const Node* start, Climb climb, Query* q) const {
+void MTree::RunQuery(NodeId start, Climb climb, Query* q) const {
   switch (metric_.kind()) {
     case MetricKind::kEuclidean:
-      Search<MetricKind::kEuclidean>(start, climb, q);
+      RunQueryOfKind<MetricKind::kEuclidean>(start, climb, q);
       break;
     case MetricKind::kManhattan:
-      Search<MetricKind::kManhattan>(start, climb, q);
+      RunQueryOfKind<MetricKind::kManhattan>(start, climb, q);
       break;
     case MetricKind::kChebyshev:
-      Search<MetricKind::kChebyshev>(start, climb, q);
+      RunQueryOfKind<MetricKind::kChebyshev>(start, climb, q);
       break;
     case MetricKind::kHamming:
-      Search<MetricKind::kHamming>(start, climb, q);
+      RunQueryOfKind<MetricKind::kHamming>(start, climb, q);
       break;
   }
   LiveStats() += q->stats;
 }
 
 template <MetricKind K>
-double MTree::QueryDistance(Query* q, ObjectId id) const {
-  ++q->stats.distance_computations;
-  return MetricKernel<K>(q->center, coords(id), dim_);
+void MTree::RunQueryOfKind(NodeId start, Climb climb, Query* q) const {
+  // The served dimensions (2-D clustered/uniform/cities, 7-D cameras, 8-D
+  // uniform) get a kernel whose loop length is a constant.
+  switch (dim_) {
+    case 2:
+      Search<K, 2>(start, climb, q);
+      break;
+    case 7:
+      Search<K, 7>(start, climb, q);
+      break;
+    case 8:
+      Search<K, 8>(start, climb, q);
+      break;
+    default:
+      Search<K, 0>(start, climb, q);
+      break;
+  }
 }
 
-template <MetricKind K>
-void MTree::Search(const Node* start, Climb climb, Query* q) const {
+template <MetricKind K, size_t D>
+void MTree::Search(NodeId start, Climb climb, Query* q) const {
   // Bottom-up (§5): search the start leaf, then climb toward the root and
   // search the sibling subtrees that intersect the query ball at each
   // ancestor. Climbing to the root makes this exactly the top-down answer;
   // kUntilGrey (Fast-C) ends at the first all-grey ancestor, deliberately
   // accepting that whites in distant leaves are missed (§5.1).
   double dist_to_pivot = kNoPivotDist;
-  if (climb != Climb::kNone && start->pivot != kInvalidObject) {
-    dist_to_pivot = QueryDistance<K>(q, start->pivot);
+  const ObjectId pivot = nodes_[start].pivot;
+  if (climb != Climb::kNone && pivot != kInvalidObject) {
+    ++q->stats.distance_computations;
+    dist_to_pivot = MetricKernel<K>(q->center, dataset_.point(pivot).data(),
+                                    D == 0 ? dim_ : D);
   }
-  SearchNode<K>(start, dist_to_pivot, /*skip=*/nullptr, q);
+  SearchNode<K, D>(start, dist_to_pivot, /*skip=*/kNoNode, q);
   if (climb == Climb::kNone) return;
-  for (const Node* node = start; node->parent != nullptr;
-       node = node->parent) {
-    if (climb == Climb::kUntilGrey && node->parent->white_count == 0) break;
-    SearchNode<K>(node->parent, kNoPivotDist, /*skip=*/node, q);
+  for (NodeId node = start; nodes_[node].parent != kNoNode;
+       node = nodes_[node].parent) {
+    const NodeId parent = nodes_[node].parent;
+    if (climb == Climb::kUntilGrey && white_counts_[parent] == 0) break;
+    SearchNode<K, D>(parent, kNoPivotDist, /*skip=*/node, q);
   }
 }
 
-template <MetricKind K>
-void MTree::SearchNode(const Node* node, double dist_to_pivot,
-                       const Node* skip, Query* q) const {
+template <MetricKind K, size_t D>
+void MTree::SearchNode(NodeId node_id, double dist_to_pivot, NodeId skip,
+                       Query* q) const {
   ++q->stats.node_accesses;
+  const size_t dim = D == 0 ? dim_ : D;
+  const Node& node = nodes_[node_id];
+  const Entry* const entries = entries_.data() + node.begin;
+  const double* const coords =
+      entry_coords_.data() + static_cast<size_t>(node.begin) * dim;
+  const size_t size = node.size;
+  const double* const center = q->center;
   const bool have_pivot_dist = !std::isnan(dist_to_pivot);
   const double radius = q->radius;
-  if (node->is_leaf) {
+  if (node.is_leaf) {
     // Every candidate is written at the cursor, which advances only when it
     // lies in the ball: no branch on the distance.
     std::vector<Neighbor>& out = *q->out;
     const size_t base = out.size();
-    out.resize(base + node->objects.size());
+    out.resize(base + size);
     Neighbor* const first = out.data();
     Neighbor* cursor = first + base;
     const ObjectId exclude = q->exclude;
     const bool white_only = q->filter == QueryFilter::kWhiteOnly;
-    for (const LeafEntry& entry : node->objects) {
-      if (entry.object == exclude) continue;
-      if (white_only && colors_[entry.object] != Color::kWhite) continue;
+    uint64_t distances = 0;
+    for (size_t i = 0; i < size; ++i) {
+      const Entry& entry = entries[i];
+      if (entry.id == exclude) continue;
+      if (white_only && colors_[entry.id] != Color::kWhite) continue;
       // Triangle-inequality shortcut via the precomputed parent distance.
       if (have_pivot_dist &&
           std::fabs(dist_to_pivot - entry.parent_dist) > radius) {
         continue;
       }
-      const double d = QueryDistance<K>(q, entry.object);
-      *cursor = Neighbor{entry.object, d};
+      ++distances;
+      const double d = MetricKernel<K>(center, coords + i * dim, dim);
+      *cursor = Neighbor{entry.id, d};
       cursor += d <= radius;
     }
+    q->stats.distance_computations += distances;
     out.resize(static_cast<size_t>(cursor - first));
     return;
   }
-  for (const RoutingEntry& entry : node->children) {
-    if (entry.child.get() == skip) continue;
-    if (q->pruned && entry.child->white_count == 0) continue;
+  for (size_t i = 0; i < size; ++i) {
+    const Entry& entry = entries[i];
+    if (entry.child == skip) continue;
+    if (q->pruned && white_counts_[entry.child] == 0) continue;
     if (have_pivot_dist &&
         std::fabs(dist_to_pivot - entry.parent_dist) >
             radius + entry.radius) {
       continue;
     }
-    const double d = QueryDistance<K>(q, entry.pivot);
+    ++q->stats.distance_computations;
+    const double d = MetricKernel<K>(center, coords + i * dim, dim);
     if (d <= radius + entry.radius) {
-      SearchNode<K>(entry.child.get(), d, /*skip=*/nullptr, q);
+      SearchNode<K, D>(entry.child, d, /*skip=*/kNoNode, q);
     }
   }
 }
@@ -430,7 +500,7 @@ Status MTree::RestoreColorState(const ColorState& state) {
   for (Color c : colors_) {
     if (c == Color::kWhite) ++total_white_;
   }
-  RecomputeWhiteCounts(root_.get());
+  RecomputeWhiteCounts(root_);
   return Status::OK();
 }
 
@@ -439,23 +509,20 @@ void MTree::ResetColors() {
   colors_.assign(dataset_.size(), Color::kWhite);
   total_white_ = dataset_.size();
   ResetClosestBlackDistances();
-  RecomputeWhiteCounts(root_.get());
+  RecomputeWhiteCounts(root_);
 }
 
-uint32_t MTree::RecomputeWhiteCounts(Node* node) {
-  if (node->is_leaf) {
-    uint32_t count = 0;
-    for (const LeafEntry& entry : node->objects) {
-      if (colors_[entry.object] == Color::kWhite) ++count;
-    }
-    node->white_count = count;
-    return count;
-  }
+uint32_t MTree::RecomputeWhiteCounts(NodeId node) {
+  const Entry* entries = node_entries(node);
   uint32_t count = 0;
-  for (RoutingEntry& entry : node->children) {
-    count += RecomputeWhiteCounts(entry.child.get());
+  for (size_t i = 0; i < nodes_[node].size; ++i) {
+    if (nodes_[node].is_leaf) {
+      if (colors_[entries[i].id] == Color::kWhite) ++count;
+    } else {
+      count += RecomputeWhiteCounts(entries[i].child);
+    }
   }
-  node->white_count = count;
+  white_counts_[node] = count;
   return count;
 }
 
@@ -515,10 +582,11 @@ std::vector<ObjectId> MTree::LeafOrder() const {
   assert(built_);
   std::vector<ObjectId> order;
   order.reserve(dataset_.size());
-  for (const Node* leaf = first_leaf_; leaf != nullptr;
-       leaf = leaf->next_leaf) {
-    for (const LeafEntry& entry : leaf->objects) {
-      order.push_back(entry.object);
+  for (NodeId leaf = first_leaf_; leaf != kNoNode;
+       leaf = nodes_[leaf].next_leaf) {
+    const Entry* entries = node_entries(leaf);
+    for (size_t i = 0; i < nodes_[leaf].size; ++i) {
+      order.push_back(entries[i].id);
     }
   }
   return order;
@@ -527,12 +595,13 @@ std::vector<ObjectId> MTree::LeafOrder() const {
 void MTree::ScanLeaves(bool skip_grey_leaves,
                        const std::function<void(ObjectId)>& fn) const {
   assert(built_);
-  for (const Node* leaf = first_leaf_; leaf != nullptr;
-       leaf = leaf->next_leaf) {
-    if (skip_grey_leaves && leaf->white_count == 0) continue;
+  for (NodeId leaf = first_leaf_; leaf != kNoNode;
+       leaf = nodes_[leaf].next_leaf) {
+    if (skip_grey_leaves && white_counts_[leaf] == 0) continue;
     ++LiveStats().node_accesses;
-    for (const LeafEntry& entry : leaf->objects) {
-      fn(entry.object);
+    const Entry* entries = node_entries(leaf);
+    for (size_t i = 0; i < nodes_[leaf].size; ++i) {
+      fn(entries[i].id);
     }
   }
 }
@@ -543,19 +612,18 @@ void MTree::ScanLeaves(bool skip_grey_leaves,
 
 size_t MTree::num_leaves() const {
   size_t count = 0;
-  for (const Node* leaf = first_leaf_; leaf != nullptr;
-       leaf = leaf->next_leaf) {
+  for (NodeId leaf = first_leaf_; leaf != kNoNode;
+       leaf = nodes_[leaf].next_leaf) {
     ++count;
   }
   return count;
 }
 
 size_t MTree::height() const {
-  if (root_ == nullptr) return 0;
+  if (root_ == kNoNode) return 0;
   size_t h = 1;
-  const Node* node = root_.get();
-  while (!node->is_leaf) {
-    node = node->children.front().child.get();
+  for (NodeId node = root_; !nodes_[node].is_leaf;
+       node = node_entries(node)[0].child) {
     ++h;
   }
   return h;
@@ -566,15 +634,16 @@ uint64_t MTree::PointQueryAccesses(const Point& q) const {
   // is what the fat-factor of Traina et al. measures: an overlap-free tree
   // visits exactly one node per level.
   uint64_t accesses = 0;
-  std::vector<const Node*> stack = {root_.get()};
+  std::vector<NodeId> stack = {root_};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const NodeId node = stack.back();
     stack.pop_back();
     ++accesses;
-    if (node->is_leaf) continue;
-    for (const RoutingEntry& entry : node->children) {
-      double d = metric_.Distance(q, dataset_.point(entry.pivot));
-      if (d <= entry.radius) stack.push_back(entry.child.get());
+    if (nodes_[node].is_leaf) continue;
+    const Entry* entries = node_entries(node);
+    for (size_t i = 0; i < nodes_[node].size; ++i) {
+      double d = metric_.Distance(q, dataset_.point(entries[i].id));
+      if (d <= entries[i].radius) stack.push_back(entries[i].child);
     }
   }
   return accesses;
@@ -584,7 +653,7 @@ double MTree::FatFactor() const {
   assert(built_);
   const size_t n = dataset_.size();
   const size_t h = height();
-  const size_t m = num_nodes_;
+  const size_t m = nodes_.size();
   if (m <= h) return 0.0;
   uint64_t total = 0;
   for (ObjectId id = 0; id < n; ++id) {
@@ -606,33 +675,38 @@ Status MTree::Validate() const {
   size_t leaf_depth = height();
 
   size_t node_count = 0;
-  DISC_RETURN_NOT_OK(ValidateNode(root_.get(), 1, leaf_depth, &node_count));
-  if (node_count != num_nodes_) {
-    return Status::Corruption("node counter records " +
-                              std::to_string(num_nodes_) + " nodes, tree has " +
+  DISC_RETURN_NOT_OK(ValidateNode(root_,
+                                  std::numeric_limits<double>::infinity(), 1,
+                                  leaf_depth, &node_count));
+  if (node_count != nodes_.size()) {
+    return Status::Corruption("node array holds " +
+                              std::to_string(nodes_.size()) +
+                              " nodes, the tree reaches " +
                               std::to_string(node_count));
   }
 
   // Leaf chain covers every object exactly once.
   std::vector<char> seen(dataset_.size(), 0);
   size_t chained = 0;
-  const Node* prev = nullptr;
-  for (const Node* leaf = first_leaf_; leaf != nullptr;
-       leaf = leaf->next_leaf) {
-    if (leaf->prev_leaf != prev) {
-      return Status::Corruption("leaf chain prev pointer broken");
+  NodeId prev = kNoNode;
+  for (NodeId leaf = first_leaf_; leaf != kNoNode;
+       leaf = nodes_[leaf].next_leaf) {
+    if (nodes_[leaf].prev_leaf != prev) {
+      return Status::Corruption("leaf chain prev link broken");
     }
     prev = leaf;
-    for (const LeafEntry& entry : leaf->objects) {
-      if (entry.object >= dataset_.size() || seen[entry.object]) {
+    const Entry* entries = node_entries(leaf);
+    for (size_t i = 0; i < nodes_[leaf].size; ++i) {
+      const ObjectId object = entries[i].id;
+      if (object >= dataset_.size() || seen[object]) {
         return Status::Corruption("leaf chain enumerates object " +
-                                  std::to_string(entry.object) + " twice");
+                                  std::to_string(object) + " twice");
       }
-      seen[entry.object] = 1;
+      seen[object] = 1;
       ++chained;
-      if (leaf_of_[entry.object] != leaf) {
+      if (leaf_of_[object] != leaf) {
         return Status::Corruption("leaf_of map stale for object " +
-                                  std::to_string(entry.object));
+                                  std::to_string(object));
       }
     }
   }
@@ -650,82 +724,101 @@ Status MTree::Validate() const {
   if (whites != total_white_) {
     return Status::Corruption("total white counter out of sync");
   }
-  if (root_->white_count != whites) {
+  if (white_counts_[root_] != whites) {
     return Status::Corruption("root white counter out of sync");
   }
   return Status::OK();
 }
 
-Status MTree::ValidateContainment(const Node* node, ObjectId pivot,
+Status MTree::ValidateContainment(NodeId node, ObjectId pivot,
                                   double radius) const {
-  if (node->is_leaf) {
-    for (const LeafEntry& entry : node->objects) {
-      double d = metric_.Distance(dataset_.point(entry.object),
-                                  dataset_.point(pivot));
-      if (d > radius + 1e-9) {
-        return Status::Corruption("object " + std::to_string(entry.object) +
-                                  " escapes covering radius of pivot " +
-                                  std::to_string(pivot));
-      }
+  const Entry* entries = node_entries(node);
+  for (size_t i = 0; i < nodes_[node].size; ++i) {
+    if (!nodes_[node].is_leaf) {
+      DISC_RETURN_NOT_OK(
+          ValidateContainment(entries[i].child, pivot, radius));
+      continue;
     }
-    return Status::OK();
-  }
-  for (const RoutingEntry& entry : node->children) {
-    DISC_RETURN_NOT_OK(ValidateContainment(entry.child.get(), pivot, radius));
+    double d = metric_.Distance(dataset_.point(entries[i].id),
+                                dataset_.point(pivot));
+    if (d > radius + 1e-9) {
+      return Status::Corruption("object " + std::to_string(entries[i].id) +
+                                " escapes covering radius of pivot " +
+                                std::to_string(pivot));
+    }
   }
   return Status::OK();
 }
 
-Status MTree::ValidateNode(const Node* node, size_t depth, size_t leaf_depth,
-                           size_t* node_count) const {
+Status MTree::ValidateNode(NodeId node, double radius, size_t depth,
+                           size_t leaf_depth, size_t* node_count) const {
   ++*node_count;
-  const size_t entries = node->size();
-  if (node != root_.get() && entries == 0) {
+  const Node& header = nodes_[node];
+  const size_t entries_in_use = header.size;
+  if (node != root_ && entries_in_use == 0) {
     return Status::Corruption("non-root node is empty");
   }
-  if (entries > options_.node_capacity) {
+  if (entries_in_use > options_.node_capacity) {
     return Status::Corruption("node exceeds capacity");
   }
-  if (node->is_leaf) {
+  if (header.begin + entries_in_use > entries_.size()) {
+    return Status::Corruption("node's entry block runs past the array");
+  }
+  const Entry* entries = node_entries(node);
+  for (size_t i = 0; i < entries_in_use; ++i) {
+    const double* stored =
+        entry_coords_.data() + (header.begin + i) * dim_;
+    if (!std::equal(stored, stored + dim_,
+                    dataset_.point(entries[i].id).data())) {
+      return Status::Corruption("entry coordinates differ from object " +
+                                std::to_string(entries[i].id));
+    }
+  }
+  if (header.is_leaf) {
     if (depth != leaf_depth) {
       return Status::Corruption("leaf at depth " + std::to_string(depth) +
                                 ", expected " + std::to_string(leaf_depth));
     }
     uint32_t whites = 0;
-    for (const LeafEntry& entry : node->objects) {
-      if (colors_[entry.object] == Color::kWhite) ++whites;
-      if (node->pivot != kInvalidObject) {
-        double d = metric_.Distance(dataset_.point(entry.object),
-                                    dataset_.point(node->pivot));
+    for (size_t i = 0; i < entries_in_use; ++i) {
+      const Entry& entry = entries[i];
+      if (entry.child != kNoNode) {
+        return Status::Corruption("leaf entry routes to a child");
+      }
+      if (colors_[entry.id] == Color::kWhite) ++whites;
+      if (header.pivot != kInvalidObject) {
+        double d = metric_.Distance(dataset_.point(entry.id),
+                                    dataset_.point(header.pivot));
         if (std::fabs(d - entry.parent_dist) > 1e-9) {
           return Status::Corruption("leaf entry parent_dist incorrect");
         }
-        if (d > node->radius + 1e-9) {
+        if (d > radius + 1e-9) {
           return Status::Corruption("object outside leaf covering radius");
         }
       }
     }
-    if (whites != node->white_count) {
+    if (whites != white_counts_[node]) {
       return Status::Corruption("leaf white counter out of sync");
     }
     return Status::OK();
   }
 
   uint32_t white_sum = 0;
-  for (const RoutingEntry& entry : node->children) {
-    const Node* child = entry.child.get();
-    if (child->parent != node) {
-      return Status::Corruption("child parent pointer broken");
+  for (size_t i = 0; i < entries_in_use; ++i) {
+    const Entry& entry = entries[i];
+    const NodeId child = entry.child;
+    if (child >= nodes_.size()) {
+      return Status::Corruption("routing entry has no child");
     }
-    if (child->pivot != entry.pivot) {
+    if (nodes_[child].parent != node) {
+      return Status::Corruption("child parent link broken");
+    }
+    if (nodes_[child].pivot != entry.id) {
       return Status::Corruption("child pivot mirror out of sync");
     }
-    if (std::fabs(child->radius - entry.radius) > 1e-12) {
-      return Status::Corruption("child radius mirror out of sync");
-    }
-    if (node->pivot != kInvalidObject) {
-      double d = metric_.Distance(dataset_.point(entry.pivot),
-                                  dataset_.point(node->pivot));
+    if (header.pivot != kInvalidObject) {
+      double d = metric_.Distance(dataset_.point(entry.id),
+                                  dataset_.point(header.pivot));
       if (std::fabs(d - entry.parent_dist) > 1e-9) {
         return Status::Corruption("routing entry parent_dist incorrect");
       }
@@ -734,11 +827,12 @@ Status MTree::ValidateNode(const Node* node, size_t depth, size_t leaf_depth,
     // child's covering radius. (Child *balls* need not nest inside parent
     // balls — insertion enlarges radii only along the descent path — so only
     // object containment is an invariant.)
-    DISC_RETURN_NOT_OK(ValidateContainment(child, entry.pivot, entry.radius));
-    white_sum += child->white_count;
-    DISC_RETURN_NOT_OK(ValidateNode(child, depth + 1, leaf_depth, node_count));
+    DISC_RETURN_NOT_OK(ValidateContainment(child, entry.id, entry.radius));
+    white_sum += white_counts_[child];
+    DISC_RETURN_NOT_OK(
+        ValidateNode(child, entry.radius, depth + 1, leaf_depth, node_count));
   }
-  if (white_sum != node->white_count) {
+  if (white_sum != white_counts_[node]) {
     return Status::Corruption("internal white counter out of sync");
   }
   return Status::OK();

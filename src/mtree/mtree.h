@@ -15,6 +15,9 @@
 //  * white-neighborhood-size computation during build or as a post pass,
 //  * four node-splitting policies spanning the fat-factor range of Figure 10,
 //  * the fat-factor measure of tree quality (Traina et al.).
+// The nodes live in one index-addressed array, each node's entries in a
+// contiguous block of slots with their coordinates stored alongside in
+// entry order; every build path and every query uses that one layout.
 
 #ifndef DISC_MTREE_MTREE_H_
 #define DISC_MTREE_MTREE_H_
@@ -23,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/color.h"
@@ -164,9 +166,7 @@ class MTree {
 
   /// Builds the tree with the strategy selected in options().build.
   /// Returns InvalidArgument for capacity < 2 or an empty dataset.
-  /// `pool` parallelizes the bulk-load path (see BulkLoad); the
-  /// insert-at-a-time path is inherently sequential and ignores it.
-  Status Build(ThreadPool* pool = nullptr);
+  Status Build();
 
   /// Bulk-loads the tree regardless of the configured strategy: objects are
   /// recursively clustered around randomly sampled seeds into leaf-sized
@@ -175,16 +175,12 @@ class MTree {
   /// intact. The resulting tree answers every query identically to an
   /// insert-built tree (exact index, different shape); it is cheaper to
   /// build and typically better clustered. Same preconditions as Build().
-  ///
-  /// With a pool of more than one thread the distance-dominated passes fan
-  /// out: the nearest-seed assignment of every clustering step and the
-  /// per-cluster leaf builds run on the workers, while seed sampling (the
-  /// only consumer of the random state) stays on the calling thread in the
-  /// serial recursion order. The decomposition is a pure function of the
-  /// input (util/parallel.h) and results are committed in chunk order, so
-  /// the resulting tree — shape, leaf chain, node count, stats() — is
-  /// byte-identical to the single-threaded build at any thread count.
-  Status BulkLoad(ThreadPool* pool = nullptr);
+  /// The build is serial: fanning its passes out over a thread pool
+  /// measured slower than this loop at every size tried.
+  Status BulkLoad();
+  /// The same build; the pool is not used. Kept for callers that still
+  /// pass one.
+  Status BulkLoad(ThreadPool* /*unused*/) { return BulkLoad(); }
 
   /// Build() plus white-neighborhood-size computation. Under the
   /// insert-at-a-time strategy the counts are folded into the insert loop
@@ -192,8 +188,8 @@ class MTree {
   /// initializes count[p_i] and increments counts of already-present
   /// neighbors — cheaper than a post-build pass (ablation in bench/). Under
   /// the bulk-load strategy the tree is built first and a counting pass
-  /// follows; the counts are identical either way. `pool` parallelizes the
-  /// bulk path only (build and counting pass; see BulkLoad).
+  /// follows; the counts are identical either way. `pool` parallelizes that
+  /// counting pass (see ComputeNeighborCountsPostBuild).
   Status BuildWithNeighborCounts(double radius, std::vector<uint32_t>* counts,
                                  ThreadPool* pool = nullptr);
 
@@ -335,7 +331,7 @@ class MTree {
     AccessStats* prev_sink_;
   };
 
-  size_t num_nodes() const { return num_nodes_; }
+  size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;
   size_t height() const;
   size_t size() const { return dataset_.size(); }
@@ -350,9 +346,35 @@ class MTree {
   Status Validate() const;
 
  private:
-  struct Node;
-  struct RoutingEntry;
-  struct LeafEntry;
+  // -- The node array ------------------------------------------------------
+  // Nodes are addressed by index into nodes_. Each node owns a contiguous
+  // block of entry slots in entries_, and each slot's coordinates sit at the
+  // same position of entry_coords_ (slot * dim_), so a node visit reads its
+  // entries and their points sequentially. A leaf entry is an indexed
+  // object; an internal entry routes to a child subtree whose objects all
+  // lie within `radius` of `id`, the child's pivot.
+  using NodeId = uint32_t;
+  static constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+
+  struct Entry {
+    ObjectId id = kInvalidObject;  // the object (leaf) or child's pivot
+    NodeId child = kNoNode;        // internal entries only
+    double parent_dist = 0.0;      // d(id, owning node's pivot); 0 at root
+    double radius = 0.0;           // child's covering radius (internal)
+  };
+
+  struct Node {
+    uint32_t begin = 0;  // first entry slot
+    uint32_t size = 0;   // entries in use
+    NodeId parent = kNoNode;
+    // Leaf chain (§5: "we link together all leaf nodes").
+    NodeId next_leaf = kNoNode;
+    NodeId prev_leaf = kNoNode;
+    /// The object this node is centered on (the id of the entry routing to
+    /// it). kInvalidObject for the root.
+    ObjectId pivot = kInvalidObject;
+    bool is_leaf = true;
+  };
 
   Status CheckBuildPreconditions() const;
   /// The AccessStats the calling thread currently charges: the
@@ -361,8 +383,25 @@ class MTree {
   // (Re)initializes the per-object arrays (leaf map, colors, closest-black
   // distances) for a build over the full dataset.
   void InitObjectState();
+  // Appends a node with `slots` entry slots: capacity + 1 on the insert
+  // path (room for the entry that overflows it), the exact size on the
+  // bulk path.
+  NodeId NewNode(bool is_leaf, size_t slots);
+  // Ends an insert build: moves every node's entries down to a block of
+  // exactly their count, so the built tree keeps no free slots.
+  void PackSlots();
+  // Appends `entry` (with its id's coordinates) to `node`'s block.
+  void AppendEntry(NodeId node, const Entry& entry);
+  // Writes `entry` and its id's coordinates into `slot`.
+  void WriteEntry(size_t slot, const Entry& entry);
+  Entry* node_entries(NodeId node) {
+    return entries_.data() + nodes_[node].begin;
+  }
+  const Entry* node_entries(NodeId node) const {
+    return entries_.data() + nodes_[node].begin;
+  }
   void Insert(ObjectId id);
-  void SplitNode(Node* node);
+  void SplitNode(NodeId node);
   // RangeQuery without the built_ precondition, for querying the partial
   // tree during BuildWithNeighborCounts.
   void RangeQueryUnchecked(const Point& center, double radius,
@@ -371,8 +410,9 @@ class MTree {
 
   // -- The search loop ---------------------------------------------------
   // Every query (top-down, bottom-up, leaf-mates) runs through one routine,
-  // SearchNode, instantiated once per metric family so the distance kernel
-  // inlines (metric/metric.h). A query counts its node accesses and
+  // SearchNode, instantiated per metric family and for the dimensions 2, 7
+  // and 8 (0: the runtime dim_), dispatched once per query so the distance
+  // kernel inlines (metric/metric.h). A query counts its node accesses and
   // distance computations in its own Query::stats and adds them to
   // LiveStats() once, when it ends; every distance the loop computes is
   // counted, and it computes none that it does not count.
@@ -383,50 +423,51 @@ class MTree {
   // the root, leaf-mates), to the root (exact bottom-up), or until the first
   // ancestor without white objects (Fast-C's stop_at_grey).
   enum class Climb { kNone, kToRoot, kUntilGrey };
-  // Dispatches on metric_.kind() to Search<K>, then flushes q->stats.
-  void RunQuery(const Node* start, Climb climb, Query* q) const;
+  // Dispatches on (metric_.kind(), dim_) to Search<K, D>, then flushes
+  // q->stats.
+  void RunQuery(NodeId start, Climb climb, Query* q) const;
   template <MetricKind K>
-  void Search(const Node* start, Climb climb, Query* q) const;
+  void RunQueryOfKind(NodeId start, Climb climb, Query* q) const;
+  template <MetricKind K, size_t D>
+  void Search(NodeId start, Climb climb, Query* q) const;
   // Scans `node`: a leaf reports its objects within the radius, an internal
   // node descends into every child whose ball intersects the query ball
   // except `skip` (the subtree a bottom-up climb came from).
   // `dist_to_pivot` is d(center, node's pivot), or NaN when unknown.
-  template <MetricKind K>
-  void SearchNode(const Node* node, double dist_to_pivot, const Node* skip,
+  template <MetricKind K, size_t D>
+  void SearchNode(NodeId node, double dist_to_pivot, NodeId skip,
                   Query* q) const;
-  template <MetricKind K>
-  double QueryDistance(Query* q, ObjectId id) const;
-  const double* coords(ObjectId id) const {
-    return coords_.data() + static_cast<size_t>(id) * dim_;
-  }
 
-  void AdjustWhiteCount(Node* leaf, int delta);
-  uint32_t RecomputeWhiteCounts(Node* node);
+  void AdjustWhiteCount(NodeId leaf, int delta);
+  uint32_t RecomputeWhiteCounts(NodeId node);
   double DistanceToPoint(const Point& q, ObjectId b) const;
   uint64_t PointQueryAccesses(const Point& q) const;
-  Status ValidateNode(const Node* node, size_t depth, size_t leaf_depth,
-                      size_t* node_count) const;
-  Status ValidateContainment(const Node* node, ObjectId pivot,
+  Status ValidateNode(NodeId node, double radius, size_t depth,
+                      size_t leaf_depth, size_t* node_count) const;
+  Status ValidateContainment(NodeId node, ObjectId pivot,
                              double radius) const;
 
   const Dataset& dataset_;
   const DistanceMetric& metric_;
   MTreeOptions options_;
-
-  // Every object's coordinates in one n x dim block, indexed by object id
-  // and copied once by InitObjectState; the search loop reads only this.
-  std::vector<double> coords_;
   size_t dim_ = 0;
 
-  std::unique_ptr<Node> root_;
-  std::vector<Node*> leaf_of_;  // object id -> leaf containing it
-  Node* first_leaf_ = nullptr;  // leftmost leaf of the chain
+  std::vector<Node> nodes_;
+  std::vector<Entry> entries_;
+  // entries_[s]'s coordinates at entry_coords_[s * dim_, (s + 1) * dim_):
+  // the only coordinates the search loop reads besides the query center.
+  std::vector<double> entry_coords_;
+  // Leaf: white objects stored there. Internal: the sum over its children.
+  // Zero means the subtree is "grey" in the sense of the §5.1 pruning rule.
+  std::vector<uint32_t> white_counts_;
+  NodeId root_ = kNoNode;
+  NodeId first_leaf_ = kNoNode;  // leftmost leaf of the chain
+  std::vector<NodeId> leaf_of_;  // object id -> leaf containing it
 
   std::vector<Color> colors_;
   std::vector<double> closest_black_dist_;
   size_t total_white_ = 0;
 
-  size_t num_nodes_ = 0;
   mutable AccessStats stats_;
   uint64_t rng_state_;
   bool built_ = false;

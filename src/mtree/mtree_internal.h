@@ -1,16 +1,10 @@
-// Internal node layout of the M-tree, shared by mtree.cc and split.cc.
-// Not part of the public API.
+// Helpers shared by mtree.cc, split.cc and bulk_load.cc. Not part of the
+// public API.
 
 #ifndef DISC_MTREE_MTREE_INTERNAL_H_
 #define DISC_MTREE_MTREE_INTERNAL_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <vector>
-
-#include "mtree/mtree.h"
 
 namespace disc {
 
@@ -24,48 +18,6 @@ inline uint64_t NextRandom(uint64_t* state) {
   x ^= x << 17;
   return *state = x;
 }
-
-/// Internal-node entry: routes to a child subtree whose objects all lie
-/// within `radius` of `pivot`.
-struct MTree::RoutingEntry {
-  ObjectId pivot = kInvalidObject;
-  double radius = 0.0;       // covering radius of the subtree
-  double parent_dist = 0.0;  // d(pivot, owning node's pivot); 0 at the root
-  std::unique_ptr<Node> child;
-};
-
-/// Leaf entry: one indexed object.
-struct MTree::LeafEntry {
-  ObjectId object = kInvalidObject;
-  double parent_dist = 0.0;  // d(object, owning leaf's pivot)
-};
-
-struct MTree::Node {
-  explicit Node(bool leaf) : is_leaf(leaf) {}
-
-  bool is_leaf;
-  Node* parent = nullptr;
-
-  /// The object this node is centered on (the pivot of the routing entry
-  /// pointing at it). kInvalidObject for the root.
-  ObjectId pivot = kInvalidObject;
-  /// Mirror of the parent routing entry's covering radius (+inf at the root);
-  /// kept on the node so bottom-up climbs need not search the parent.
-  double radius = std::numeric_limits<double>::infinity();
-
-  std::vector<RoutingEntry> children;  // internal nodes only
-  std::vector<LeafEntry> objects;      // leaf nodes only
-
-  // Leaf chain (§5: "we link together all leaf nodes").
-  Node* next_leaf = nullptr;
-  Node* prev_leaf = nullptr;
-
-  /// Leaf: number of white objects stored here. Internal: sum over children.
-  /// Zero means the subtree is "grey" in the sense of the §5.1 pruning rule.
-  uint32_t white_count = 0;
-
-  size_t size() const { return is_leaf ? objects.size() : children.size(); }
-};
 
 }  // namespace disc
 

@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "mtree/mtree.h"
@@ -18,20 +16,19 @@
 
 namespace disc {
 
-void MTree::SplitNode(Node* node) {
-  const bool is_leaf = node->is_leaf;
-  const size_t count = node->size();
+void MTree::SplitNode(NodeId node) {
+  const bool is_leaf = nodes_[node].is_leaf;
+  const size_t count = nodes_[node].size;
   assert(count > options_.node_capacity);
   ++stats_.node_accesses;  // the overflowing node is rewritten
 
-  // Collect the ids the entries are centered on (objects for leaves, child
-  // pivots for internal nodes).
+  // The entries, whose ids are what they are centered on (objects for
+  // leaves, child pivots for internal nodes).
+  const std::vector<Entry> entries(node_entries(node),
+                                   node_entries(node) + count);
   std::vector<ObjectId> ids(count);
-  if (is_leaf) {
-    for (size_t i = 0; i < count; ++i) ids[i] = node->objects[i].object;
-  } else {
-    for (size_t i = 0; i < count; ++i) ids[i] = node->children[i].pivot;
-  }
+  for (size_t i = 0; i < count; ++i) ids[i] = entries[i].id;
+  const ObjectId node_pivot = nodes_[node].pivot;
 
   // ---- Promote ----
   ObjectId pivot_a = kInvalidObject, pivot_b = kInvalidObject;
@@ -39,7 +36,7 @@ void MTree::SplitNode(Node* node) {
     case PromotePolicy::kKeepParent: {
       // Keep the node's existing pivot; promote the entry farthest from it.
       // A freshly split root has no pivot: fall back to the first entry.
-      pivot_a = node->pivot != kInvalidObject ? node->pivot : ids[0];
+      pivot_a = node_pivot != kInvalidObject ? node_pivot : ids[0];
       double best = -1.0;
       for (ObjectId id : ids) {
         if (id == pivot_a) continue;
@@ -140,102 +137,86 @@ void MTree::SplitNode(Node* node) {
 
   // ---- Rebuild the two nodes ----
   // `node` is reused for side A (it keeps its slot in the parent and, for
-  // leaves, its place in the leaf chain); `sibling` is fresh for side B.
-  auto sibling = std::make_unique<Node>(is_leaf);
-  Node* sib = sibling.get();
-  ++num_nodes_;
+  // leaves, its place in the leaf chain); `sib` is fresh for side B. Both
+  // refill their slots in the original entry order.
+  const NodeId sib = NewNode(is_leaf, options_.node_capacity + 1);
   ++stats_.node_accesses;  // the new sibling is written
+  nodes_[node].size = 0;
 
   double radius_a = 0.0, radius_b = 0.0;
-  if (is_leaf) {
-    std::vector<LeafEntry> entries = std::move(node->objects);
-    node->objects.clear();
-    uint32_t white_a = 0, white_b = 0;
-    for (size_t i = 0; i < count; ++i) {
-      Node* target = to_a[i] ? node : sib;
-      double pd = to_a[i] ? da[i] : db[i];
-      target->objects.push_back(LeafEntry{entries[i].object, pd});
-      leaf_of_[entries[i].object] = target;
-      bool white =
-          colors_.empty() || colors_[entries[i].object] == Color::kWhite;
-      if (white) (to_a[i] ? white_a : white_b)++;
-      (to_a[i] ? radius_a : radius_b) =
-          std::max(to_a[i] ? radius_a : radius_b, pd);
+  uint32_t white_a = 0, white_b = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const NodeId target = to_a[i] ? node : sib;
+    Entry entry = entries[i];
+    entry.parent_dist = to_a[i] ? da[i] : db[i];
+    double& radius = to_a[i] ? radius_a : radius_b;
+    uint32_t& white = to_a[i] ? white_a : white_b;
+    if (is_leaf) {
+      leaf_of_[entry.id] = target;
+      if (colors_[entry.id] == Color::kWhite) ++white;
+      radius = std::max(radius, entry.parent_dist);
+    } else {
+      // Upper bound via the triangle inequality.
+      radius = std::max(radius, entry.parent_dist + entry.radius);
+      white += white_counts_[entry.child];
+      nodes_[entry.child].parent = target;
     }
-    node->white_count = white_a;
-    sib->white_count = white_b;
-    // Splice the sibling into the leaf chain right after `node`.
-    sib->next_leaf = node->next_leaf;
-    sib->prev_leaf = node;
-    if (node->next_leaf != nullptr) node->next_leaf->prev_leaf = sib;
-    node->next_leaf = sib;
-  } else {
-    std::vector<RoutingEntry> entries = std::move(node->children);
-    node->children.clear();
-    uint32_t white_a = 0, white_b = 0;
-    for (size_t i = 0; i < count; ++i) {
-      Node* target = to_a[i] ? node : sib;
-      double pd = to_a[i] ? da[i] : db[i];
-      double reach = pd + entries[i].radius;  // upper bound via triangle ineq.
-      (to_a[i] ? radius_a : radius_b) =
-          std::max(to_a[i] ? radius_a : radius_b, reach);
-      (to_a[i] ? white_a : white_b) += entries[i].child->white_count;
-      entries[i].parent_dist = pd;
-      entries[i].child->parent = target;
-      target->children.push_back(std::move(entries[i]));
-    }
-    node->white_count = white_a;
-    sib->white_count = white_b;
+    AppendEntry(target, entry);
   }
-
-  node->pivot = pivot_a;
-  node->radius = radius_a;
-  sib->pivot = pivot_b;
-  sib->radius = radius_b;
+  white_counts_[node] = white_a;
+  white_counts_[sib] = white_b;
+  if (is_leaf) {
+    // Splice the sibling into the leaf chain right after `node`.
+    const NodeId next = nodes_[node].next_leaf;
+    nodes_[sib].next_leaf = next;
+    nodes_[sib].prev_leaf = node;
+    if (next != kNoNode) nodes_[next].prev_leaf = sib;
+    nodes_[node].next_leaf = sib;
+  }
+  nodes_[node].pivot = pivot_a;
+  nodes_[sib].pivot = pivot_b;
 
   // ---- Wire into the parent ----
-  if (node == root_.get()) {
-    auto new_root = std::make_unique<Node>(/*leaf=*/false);
-    ++num_nodes_;
+  if (node == root_) {
+    const NodeId new_root = NewNode(/*is_leaf=*/false,
+                                    options_.node_capacity + 1);
     ++stats_.node_accesses;  // the new root is written
-    new_root->white_count = node->white_count + sib->white_count;
-    std::unique_ptr<Node> old_root = std::move(root_);
-    old_root->parent = new_root.get();
-    sib->parent = new_root.get();
-    new_root->children.push_back(
-        RoutingEntry{pivot_a, radius_a, 0.0, std::move(old_root)});
-    new_root->children.push_back(
-        RoutingEntry{pivot_b, radius_b, 0.0, std::move(sibling)});
-    root_ = std::move(new_root);
+    white_counts_[new_root] = white_a + white_b;
+    nodes_[node].parent = new_root;
+    nodes_[sib].parent = new_root;
+    AppendEntry(new_root, Entry{pivot_a, node, 0.0, radius_a});
+    AppendEntry(new_root, Entry{pivot_b, sib, 0.0, radius_b});
+    root_ = new_root;
     return;
   }
 
-  Node* parent = node->parent;
+  const NodeId parent = nodes_[node].parent;
   ++stats_.node_accesses;  // the parent is rewritten
-  sib->parent = parent;
+  nodes_[sib].parent = parent;
+  const ObjectId parent_pivot = nodes_[parent].pivot;
+  const size_t begin = nodes_[parent].begin;
+  const size_t size = nodes_[parent].size;
   size_t slot = 0;
-  while (slot < parent->children.size() &&
-         parent->children[slot].child.get() != node) {
-    ++slot;
-  }
-  assert(slot < parent->children.size());
+  while (slot < size && entries_[begin + slot].child != node) ++slot;
+  assert(slot < size);
 
-  RoutingEntry& entry_a = parent->children[slot];
-  entry_a.pivot = pivot_a;
-  entry_a.radius = radius_a;
-  entry_a.parent_dist =
-      parent->pivot == kInvalidObject ? 0.0 : Distance(pivot_a, parent->pivot);
+  const double dist_a =
+      parent_pivot == kInvalidObject ? 0.0 : Distance(pivot_a, parent_pivot);
+  const double dist_b =
+      parent_pivot == kInvalidObject ? 0.0 : Distance(pivot_b, parent_pivot);
+  // Shift the entries after `slot` right by one (the block has room for
+  // the overflow entry) and write side B's entry into the gap.
+  std::copy_backward(entries_.begin() + begin + slot + 1,
+                     entries_.begin() + begin + size,
+                     entries_.begin() + begin + size + 1);
+  std::copy_backward(entry_coords_.begin() + (begin + slot + 1) * dim_,
+                     entry_coords_.begin() + (begin + size) * dim_,
+                     entry_coords_.begin() + (begin + size + 1) * dim_);
+  WriteEntry(begin + slot, Entry{pivot_a, node, dist_a, radius_a});
+  WriteEntry(begin + slot + 1, Entry{pivot_b, sib, dist_b, radius_b});
+  ++nodes_[parent].size;
 
-  RoutingEntry entry_b;
-  entry_b.pivot = pivot_b;
-  entry_b.radius = radius_b;
-  entry_b.parent_dist =
-      parent->pivot == kInvalidObject ? 0.0 : Distance(pivot_b, parent->pivot);
-  entry_b.child = std::move(sibling);
-  parent->children.insert(parent->children.begin() + slot + 1,
-                          std::move(entry_b));
-
-  if (parent->children.size() > options_.node_capacity) {
+  if (nodes_[parent].size > options_.node_capacity) {
     SplitNode(parent);
   }
 }

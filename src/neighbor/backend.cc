@@ -57,12 +57,12 @@ Status CheckExactPointCap(const Dataset& dataset, const DistanceMetric& metric,
 
 Result<std::unique_ptr<NeighborBackend>> CreateNeighborBackend(
     const Dataset& dataset, const DistanceMetric& metric,
-    const NeighborBackendOptions& options, ThreadPool* pool) {
+    const NeighborBackendOptions& options, ThreadPool* /*unused*/) {
   DISC_RETURN_NOT_OK(CheckExactPointCap(dataset, metric, options));
   switch (options.kind) {
     case NeighborBackendKind::kExact: {
       auto backend = ExactMTreeBackend::Create(
-          dataset, metric, ExactMTreeBackend::DefaultTreeOptions(), pool);
+          dataset, metric, ExactMTreeBackend::DefaultTreeOptions());
       if (!backend.ok()) return backend.status();
       return std::unique_ptr<NeighborBackend>(std::move(backend).value());
     }

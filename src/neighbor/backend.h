@@ -115,11 +115,11 @@ class NeighborBackend {
 /// Constructs the backend `options` describes over (dataset, metric).
 /// Returns CheckExactPointCap's InvalidArgument for a capped kind over a
 /// dataset above options.max_exact_points.
-/// `pool` parallelizes construction (the exact kind's tree build); it is
-/// not retained.
+/// Construction is serial for both kinds; the pool argument is not used and
+/// stays only for callers that still pass one.
 Result<std::unique_ptr<NeighborBackend>> CreateNeighborBackend(
     const Dataset& dataset, const DistanceMetric& metric,
-    const NeighborBackendOptions& options, ThreadPool* pool = nullptr);
+    const NeighborBackendOptions& options, ThreadPool* /*unused*/ = nullptr);
 
 }  // namespace disc
 

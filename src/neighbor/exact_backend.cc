@@ -11,9 +11,9 @@ namespace disc {
 
 Result<std::unique_ptr<ExactMTreeBackend>> ExactMTreeBackend::Create(
     const Dataset& dataset, const DistanceMetric& metric,
-    MTreeOptions options, ThreadPool* pool) {
+    MTreeOptions options) {
   auto tree = std::make_unique<MTree>(dataset, metric, options);
-  DISC_RETURN_NOT_OK(tree->Build(pool));
+  DISC_RETURN_NOT_OK(tree->Build());
   // Construction costs stay out of the query accounting.
   tree->ResetStats();
   return std::unique_ptr<ExactMTreeBackend>(

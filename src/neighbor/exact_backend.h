@@ -27,12 +27,11 @@ class ExactMTreeBackend final : public NeighborBackend {
             .build = {BuildStrategy::kBulkLoad}};
   }
 
-  /// Builds the backend's tree; `pool` parallelizes a bulk load (the tree
-  /// is byte-identical at any thread count) and is not retained. Fails when
-  /// MTree::Build does (empty dataset).
+  /// Builds the backend's tree (serially). Fails when MTree::Build does
+  /// (empty dataset).
   static Result<std::unique_ptr<ExactMTreeBackend>> Create(
       const Dataset& dataset, const DistanceMetric& metric,
-      MTreeOptions options = DefaultTreeOptions(), ThreadPool* pool = nullptr);
+      MTreeOptions options = DefaultTreeOptions());
 
   NeighborBackendKind kind() const override {
     return NeighborBackendKind::kExact;

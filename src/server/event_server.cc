@@ -6,7 +6,8 @@
 // work — OPEN builds and DIVERSIFY/ZOOM computations — never runs on the
 // loop thread; it is dispatched as jobs to a fixed pool of compute
 // workers, whose results come back through a completion queue drained when
-// the worker signals an eventfd.
+// the worker signals an eventfd. Destroying an engine the idle pool evicts
+// (a CLOSE past the pool cap) is a worker job too.
 //
 // State ownership (the rule everything here follows): a Conn and its
 // EngineLease belong to the loop thread, EXCEPT while `busy` is set — then
@@ -130,7 +131,11 @@ class EventLoopServer final : public DiscServer {
         ctx_{&manager_, options_.engine_threads, options_.default_backend,
              options_.max_exact_points},
         max_inflight_(options_.max_inflight == 0 ? options_.workers
-                                                 : options_.max_inflight) {}
+                                                 : options_.max_inflight) {
+    manager_.SetEngineDisposer([this](std::unique_ptr<DiscEngine> engine) {
+      Dispose(std::move(engine));
+    });
+  }
 
   ~EventLoopServer() override { Shutdown(); }
 
@@ -166,6 +171,8 @@ class EventLoopServer final : public DiscServer {
     for (std::thread& worker : workers_) {
       if (worker.joinable()) worker.join();
     }
+    // No worker is left to take evictions; later ones die where they occur.
+    manager_.SetEngineDisposer(nullptr);
     CloseSocket(&listen_fd_);
     CloseSocket(&wake_fd_);
     CloseSocket(&epoll_fd_);
@@ -240,14 +247,17 @@ class EventLoopServer final : public DiscServer {
     std::string batch_out;
   };
 
+  /// kDispose destroys an engine the idle pool evicted: no connection,
+  /// no admission slot, no completion.
   struct Job {
-    enum class Kind { kOpen, kCompute, kLeader, kAdopt };
+    enum class Kind { kOpen, kCompute, kLeader, kAdopt, kDispose };
     Kind kind = Kind::kCompute;
     uint64_t conn_id = 0;
     Request request;                // kOpen
     ComputePlan plan;               // kCompute / kLeader (kAdopt: verb)
     DiscEngine* engine = nullptr;   // kCompute / kLeader / kAdopt
     FlightOutcome outcome;          // kAdopt
+    std::unique_ptr<DiscEngine> evicted;  // kDispose
   };
 
   /// Whether a job holds an admission slot from Dispatch to completion:
@@ -953,6 +963,21 @@ class EventLoopServer final : public DiscServer {
     }
   }
 
+  /// The idle pool's disposer: an evicted engine is destroyed on a compute
+  /// worker, so a CLOSE that evicts never stalls the loop thread. Once the
+  /// workers are stopping, the caller destroys it.
+  void Dispose(std::unique_ptr<DiscEngine> engine) {
+    {
+      std::lock_guard<std::mutex> lock(work_mutex_);
+      if (workers_stop_) return;  // `engine` dies here
+      Job job;
+      job.kind = Job::Kind::kDispose;
+      job.evicted = std::move(engine);
+      jobs_.push_back(std::move(job));
+    }
+    work_cv_.notify_one();
+  }
+
   void ExecuteJob(Job& job) {
     Completion completion;
     completion.conn_id = job.conn_id;
@@ -976,6 +1001,9 @@ class EventLoopServer final : public DiscServer {
                                              job.outcome);
           completion.coalesced = true;
           break;
+        case Job::Kind::kDispose:
+          job.evicted.reset();
+          return;
       }
     } catch (const std::exception& e) {
       completion.response = InternalErrorLine(e);

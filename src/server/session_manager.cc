@@ -115,12 +115,7 @@ Status SessionManager::Prewarm(const std::vector<EngineConfig>& configs,
   // One engine build per task; every build runs on its own worker, so a
   // list of hot datasets warms in max(build time), not sum. Each slot is
   // written by exactly one task — results are collected after the pool
-  // joins (no locking needed). Engines with threads > 1 additionally
-  // parallelize their own bulk load on their own internal pools; that
-  // nesting is safe because each engine's pool is a separate instance from
-  // this prewarm pool (ThreadPool::Run only serializes per pool), and
-  // harmless to determinism because the built tree is byte-identical at
-  // any thread count (MTree::BulkLoad).
+  // joins (no locking needed).
   std::vector<std::optional<Result<std::unique_ptr<DiscEngine>>>> built(
       configs.size());
   const size_t resolved = threads == 0 ? DefaultThreads() : threads;
@@ -265,7 +260,7 @@ void SessionManager::ReleaseLease(std::string key,
 
 void SessionManager::ReturnToPool(std::string key,
                                   std::unique_ptr<DiscEngine> engine) {
-  std::unique_ptr<DiscEngine> evicted;  // destroyed outside the lock
+  std::unique_ptr<DiscEngine> evicted;  // disposed of outside the lock
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (max_idle_engines_ == 0 || key.empty()) {  // empty key: unpoolable
@@ -282,6 +277,7 @@ void SessionManager::ReturnToPool(std::string key,
       stats_.idle_engines = idle_.size();
     }
   }
+  if (evicted != nullptr && disposer_) disposer_(std::move(evicted));
 }
 
 SessionManagerStats SessionManager::stats() const {

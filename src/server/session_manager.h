@@ -244,6 +244,17 @@ class SessionManager {
 
   SessionManagerStats stats() const;
 
+  /// Takes ownership of an engine the idle pool evicts.
+  using EngineDisposer = std::function<void(std::unique_ptr<DiscEngine>)>;
+  /// Routes evicted engines to `disposer` instead of destroying them on the
+  /// releasing thread. Destroying an engine frees its index and caches and
+  /// joins its pool's threads, which a server must keep off its event loop.
+  /// Set it before the manager is shared between threads (a null disposer
+  /// restores inline destruction); eviction accounting is unchanged.
+  void SetEngineDisposer(EngineDisposer disposer) {
+    disposer_ = std::move(disposer);
+  }
+
  private:
   friend class EngineLease;
 
@@ -263,6 +274,7 @@ class SessionManager {
 
   const size_t max_idle_engines_;
   const size_t max_cached_results_;
+  EngineDisposer disposer_;
 
   /// One single-flight entry: in flight until FinishFlight, then (when
   /// memoized) the finished outcome — the memo is the finished entries,

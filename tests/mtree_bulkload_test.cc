@@ -251,40 +251,28 @@ TEST(MTreeBulkLoad, DeterministicForFixedSeed) {
   EXPECT_EQ(a.LeafOrder(), b.LeafOrder());
 }
 
-// The parallel bulk load (seed-assignment and per-cluster leaf fan-outs over
-// a ThreadPool) must produce the *same tree* as the serial build — node
-// count, leaf chain, fat-factor, and construction stats all pinned identical
-// at every thread count. Seed sampling stays on the calling thread in the
-// serial draw order, so this holds structurally, not just statistically.
-TEST(MTreeBulkLoad, ParallelBuildIsByteIdenticalAtAnyThreadCount) {
+// The bulk load is a pure function of (dataset, options): two builds give
+// the same tree — node count, leaf chain, fat-factor, and construction
+// stats — and both validate.
+TEST(MTreeBulkLoad, BuildIsDeterministic) {
   EuclideanMetric metric;
   for (uint64_t seed : {13u, 99u}) {
     for (size_t n : {120u, 700u}) {
       for (size_t capacity : {4u, 25u}) {
         const Dataset dataset = MakeClusteredDataset(n, 2, seed);
-        MTree serial(dataset, metric, BulkOptions(capacity, seed));
-        ASSERT_TRUE(serial.Build().ok());
-        ASSERT_TRUE(serial.Validate().ok()) << serial.Validate().ToString();
-        for (size_t threads : {1u, 2u, 4u, 8u}) {
-          ThreadPool pool(threads);
-          MTree parallel(dataset, metric, BulkOptions(capacity, seed));
-          ASSERT_TRUE(parallel.Build(&pool).ok());
-          const std::string label = "seed=" + std::to_string(seed) +
-                                    " n=" + std::to_string(n) +
-                                    " cap=" + std::to_string(capacity) +
-                                    " threads=" + std::to_string(threads);
-          EXPECT_EQ(serial.num_nodes(), parallel.num_nodes()) << label;
-          EXPECT_EQ(serial.LeafOrder(), parallel.LeafOrder()) << label;
-          EXPECT_EQ(serial.FatFactor(), parallel.FatFactor()) << label;
-          EXPECT_TRUE(serial.stats() == parallel.stats())
-              << label << ": construction stats diverged (node_accesses "
-              << serial.stats().node_accesses << " vs "
-              << parallel.stats().node_accesses << ", distances "
-              << serial.stats().distance_computations << " vs "
-              << parallel.stats().distance_computations << ")";
-          EXPECT_TRUE(parallel.Validate().ok())
-              << label << ": " << parallel.Validate().ToString();
-        }
+        MTree first(dataset, metric, BulkOptions(capacity, seed));
+        MTree second(dataset, metric, BulkOptions(capacity, seed));
+        ASSERT_TRUE(first.Build().ok());
+        ASSERT_TRUE(second.Build().ok());
+        const std::string label = "seed=" + std::to_string(seed) +
+                                  " n=" + std::to_string(n) +
+                                  " cap=" + std::to_string(capacity);
+        EXPECT_EQ(first.num_nodes(), second.num_nodes()) << label;
+        EXPECT_EQ(first.LeafOrder(), second.LeafOrder()) << label;
+        EXPECT_EQ(first.FatFactor(), second.FatFactor()) << label;
+        EXPECT_TRUE(first.stats() == second.stats()) << label;
+        EXPECT_TRUE(first.Validate().ok())
+            << label << ": " << first.Validate().ToString();
       }
     }
   }

@@ -569,28 +569,42 @@ struct PinResult {
   AccessStats stats;
 };
 
-PinResult RunPin(MetricKind kind, BuildStrategy build, PinQuery query) {
-  const bool hamming = kind == MetricKind::kHamming;
-  const Dataset d =
-      hamming ? MakeCamerasDataset() : MakeUniformDataset(600, 3, 5);
-  double radius = 0.2;
+// The tree a pin row runs on. Hamming rows use the cameras dataset (dim 7);
+// the others a uniform dataset of `dim` coordinates, larger at the paper's
+// default capacity so the tree still has three levels.
+struct PinShape {
+  size_t dim;
+  size_t capacity;
+};
+
+// The original table's shape: dim 3 (cameras: 7) at capacity 10, a few
+// levels, so every path is exercised.
+constexpr PinShape kSmallShape = {3, 10};
+
+double PinRadius(MetricKind kind, size_t dim) {
   switch (kind) {
     case MetricKind::kEuclidean:
-      radius = 0.2;
-      break;
+      return dim == 2 ? 0.1 : dim == 8 ? 0.6 : 0.2;
     case MetricKind::kManhattan:
-      radius = 0.3;
-      break;
+      return dim == 2 ? 0.14 : dim == 8 ? 1.4 : 0.3;
     case MetricKind::kChebyshev:
-      radius = 0.15;
-      break;
+      return dim == 2 ? 0.07 : dim == 8 ? 0.4 : 0.15;
     case MetricKind::kHamming:
-      radius = 3.0;
-      break;
+      return 3.0;
   }
+  return 0.2;
+}
+
+PinResult RunPin(MetricKind kind, BuildStrategy build, PinQuery query,
+                 PinShape shape = kSmallShape) {
+  const bool hamming = kind == MetricKind::kHamming;
+  const size_t n = shape.capacity <= 10 ? 600 : 2500;
+  const Dataset d =
+      hamming ? MakeCamerasDataset() : MakeUniformDataset(n, shape.dim, 5);
+  const double radius = PinRadius(kind, shape.dim);
   std::unique_ptr<DistanceMetric> metric = MakeMetric(kind);
   MTreeOptions options;
-  options.node_capacity = 10;  // a few levels, so every path is exercised
+  options.node_capacity = shape.capacity;
   options.build.strategy = build;
   MTree tree(d, *metric, options);
   PinResult result;
@@ -678,11 +692,12 @@ PinResult RunPin(MetricKind kind, BuildStrategy build, PinQuery query) {
 }
 
 std::string PinRowText(MetricKind kind, BuildStrategy build, PinQuery query,
-                       const PinResult& r) {
+                       const PinResult& r, const char* shape = "") {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{MetricKind::k%s, %s, PinQuery::%s, 0x%016llxULL, "
+                "{%sMetricKind::k%s, %s, PinQuery::%s, 0x%016llxULL, "
                 "{%llu, %llu, %llu}},",
+                shape,
                 kind == MetricKind::kEuclidean   ? "Euclidean"
                 : kind == MetricKind::kManhattan ? "Manhattan"
                 : kind == MetricKind::kChebyshev ? "Chebyshev"
@@ -782,6 +797,262 @@ const PinRow kPinnedQueries[] = {
     {MetricKind::kHamming, kBulk, PinQuery::kBuildCounts, 0x52155bc29cfb42e3ULL, {58233, 579, 263734}},
 };
 
+// The same pins on the other tree shapes: dims 2 and 8 (the search loop's
+// compile-time dimensions), the paper's default capacity 50 next to 10, and
+// dims 3 and 7 at capacity 50.
+struct ShapePinRow {
+  PinShape shape;
+  PinRow row;
+};
+
+std::string ShapePrefix(PinShape shape) {
+  return "{" + std::to_string(shape.dim) + ", " +
+         std::to_string(shape.capacity) + "}, ";
+}
+
+const ShapePinRow kPinnedShapes[] = {
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundAll, 0x1e7c66ef6067809eULL, {2020, 86, 7618}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kPointAll, 0x934ba6a9a29b22e0ULL, {2020, 86, 7704}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundWhite, 0x1af448fc6586948dULL, {1327, 86, 2886}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kPointWhite, 0x3fc8d0b5ba0098dbULL, {1327, 86, 2896}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUp, 0x81f1e1ec4ea70e21ULL, {1389, 86, 2841}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUpGreyStop, 0x3aaf22aaddfd7689ULL, {1223, 86, 2534}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kLeafMates, 0xfcd0220cc86f142eULL, {86, 0, 543}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsSerial, 0x6ef65bf42a4ff333ULL, {14386, 600, 54345}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsPooled, 0x6ef65bf42a4ff333ULL, {14386, 600, 54345}},
+    {{2, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kBuildCounts, 0x6ef65bf42a4ff333ULL, {10050, 599, 42135}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundAll, 0xfb965075a930f5aaULL, {1565, 86, 6034}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kPointAll, 0xf0ce2a17b791b580ULL, {1565, 86, 6120}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundWhite, 0x5d73be78bee2248eULL, {1088, 86, 2472}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kPointWhite, 0xb9f734ea43837402ULL, {1088, 86, 2492}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUp, 0x7333ac637a0c931aULL, {1148, 86, 2460}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUpGreyStop, 0x54adffeae07f4fddULL, {962, 86, 2069}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kLeafMates, 0x92e1e18a2eb67070ULL, {86, 0, 540}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsSerial, 0x6ef65bf42a4ff333ULL, {11148, 600, 43134}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsPooled, 0x6ef65bf42a4ff333ULL, {11148, 600, 43134}},
+    {{2, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kBuildCounts, 0x6ef65bf42a4ff333ULL, {11264, 600, 54772}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kAroundAll, 0xebdf7061bca198f7ULL, {1928, 86, 7971}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kPointAll, 0x9aa761784955a827ULL, {1928, 86, 8057}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kAroundWhite, 0x10c61c63022c257cULL, {1316, 86, 3094}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kPointWhite, 0x919d48166cd4cecbULL, {1316, 86, 3107}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUp, 0xdd2c425aebe0d680ULL, {1377, 86, 3075}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUpGreyStop, 0xcb079fdc3c0afdb4ULL, {1179, 86, 2642}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kLeafMates, 0xe97f981436f78650ULL, {86, 0, 506}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kCountsSerial, 0x2b15729ad3e5a05dULL, {13489, 600, 56308}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kCountsPooled, 0x2b15729ad3e5a05dULL, {13489, 600, 56308}},
+    {{2, 10}, MetricKind::kManhattan, kInsert, PinQuery::kBuildCounts, 0x2b15729ad3e5a05dULL, {10086, 599, 43800}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kAroundAll, 0xc9fb3ee329b68a3fULL, {1595, 86, 6977}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kPointAll, 0x4b4c375b6f891277ULL, {1595, 86, 7063}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kAroundWhite, 0xeaa063e8d46e4279ULL, {1038, 86, 2409}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kPointWhite, 0x4489ccbd3a60e044ULL, {1038, 86, 2423}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUp, 0xdc941d42a178ae15ULL, {1096, 86, 2407}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUpGreyStop, 0x5b7dcd978cef14e1ULL, {936, 86, 2097}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kLeafMates, 0x529ad0f20714e452ULL, {86, 0, 530}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kCountsSerial, 0x2b15729ad3e5a05dULL, {11442, 600, 50188}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kCountsPooled, 0x2b15729ad3e5a05dULL, {11442, 600, 50188}},
+    {{2, 10}, MetricKind::kManhattan, kBulk, PinQuery::kBuildCounts, 0x2b15729ad3e5a05dULL, {11552, 600, 61655}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundAll, 0x75503a7277d97594ULL, {6809, 358, 95326}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kPointAll, 0xdc71a42e91975ac5ULL, {6809, 358, 95684}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundWhite, 0xb735f159570c524bULL, {3603, 358, 18770}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kPointWhite, 0x11e3f98b893ab070ULL, {3603, 358, 18844}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUp, 0x16d8dea9a9ba6aefULL, {3781, 358, 19762}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUpGreyStop, 0x16d8dea9a9ba6aefULL, {3781, 358, 19762}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kLeafMates, 0xb28d876c046e55c3ULL, {358, 0, 12431}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsSerial, 0x4de1111664cfc34fULL, {46932, 2500, 656472}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsPooled, 0x4de1111664cfc34fULL, {46932, 2500, 656472}},
+    {{2, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBuildCounts, 0x4de1111664cfc34fULL, {32654, 2499, 481125}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundAll, 0x7a10d252ee0eab6cULL, {4971, 358, 85816}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kPointAll, 0xa3e56b3277c96d51ULL, {4971, 358, 86174}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundWhite, 0xdd4030235b10904bULL, {3077, 358, 22135}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kPointWhite, 0xe570d2c9875bcccdULL, {3077, 358, 22197}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUp, 0xc15029a09d0ef84fULL, {3253, 358, 24192}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUpGreyStop, 0xc15029a09d0ef84fULL, {3253, 358, 24192}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kLeafMates, 0xc9ca3bffb3dccccbULL, {358, 0, 12002}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsSerial, 0x4de1111664cfc34fULL, {34248, 2500, 598523}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsPooled, 0x4de1111664cfc34fULL, {34248, 2500, 598523}},
+    {{2, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBuildCounts, 0x4de1111664cfc34fULL, {34336, 2500, 640632}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kAroundAll, 0x49e94d9a4a38d908ULL, {6665, 358, 103945}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kPointAll, 0xa0f934f26da1523dULL, {6665, 358, 104303}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kAroundWhite, 0x3a5b21dae0b95a09ULL, {3886, 358, 22298}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kPointWhite, 0x30ed9bb7040eb956ULL, {3886, 358, 22362}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUp, 0x19e757de654135cdULL, {4053, 358, 23579}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUpGreyStop, 0x19e757de654135cdULL, {4053, 358, 23579}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kLeafMates, 0x8efb6c691bd3dc8dULL, {358, 0, 13409}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kCountsSerial, 0xb4126e29fea165bfULL, {45870, 2500, 720077}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kCountsPooled, 0xb4126e29fea165bfULL, {45870, 2500, 720077}},
+    {{2, 50}, MetricKind::kManhattan, kInsert, PinQuery::kBuildCounts, 0xb4126e29fea165bfULL, {35048, 2499, 519308}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kAroundAll, 0x06149fa019df3584ULL, {5425, 358, 88332}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kPointAll, 0xb899659428f0dcb9ULL, {5425, 358, 88690}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kAroundWhite, 0xb9fadc05dc9a2e2dULL, {3181, 358, 21583}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kPointWhite, 0x474c09cfcbc9490dULL, {3181, 358, 21641}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUp, 0x2f7db6690521d879ULL, {3490, 358, 22900}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUpGreyStop, 0x46be9246649a2b29ULL, {2912, 358, 20037}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kLeafMates, 0x47b235ac9c51c5a5ULL, {358, 0, 11542}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kCountsSerial, 0xb4126e29fea165bfULL, {37431, 2500, 611799}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kCountsPooled, 0xb4126e29fea165bfULL, {37431, 2500, 611799}},
+    {{2, 50}, MetricKind::kManhattan, kBulk, PinQuery::kBuildCounts, 0xb4126e29fea165bfULL, {37519, 2500, 653924}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kAroundAll, 0x4e1b3747f57ffe6fULL, {6499, 358, 78227}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kPointAll, 0x0f120b140fc4e39eULL, {6499, 358, 78585}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kAroundWhite, 0x76e239251f3085a2ULL, {3753, 358, 17930}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kPointWhite, 0x16a824ece98830ffULL, {3753, 358, 17993}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kBottomUp, 0x37e60f16236d9eb2ULL, {3934, 358, 19433}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kBottomUpGreyStop, 0x37e60f16236d9eb2ULL, {3934, 358, 19433}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kLeafMates, 0xddaf3d26b707e35dULL, {358, 0, 12391}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kCountsSerial, 0xa2e48de499053c4bULL, {45153, 2500, 543142}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kCountsPooled, 0xa2e48de499053c4bULL, {45153, 2500, 543142}},
+    {{2, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kBuildCounts, 0xa2e48de499053c4bULL, {31134, 2499, 414987}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kAroundAll, 0xf518e7d969de84cbULL, {4323, 358, 60447}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kPointAll, 0x98bb51ccea8e6d66ULL, {4323, 358, 60805}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kAroundWhite, 0xace79a72f3a351dbULL, {2786, 358, 13784}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kPointWhite, 0x93a1103463372071ULL, {2786, 358, 13840}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kBottomUp, 0xbc579de92de6f21bULL, {2966, 358, 16200}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kBottomUpGreyStop, 0xbc579de92de6f21bULL, {2966, 358, 16200}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kLeafMates, 0x534e9d2eaf8e5f52ULL, {358, 0, 11914}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kCountsSerial, 0xa2e48de499053c4bULL, {30059, 2500, 420919}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kCountsPooled, 0xa2e48de499053c4bULL, {30059, 2500, 420919}},
+    {{2, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kBuildCounts, 0xa2e48de499053c4bULL, {30147, 2500, 463193}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundAll, 0x28110f61b559aa00ULL, {8910, 86, 40299}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kPointAll, 0x014dfc486bf44b06ULL, {8910, 86, 40385}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundWhite, 0x76eec3b347a3d4ffULL, {5101, 86, 10538}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kPointWhite, 0x706603c56242bfa5ULL, {5101, 86, 10552}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUp, 0xfd463ced449d9053ULL, {5149, 86, 10415}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUpGreyStop, 0xe777799b838334d8ULL, {4422, 86, 8978}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kLeafMates, 0x22b701fef0c2c9d2ULL, {86, 0, 523}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsSerial, 0xa6fff633715f6f0fULL, {60762, 600, 273766}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsPooled, 0xa6fff633715f6f0fULL, {60762, 600, 273766}},
+    {{8, 10}, MetricKind::kEuclidean, kInsert, PinQuery::kBuildCounts, 0xa6fff633715f6f0fULL, {31389, 599, 152080}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundAll, 0xeb2cb8a96c1b0794ULL, {8605, 86, 39423}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kPointAll, 0xdebc866ab6747b9aULL, {8605, 86, 39509}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundWhite, 0xb6328ed1247a46f1ULL, {5162, 86, 10445}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kPointWhite, 0xfecfa91c27131cdeULL, {5162, 86, 10459}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUp, 0x72ce408ede1b9311ULL, {5209, 86, 10321}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUpGreyStop, 0x355f0459551a9e07ULL, {5098, 86, 10116}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kLeafMates, 0x1cba8b79c637e40fULL, {86, 0, 566}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsSerial, 0xa6fff633715f6f0fULL, {58835, 600, 266805}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsPooled, 0xa6fff633715f6f0fULL, {58835, 600, 266805}},
+    {{8, 10}, MetricKind::kEuclidean, kBulk, PinQuery::kBuildCounts, 0xa6fff633715f6f0fULL, {58950, 600, 278474}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kAroundAll, 0x42718ab74f869578ULL, {8348, 86, 37570}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kPointAll, 0x5ffe019abbd73414ULL, {8348, 86, 37656}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kAroundWhite, 0x1fcc9eaef4da971cULL, {4577, 86, 9943}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kPointWhite, 0x354b01290892d454ULL, {4577, 86, 9957}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUp, 0xf057731a4694a7e4ULL, {4640, 86, 9835}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUpGreyStop, 0xe9d2942a6871f284ULL, {3614, 86, 7628}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kLeafMates, 0x81feb598644c75abULL, {86, 0, 533}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kCountsSerial, 0x421a4e17174ae6efULL, {56838, 600, 253728}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kCountsPooled, 0x421a4e17174ae6efULL, {56838, 600, 253728}},
+    {{8, 10}, MetricKind::kManhattan, kInsert, PinQuery::kBuildCounts, 0x421a4e17174ae6efULL, {30899, 599, 143842}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kAroundAll, 0xfb0b567faff4aa60ULL, {8233, 86, 39327}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kPointAll, 0x21caa3ede047dc68ULL, {8233, 86, 39413}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kAroundWhite, 0xd232250e8f143405ULL, {4768, 86, 10616}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kPointWhite, 0x9214df50b37b91f7ULL, {4768, 86, 10624}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUp, 0x5489af5a2f7eb389ULL, {4813, 86, 10490}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUpGreyStop, 0x5489af5a2f7eb389ULL, {4813, 86, 10490}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kLeafMates, 0xe990f92fa1abe74bULL, {86, 0, 523}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kCountsSerial, 0x421a4e17174ae6efULL, {56522, 600, 268113}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kCountsPooled, 0x421a4e17174ae6efULL, {56522, 600, 268113}},
+    {{8, 10}, MetricKind::kManhattan, kBulk, PinQuery::kBuildCounts, 0x421a4e17174ae6efULL, {56636, 600, 279669}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundAll, 0xc8e5054c5c7247b3ULL, {26823, 358, 589215}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kPointAll, 0x1168f8aa22e00cfaULL, {26823, 358, 589573}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundWhite, 0xbff252679506c478ULL, {14471, 358, 110820}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kPointWhite, 0xa4b0f49db27c2ee0ULL, {14471, 358, 110895}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUp, 0xfed36de496e28e14ULL, {14651, 358, 110645}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUpGreyStop, 0xfed36de496e28e14ULL, {14651, 358, 110645}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kLeafMates, 0x0f00dde4bc14c025ULL, {358, 0, 12977}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsSerial, 0x57bb906182417d7bULL, {186941, 2500, 4083140}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsPooled, 0x57bb906182417d7bULL, {186941, 2500, 4083140}},
+    {{8, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBuildCounts, 0x57bb906182417d7bULL, {100822, 2499, 2239654}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundAll, 0x9cc15da0a9e6c5b7ULL, {29696, 358, 637780}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kPointAll, 0x40a4506467ed4eaeULL, {29696, 358, 638138}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundWhite, 0xda9914397fa4cf26ULL, {16449, 358, 115106}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kPointWhite, 0x4831246c279f76f8ULL, {16449, 358, 115156}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUp, 0x48c88ffaafb9270eULL, {16625, 358, 114927}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUpGreyStop, 0x48c88ffaafb9270eULL, {16625, 358, 114927}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kLeafMates, 0xdfaf659b3fc41799ULL, {358, 0, 11799}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsSerial, 0x57bb906182417d7bULL, {206958, 2500, 4423592}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsPooled, 0x57bb906182417d7bULL, {206958, 2500, 4423592}},
+    {{8, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBuildCounts, 0x57bb906182417d7bULL, {207046, 2500, 4466828}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kAroundAll, 0xa125241984dc2d2bULL, {25138, 358, 558557}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kPointAll, 0x82c362fd3577b610ULL, {25138, 358, 558915}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kAroundWhite, 0x3eb05949371903b4ULL, {13084, 358, 105141}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kPointWhite, 0xcd0ba2f2e3c2669aULL, {13084, 358, 105192}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUp, 0x3f67e6574595f900ULL, {13279, 358, 104983}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kBottomUpGreyStop, 0x3f67e6574595f900ULL, {13279, 358, 104983}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kLeafMates, 0xace1412d765b3ec3ULL, {358, 0, 12653}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kCountsSerial, 0x80645ddc52ff8df3ULL, {175193, 2500, 3873061}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kCountsPooled, 0x80645ddc52ff8df3ULL, {175193, 2500, 3873061}},
+    {{8, 50}, MetricKind::kManhattan, kInsert, PinQuery::kBuildCounts, 0x80645ddc52ff8df3ULL, {94320, 2499, 2101511}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kAroundAll, 0x09fad6e84bf8ac7bULL, {28025, 358, 588625}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kPointAll, 0x856fb50d0f075d0cULL, {28025, 358, 588983}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kAroundWhite, 0x6af8b01371839987ULL, {14462, 358, 107570}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kPointWhite, 0xe07188bffc0610e0ULL, {14462, 358, 107630}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUp, 0x0e0286a58792c477ULL, {14645, 358, 107400}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kBottomUpGreyStop, 0x0e0286a58792c477ULL, {14645, 358, 107400}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kLeafMates, 0x1327044e3eca173eULL, {358, 0, 12024}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kCountsSerial, 0x80645ddc52ff8df3ULL, {195312, 2500, 4095673}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kCountsPooled, 0x80645ddc52ff8df3ULL, {195312, 2500, 4095673}},
+    {{8, 50}, MetricKind::kManhattan, kBulk, PinQuery::kBuildCounts, 0x80645ddc52ff8df3ULL, {195397, 2500, 4137239}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kAroundAll, 0xe3493b8ab1a20c23ULL, {27280, 358, 656189}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kPointAll, 0x0f76096d20438360ULL, {27280, 358, 656547}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kAroundWhite, 0x123579e615a0dfb9ULL, {13855, 358, 117355}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kPointWhite, 0xf66db46d8c2c9e58ULL, {13855, 358, 117411}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kBottomUp, 0x539d1eb2e44f9b6dULL, {14040, 358, 117182}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kBottomUpGreyStop, 0x539d1eb2e44f9b6dULL, {14040, 358, 117182}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kLeafMates, 0x8bae7985e2f62a93ULL, {358, 0, 12890}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kCountsSerial, 0x963048ec41ead385ULL, {190467, 2500, 4546000}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kCountsPooled, 0x963048ec41ead385ULL, {190467, 2500, 4546000}},
+    {{8, 50}, MetricKind::kChebyshev, kInsert, PinQuery::kBuildCounts, 0x963048ec41ead385ULL, {103106, 2499, 2486594}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kAroundAll, 0x744d1a5238c3e6ffULL, {29990, 358, 714270}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kPointAll, 0x14af04dc12ff761cULL, {29990, 358, 714628}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kAroundWhite, 0x208a45caaaeb3682ULL, {17144, 358, 127022}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kPointWhite, 0x5fa98973c674ef16ULL, {17144, 358, 127082}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kBottomUp, 0xf8ffef2368f6708eULL, {17325, 358, 126845}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kBottomUpGreyStop, 0xf8ffef2368f6708eULL, {17325, 358, 126845}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kLeafMates, 0xff0deaf6c9ce3beaULL, {358, 0, 12920}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kCountsSerial, 0x963048ec41ead385ULL, {209250, 2500, 4951408}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kCountsPooled, 0x963048ec41ead385ULL, {209250, 2500, 4951408}},
+    {{8, 50}, MetricKind::kChebyshev, kBulk, PinQuery::kBuildCounts, 0x963048ec41ead385ULL, {209336, 2500, 4994042}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundAll, 0x6bb66899c20eeb25ULL, {10920, 358, 159624}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kPointAll, 0xf24632975be89456ULL, {10920, 358, 159982}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kAroundWhite, 0xc01c176945e1256cULL, {6021, 358, 31575}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kPointWhite, 0xd1ef8d48b16b582aULL, {6021, 358, 31624}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUp, 0x6378088f9604cda8ULL, {6212, 358, 31737}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBottomUpGreyStop, 0x6378088f9604cda8ULL, {6212, 358, 31737}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kLeafMates, 0xf94d47531acf3be4ULL, {358, 0, 12730}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsSerial, 0x8211dfe67da7e625ULL, {76223, 2500, 1119786}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kCountsPooled, 0x8211dfe67da7e625ULL, {76223, 2500, 1119786}},
+    {{3, 50}, MetricKind::kEuclidean, kInsert, PinQuery::kBuildCounts, 0x8211dfe67da7e625ULL, {49009, 2499, 717086}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundAll, 0x93a039758497cd99ULL, {8995, 358, 145047}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kPointAll, 0x85b97ae445241d1aULL, {8995, 358, 145405}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kAroundWhite, 0xa16e235643d7c775ULL, {4976, 358, 33298}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kPointWhite, 0x4ee12838489f9aa1ULL, {4976, 358, 33355}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUp, 0x084fb48237022fddULL, {5128, 358, 34143}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBottomUpGreyStop, 0x084fb48237022fddULL, {5128, 358, 34143}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kLeafMates, 0xd819eed59bbbdc53ULL, {358, 0, 12377}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsSerial, 0x8211dfe67da7e625ULL, {62893, 2500, 1020556}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kCountsPooled, 0x8211dfe67da7e625ULL, {62893, 2500, 1020556}},
+    {{3, 50}, MetricKind::kEuclidean, kBulk, PinQuery::kBuildCounts, 0x8211dfe67da7e625ULL, {62980, 2500, 1063352}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kAroundAll, 0xe520895c4c31629eULL, {1660, 83, 42672}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kPointAll, 0xff2f3b345da02e53ULL, {1660, 83, 42755}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kAroundWhite, 0x81913cefd759111dULL, {830, 83, 7816}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kPointWhite, 0x49d15f1cd2bf0540ULL, {830, 83, 7833}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kBottomUp, 0xcf3b47fd4787fb61ULL, {872, 83, 7858}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kBottomUpGreyStop, 0xcf3b47fd4787fb61ULL, {872, 83, 7858}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kLeafMates, 0x44cee435392f2863ULL, {83, 0, 2779}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kCountsSerial, 0x52155bc29cfb42e3ULL, {11580, 579, 298016}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kCountsPooled, 0x52155bc29cfb42e3ULL, {11580, 579, 298016}},
+    {{7, 50}, MetricKind::kHamming, kInsert, PinQuery::kBuildCounts, 0x52155bc29cfb42e3ULL, {6723, 578, 159386}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kAroundAll, 0xfb9663e7b7bd32aeULL, {1726, 83, 40797}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kPointAll, 0xd62d00885fcb71c7ULL, {1726, 83, 40880}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kAroundWhite, 0x0e536f406af1a2c8ULL, {979, 83, 7117}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kPointWhite, 0xe10c18b1cdd609abULL, {979, 83, 7132}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kBottomUp, 0x63088a8c29d91988ULL, {1015, 83, 7153}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kBottomUpGreyStop, 0x63088a8c29d91988ULL, {1015, 83, 7153}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kLeafMates, 0x73de6f5f0a3190ffULL, {83, 0, 2722}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kCountsSerial, 0x52155bc29cfb42e3ULL, {12017, 579, 285806}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kCountsPooled, 0x52155bc29cfb42e3ULL, {12017, 579, 285806}},
+    {{7, 50}, MetricKind::kHamming, kBulk, PinQuery::kBuildCounts, 0x52155bc29cfb42e3ULL, {12038, 579, 292140}},
+};
+
 TEST(MTreeQueryContractTest, IdsOrderDistancesAndStatsArePinned) {
   ASSERT_EQ(std::size(kPinnedQueries), 4u * 2u * 10u);
   for (const PinRow& row : kPinnedQueries) {
@@ -790,6 +1061,17 @@ TEST(MTreeQueryContractTest, IdsOrderDistancesAndStatsArePinned) {
         row.metric, row.build, row.query, PinResult{row.ids_hash, row.stats});
     EXPECT_EQ(PinRowText(row.metric, row.build, row.query, actual),
               expected_text);
+  }
+  ASSERT_EQ(std::size(kPinnedShapes), 24u * 10u);
+  for (const ShapePinRow& pin : kPinnedShapes) {
+    const PinRow& row = pin.row;
+    const std::string shape = ShapePrefix(pin.shape);
+    const PinResult actual = RunPin(row.metric, row.build, row.query,
+                                    pin.shape);
+    EXPECT_EQ(
+        PinRowText(row.metric, row.build, row.query, actual, shape.c_str()),
+        PinRowText(row.metric, row.build, row.query,
+                   PinResult{row.ids_hash, row.stats}, shape.c_str()));
   }
 }
 

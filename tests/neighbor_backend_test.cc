@@ -37,8 +37,8 @@ NeighborBackendOptions Options(NeighborBackendKind kind) {
 
 std::unique_ptr<NeighborBackend> MustCreate(
     const Dataset& dataset, const DistanceMetric& metric,
-    const NeighborBackendOptions& options, ThreadPool* pool = nullptr) {
-  auto backend = CreateNeighborBackend(dataset, metric, options, pool);
+    const NeighborBackendOptions& options) {
+  auto backend = CreateNeighborBackend(dataset, metric, options);
   EXPECT_TRUE(backend.ok()) << backend.status().ToString();
   return backend.ok() ? std::move(backend).value() : nullptr;
 }
@@ -199,9 +199,8 @@ TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForBothKinds) {
 TEST(NeighborBackendTest, ExactKindBulkLoadsThePaperDefaultTree) {
   const Dataset dataset = MakeClusteredDataset(600, 2, 3);
   EuclideanMetric metric;
-  ThreadPool pool(4);
-  auto backend = MustCreate(dataset, metric,
-                            Options(NeighborBackendKind::kExact), &pool);
+  auto backend =
+      MustCreate(dataset, metric, Options(NeighborBackendKind::kExact));
   ASSERT_NE(backend, nullptr);
   const MTree& tree = static_cast<const ExactMTreeBackend&>(*backend).tree();
   EXPECT_EQ(tree.options().build.strategy, BuildStrategy::kBulkLoad);

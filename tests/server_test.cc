@@ -285,6 +285,27 @@ TEST(SessionManagerTest, ProvidedDatasetsAreNeverPooled) {
   EXPECT_EQ(manager.stats().idle_engines, 0u);
 }
 
+TEST(SessionManagerTest, EvictedEnginesGoToTheDisposer) {
+  SessionManager manager(/*max_idle_engines=*/1);
+  std::vector<std::unique_ptr<DiscEngine>> disposed;
+  manager.SetEngineDisposer([&](std::unique_ptr<DiscEngine> engine) {
+    disposed.push_back(std::move(engine));
+  });
+  ASSERT_TRUE(manager.Acquire(TestConfig(120, 1)).ok());  // released at once
+  EXPECT_TRUE(disposed.empty());
+  ASSERT_TRUE(manager.Acquire(TestConfig(140, 2)).ok());  // evicts n=120
+  ASSERT_EQ(disposed.size(), 1u);
+  EXPECT_EQ(disposed[0]->dataset().size(), 120u);
+  // An unpoolable engine is evicted at release, through the same hook.
+  EngineConfig provided;
+  provided.dataset = DatasetSpec::Provided(MakeUniformDataset(50, 2, 3));
+  ASSERT_TRUE(manager.Acquire(provided).ok());
+  ASSERT_EQ(disposed.size(), 2u);
+  EXPECT_EQ(disposed[1]->dataset().size(), 50u);
+  EXPECT_EQ(manager.stats().engines_evicted, 2u);
+  EXPECT_EQ(manager.stats().idle_engines, 1u);
+}
+
 TEST(SessionManagerTest, PrewarmBuildsEnginesConcurrentlyIntoThePool) {
   SessionManager manager(/*max_idle_engines=*/8);
   std::vector<EngineConfig> configs = {TestConfig(300, 1), TestConfig(300, 2)};
