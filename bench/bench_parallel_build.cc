@@ -12,8 +12,8 @@
 //     index, and counts passes are reported for trend watching but not
 //     gated — they are memory/allocator-bound and noisier on CI runners).
 //
-// The benchmarks cover the NeighborhoodGraph build paths (brute, grid, and
-// the index-backed FromBackend path over ExactMTreeBackend) plus the
+// The benchmarks cover the G_r build paths (NeighborhoodGraph's brute and
+// grid builds, and the index-backed MTree::BuildNeighborhoods) plus the
 // engine's neighborhood-count pass — the passes rewired onto
 // util/parallel.h. Wall times land in google-benchmark's real_time; the
 // deterministic counters double as the cross-leg identity proof. The grid
@@ -32,7 +32,7 @@
 #include "bench/common.h"
 #include "graph/neighborhood.h"
 #include "neighbor/adjacency.h"
-#include "neighbor/exact_backend.h"
+#include "mtree/mtree.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -149,15 +149,17 @@ void BM_GraphGrid(benchmark::State& state, size_t n) {
   RunGraphGrid(state, "grid", Clustered(n, 2), 0.03, BenchPool());
 }
 
-// Index-backed path (one range query per object) through ExactMTreeBackend
-// over a bulk-loaded tree (the backend's default options: capacity 50,
-// MinOverlap, seed 42); node accesses must be bit-identical across legs
-// (per-thread sinks summed).
+// Index-backed path (one range query per object): MTree::BuildNeighborhoods
+// over a bulk-loaded tree (capacity 50, MinOverlap, seed 42); node accesses
+// must be bit-identical across legs (per-thread sinks summed).
 void BM_GraphIndex(benchmark::State& state, size_t n) {
   const Dataset& dataset = Clustered(n, 2);
-  auto backend = ExactMTreeBackend::Create(dataset, Euclidean());
-  if (!backend.ok()) {
-    state.SkipWithError(backend.status().ToString().c_str());
+  MTreeOptions options;
+  options.build.strategy = BuildStrategy::kBulkLoad;
+  MTree tree(dataset, Euclidean(), options);
+  const Status built = tree.Build();
+  if (!built.ok()) {
+    state.SkipWithError(built.ToString().c_str());
     return;
   }
   const double radius = 0.03;
@@ -165,20 +167,15 @@ void BM_GraphIndex(benchmark::State& state, size_t n) {
   uint64_t edges = 0;
   uint32_t checksum = 0;
   for (auto _ : state) {
-    (*backend)->ResetStats();
+    tree.ResetStats();
     Stopwatch watch;
-    auto graph =
-        NeighborhoodGraph::FromBackend(**backend, radius, BenchPool());
+    const CsrAdjacency adjacency = tree.BuildNeighborhoods(radius, BenchPool());
     ms = watch.ElapsedMillis();
-    if (!graph.ok()) {
-      state.SkipWithError(graph.status().ToString().c_str());
-      return;
-    }
-    edges = graph->num_edges();
-    checksum = AdjacencyChecksum(graph->adjacency());
+    edges = adjacency.num_edges();
+    checksum = AdjacencyChecksum(adjacency);
     benchmark::DoNotOptimize(checksum);
   }
-  const AccessStats& stats = (*backend)->stats();
+  const AccessStats& stats = tree.stats();
   state.counters["edges"] = static_cast<double>(edges);
   state.counters["adjacency_checksum"] = checksum;
   state.counters["node_accesses"] = static_cast<double>(stats.node_accesses);

@@ -78,12 +78,10 @@ Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
                                 config.tree);
     DISC_RETURN_NOT_OK(engine->tree_->Build());
   } else {
-    // Graph mode: the grid backend computes N_r(p); no tree is ever built
-    // (where the grid applies, one global M-tree would not scale).
-    DISC_ASSIGN_OR_RETURN(
-        engine->backend_,
-        CreateNeighborBackend(engine->dataset_, *engine->metric_,
-                              config.neighbor));
+    // Graph mode: the grid-or-scan builder computes N_r(p); no tree is ever
+    // built (where the grid applies, one global M-tree would not scale).
+    engine->backend_ =
+        std::make_unique<NeighborBackend>(engine->dataset_, *engine->metric_);
   }
   return engine;
 }

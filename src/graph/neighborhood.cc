@@ -2,32 +2,18 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
 
 namespace disc {
-
-namespace {
-
-CsrAdjacency BuildDirect(const Dataset& dataset, const DistanceMetric& metric,
-                         double radius, ThreadPool* pool) {
-  if (GridCompatible(metric, dataset.dim(), dataset.size())) {
-    return BuildAdjacencyWithGrid(dataset, metric, radius, pool);
-  }
-  return BuildAdjacencyBruteForce(dataset, metric, radius, pool);
-}
-
-}  // namespace
 
 NeighborhoodGraph::NeighborhoodGraph(const Dataset& dataset,
                                      const DistanceMetric& metric,
                                      double radius, ThreadPool* pool)
-    : NeighborhoodGraph(radius, BuildDirect(dataset, metric, radius, pool)) {}
+    : NeighborhoodGraph(radius,
+                        BuildAdjacency(dataset, metric, radius, pool)) {}
 
 Result<NeighborhoodGraph> NeighborhoodGraph::FromBackend(
     const NeighborBackend& backend, double radius, ThreadPool* pool) {
-  DISC_ASSIGN_OR_RETURN(CsrAdjacency adjacency,
-                        backend.BuildNeighborhoods(radius, pool));
-  return NeighborhoodGraph(radius, std::move(adjacency));
+  return NeighborhoodGraph(radius, backend.BuildNeighborhoods(radius, pool));
 }
 
 size_t NeighborhoodGraph::MaxDegree() const {

@@ -6,16 +6,15 @@
 // brute-force reference algorithms, and backs the structural verifiers.
 //
 // Construction is the r-neighborhood computation that dominates every DisC
-// pass (N_r(p) for all p, §4–§6). The direct constructor delegates to the
-// shared adjacency builders in neighbor/adjacency.h (grid accelerator or
-// exact O(n^2) scan), and FromBackend builds the graph through either
-// NeighborBackend (neighbor/backend.h): the index-backed path (one M-tree
-// range query per object, ExactMTreeBackend) or the grid. Both plug into
-// everything defined on this graph and build the same exact graph. Either
-// way the graph adopts the CsrAdjacency the builder returns, rows already
-// sorted. Both paths accept an optional util/parallel.h thread pool and
-// follow its determinism contract, so the graph is byte-identical to the
-// serial build for every thread count.
+// pass (N_r(p) for all p, §4–§6). Both entry points run the one graph
+// builder, BuildAdjacency (neighbor/backend.h): the uniform-grid accelerator
+// where it applies, else the exact O(n^2) scan. The direct constructor calls
+// it as is; FromBackend calls it through graph mode's NeighborBackend,
+// charging the backend's stats(). Either way the graph adopts the
+// CsrAdjacency the builder returns, rows already sorted, and is
+// byte-identical to the serial build for every util/parallel.h thread pool.
+// The index-backed G_r (one M-tree range query per object) is
+// MTree::BuildNeighborhoods, which returns the same CsrAdjacency.
 
 #ifndef DISC_GRAPH_NEIGHBORHOOD_H_
 #define DISC_GRAPH_NEIGHBORHOOD_H_
@@ -46,9 +45,9 @@ class NeighborhoodGraph {
   NeighborhoodGraph(const Dataset& dataset, const DistanceMetric& metric,
                     double radius, ThreadPool* pool = nullptr);
 
-  /// Builds the graph through a pluggable neighbor backend
+  /// Builds the graph through graph mode's NeighborBackend
   /// (neighbor/backend.h): exactly the graph the constructor above
-  /// produces. Accounting goes to the backend's stats().
+  /// produces. Accounting goes to the backend's stats(); never fails.
   static Result<NeighborhoodGraph> FromBackend(const NeighborBackend& backend,
                                                double radius,
                                                ThreadPool* pool = nullptr);

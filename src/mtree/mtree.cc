@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/parallel.h"
@@ -118,43 +119,86 @@ Status MTree::BuildWithNeighborCounts(double radius,
   return Status::OK();
 }
 
-void MTree::ComputeNeighborCountsPostBuild(double radius,
-                                           std::vector<uint32_t>* counts,
-                                           ThreadPool* pool) {
+template <typename Chunk, typename Row, typename Merge>
+void MTree::ForEachNeighborhood(double radius, ThreadPool* pool, Row&& row,
+                                Merge&& merge) const {
   assert(built_);
-  counts->assign(dataset_.size(), 0);
-  if (pool == nullptr || pool->threads() <= 1) {
-    std::vector<Neighbor> found;
-    for (ObjectId id = 0; id < dataset_.size(); ++id) {
-      found.clear();
-      RangeQueryAround(id, radius, QueryFilter::kAll, /*pruned=*/false,
-                       &found);
-      (*counts)[id] = static_cast<uint32_t>(found.size());
-    }
-    return;
-  }
-
-  // Each chunk queries under a private stats sink and writes its own slice
-  // of `counts`; sinks are summed back into stats_ in chunk order, so counts
-  // and totals are exactly the serial pass's (integer sums are exact in any
-  // order; the fixed chunk order keeps the contract byte-for-byte).
+  struct Sink {
+    Chunk chunk;
+    AccessStats stats;
+  };
+  // Integer sums are exact in any order; the fixed chunk order keeps every
+  // order-sensitive merge byte-for-byte the serial pass's.
   const size_t n = dataset_.size();
-  const size_t grain = RecommendedGrain(n, pool->threads());
-  ParallelOrderedReduce<AccessStats>(
+  const size_t grain = pool == nullptr || pool->threads() <= 1
+                           ? n
+                           : RecommendedGrain(n, pool->threads());
+  ParallelOrderedReduce<Sink>(
       pool, 0, n, grain,
       [&](size_t chunk_begin, size_t chunk_end) {
-        AccessStats local;
-        ThreadStatsScope scope(*this, &local);
+        Sink sink;
+        ThreadStatsScope scope(*this, &sink.stats);
         std::vector<Neighbor> found;
         for (size_t id = chunk_begin; id < chunk_end; ++id) {
           found.clear();
           RangeQueryAround(static_cast<ObjectId>(id), radius,
                            QueryFilter::kAll, /*pruned=*/false, &found);
-          (*counts)[id] = static_cast<uint32_t>(found.size());
+          row(sink.chunk, static_cast<ObjectId>(id), found);
         }
-        return local;
+        return sink;
       },
-      [&](AccessStats& local) { stats_ += local; });
+      [&](Sink& sink) {
+        stats_ += sink.stats;
+        merge(sink.chunk);
+      });
+}
+
+void MTree::ComputeNeighborCountsPostBuild(double radius,
+                                           std::vector<uint32_t>* counts,
+                                           ThreadPool* pool) {
+  // Each chunk writes its own slice of `counts`, so there is nothing to
+  // merge.
+  struct NoRows {};
+  counts->assign(dataset_.size(), 0);
+  ForEachNeighborhood<NoRows>(
+      radius, pool,
+      [counts](NoRows&, ObjectId id, const std::vector<Neighbor>& found) {
+        (*counts)[id] = static_cast<uint32_t>(found.size());
+      },
+      [](NoRows&) {});
+}
+
+CsrAdjacency MTree::BuildNeighborhoods(double radius, ThreadPool* pool) const {
+  // Each chunk concatenates its rows, already in id order, so chunks append
+  // straight into the CSR.
+  struct Rows {
+    decltype(CsrAdjacency::ids) ids;
+    std::vector<uint32_t> degrees;
+  };
+  CsrAdjacency adjacency(dataset_.size());
+  size_t next_row = 0;
+  ForEachNeighborhood<Rows>(
+      radius, pool,
+      [](Rows& rows, ObjectId, const std::vector<Neighbor>& found) {
+        const size_t row_begin = rows.ids.size();
+        for (const Neighbor& nb : found) rows.ids.push_back(nb.id);
+        std::sort(rows.ids.begin() + row_begin, rows.ids.end());
+        rows.degrees.push_back(static_cast<uint32_t>(found.size()));
+      },
+      [&](Rows& rows) {
+        if (adjacency.ids.empty()) {
+          adjacency.ids = std::move(rows.ids);
+        } else {
+          adjacency.ids.insert(adjacency.ids.end(), rows.ids.begin(),
+                               rows.ids.end());
+        }
+        for (uint32_t degree : rows.degrees) {
+          adjacency.offsets[next_row + 1] =
+              adjacency.offsets[next_row] + degree;
+          ++next_row;
+        }
+      });
+  return adjacency;
 }
 
 Status MTree::CheckBuildPreconditions() const {

@@ -13,6 +13,7 @@
 //    §5.1 pruning rule ("skip subtrees with no white objects") is O(1),
 //  * closest-black-neighbor distances per object (the §5.2 zooming rule),
 //  * white-neighborhood-size computation during build or as a post pass,
+//  * the index-backed G_r build (BuildNeighborhoods),
 //  * four node-splitting policies spanning the fat-factor range of Figure 10,
 //  * the fat-factor measure of tree quality (Traina et al.).
 // The nodes live in one index-addressed array, each node's entries in a
@@ -31,6 +32,7 @@
 #include "core/color.h"
 #include "data/dataset.h"
 #include "metric/metric.h"
+#include "neighbor/adjacency.h"
 #include "util/status.h"
 
 namespace disc {
@@ -197,14 +199,20 @@ class MTree {
   /// over the complete tree (the baseline the build-time variant beats).
   /// With a pool of more than one thread the object range is fanned out
   /// across per-thread read-only range queries (the tree structure is
-  /// immutable after build); each worker accounts its accesses to a private
-  /// AccessStats (see ThreadStatsScope) and the sinks are summed into
-  /// stats() in chunk order, so both the counts and the stats totals are
-  /// exactly the serial pass's. A null pool (or threads() <= 1) runs the
-  /// original serial loop.
+  /// immutable after build); each chunk accounts its accesses to a private
+  /// AccessStats and the sinks are summed into stats() in chunk order, so
+  /// both the counts and the stats totals are exactly the serial pass's.
   void ComputeNeighborCountsPostBuild(double radius,
                                       std::vector<uint32_t>* counts,
                                       ThreadPool* pool = nullptr);
+
+  /// G_r from the index: one unpruned RangeQueryAround per object, each row
+  /// sorted ascending, so the result equals NeighborhoodGraph's direct
+  /// build. Same fan-out and accounting as ComputeNeighborCountsPostBuild:
+  /// stats() gains one range query per object, and the rows and the stats
+  /// totals are identical at every thread count. Requires a built tree.
+  CsrAdjacency BuildNeighborhoods(double radius,
+                                  ThreadPool* pool = nullptr) const;
 
   // -- Queries ---------------------------------------------------------
 
@@ -310,27 +318,6 @@ class MTree {
   AccessStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = AccessStats{}; }
 
-  /// RAII redirect: while alive, every access this *thread* charges against
-  /// this tree lands in `sink` instead of stats(). The enabling primitive
-  /// for parallel read-only query fan-outs (ComputeNeighborCountsPostBuild
-  /// with a pool, ExactMTreeBackend's batched builds): each worker queries
-  /// under its own sink, and the caller sums the sinks into stats()
-  /// afterwards in deterministic order — totals stay exactly the serial
-  /// totals without the counters racing. Scopes nest (restores the previous
-  /// redirect); other threads are unaffected.
-  class ThreadStatsScope {
-   public:
-    ThreadStatsScope(const MTree& tree, AccessStats* sink);
-    ~ThreadStatsScope();
-
-    ThreadStatsScope(const ThreadStatsScope&) = delete;
-    ThreadStatsScope& operator=(const ThreadStatsScope&) = delete;
-
-   private:
-    const MTree* prev_tree_;
-    AccessStats* prev_sink_;
-  };
-
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;
   size_t height() const;
@@ -380,6 +367,35 @@ class MTree {
   /// The AccessStats the calling thread currently charges: the
   /// ThreadStatsScope sink when one is active for this tree, else stats_.
   AccessStats& LiveStats() const;
+  // RAII redirect: while alive, every access this *thread* charges against
+  // this tree lands in `sink` instead of stats_. ForEachNeighborhood's
+  // chunks each query under their own sink, and the sinks are summed into
+  // stats_ afterwards in chunk order — totals stay exactly the serial
+  // totals without the counters racing. Scopes nest (restores the previous
+  // redirect); other threads are unaffected.
+  class ThreadStatsScope {
+   public:
+    ThreadStatsScope(const MTree& tree, AccessStats* sink);
+    ~ThreadStatsScope();
+
+    ThreadStatsScope(const ThreadStatsScope&) = delete;
+    ThreadStatsScope& operator=(const ThreadStatsScope&) = delete;
+
+   private:
+    const MTree* prev_tree_;
+    AccessStats* prev_sink_;
+  };
+
+  // The per-object fan-out behind ComputeNeighborCountsPostBuild and
+  // BuildNeighborhoods: one unpruned RangeQueryAround per object, in chunks
+  // of RecommendedGrain across `pool` (one chunk without one), each chunk
+  // charging its own sink. row(chunk, id, found) runs for each object of a
+  // Chunk in id order; then, on the calling thread in ascending chunk
+  // order, the chunk's sink is summed into stats_ and merge(chunk) runs.
+  template <typename Chunk, typename Row, typename Merge>
+  void ForEachNeighborhood(double radius, ThreadPool* pool, Row&& row,
+                           Merge&& merge) const;
+
   // (Re)initializes the per-object arrays (leaf map, colors, closest-black
   // distances) for a build over the full dataset.
   void InitObjectState();

@@ -2,15 +2,12 @@
 //
 // CsrAdjacency is the one adjacency format: compressed sparse rows, i.e.
 // n + 1 offsets plus one id array, every row N_r(v) sorted ascending and
-// excluding v. NeighborhoodGraph wraps it, the neighbor backends produce it
-// (neighbor/backend.h), and the eval layer compares two of them.
+// excluding v. NeighborhoodGraph wraps it, and BuildAdjacency
+// (neighbor/backend.h) and MTree::BuildNeighborhoods produce it.
 //
 // The free functions are the two M-tree-free build paths: the exact O(n^2)
-// pairwise scan and the uniform-grid accelerator. They live in the neighbor
-// layer so both NeighborhoodGraph (the graph-layer facade) and the neighbor
-// backends share one implementation — the builders are the ground truth
-// every other backend is measured against, so there must be exactly one
-// copy of them.
+// pairwise scan and the uniform-grid accelerator. BuildAdjacency picks
+// between them (GridCompatible) for NeighborhoodGraph and graph mode alike.
 //
 // Both builders compute exactly one distance per unordered candidate pair
 // and leave every row sorted without a per-row sort, and both follow the

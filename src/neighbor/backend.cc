@@ -1,10 +1,8 @@
 #include "neighbor/backend.h"
 
+#include <cmath>
+#include <cstdint>
 #include <string>
-#include <utility>
-
-#include "neighbor/exact_backend.h"
-#include "neighbor/grid_backend.h"
 
 namespace disc {
 
@@ -23,10 +21,6 @@ Result<NeighborBackendKind> ParseNeighborBackendKind(const std::string& name) {
   if (name == "grid") return NeighborBackendKind::kGrid;
   return Status::InvalidArgument("unknown neighbor backend '" + name +
                                  "' (want one of: exact, grid)");
-}
-
-std::string NeighborBackendCacheKey(const NeighborBackendOptions& options) {
-  return NeighborBackendKindToString(options.kind);
 }
 
 Status CheckExactPointCap(const Dataset& dataset, const DistanceMetric& metric,
@@ -55,22 +49,40 @@ Status CheckExactPointCap(const Dataset& dataset, const DistanceMetric& metric,
       "), so use the exact neighbor backend");
 }
 
+CsrAdjacency BuildAdjacency(const Dataset& dataset,
+                            const DistanceMetric& metric, double radius,
+                            ThreadPool* pool, AccessStats* charge) {
+  const size_t n = dataset.size();
+  AccessStats batch;
+  batch.range_queries = n;
+  CsrAdjacency adjacency;
+  if (GridCompatible(metric, dataset.dim(), n)) {
+    uint64_t distance_calls = 0;
+    adjacency =
+        BuildAdjacencyWithGrid(dataset, metric, radius, pool, &distance_calls);
+    batch.node_accesses = static_cast<uint64_t>(n) *
+                          static_cast<uint64_t>(std::pow(3.0, dataset.dim()));
+    batch.distance_computations = distance_calls;
+  } else {
+    adjacency = BuildAdjacencyBruteForce(dataset, metric, radius, pool);
+    batch.node_accesses = n;
+    batch.distance_computations =
+        n > 1 ? static_cast<uint64_t>(n) * (n - 1) / 2 : 0;
+  }
+  if (charge != nullptr) *charge += batch;
+  return adjacency;
+}
+
 Result<std::unique_ptr<NeighborBackend>> CreateNeighborBackend(
     const Dataset& dataset, const DistanceMetric& metric,
     const NeighborBackendOptions& options, ThreadPool* /*unused*/) {
   DISC_RETURN_NOT_OK(CheckExactPointCap(dataset, metric, options));
-  switch (options.kind) {
-    case NeighborBackendKind::kExact: {
-      auto backend = ExactMTreeBackend::Create(
-          dataset, metric, ExactMTreeBackend::DefaultTreeOptions());
-      if (!backend.ok()) return backend.status();
-      return std::unique_ptr<NeighborBackend>(std::move(backend).value());
-    }
-    case NeighborBackendKind::kGrid:
-      return std::unique_ptr<NeighborBackend>(
-          std::make_unique<GridBackend>(dataset, metric));
+  if (options.kind == NeighborBackendKind::kExact) {
+    return Status::InvalidArgument(
+        "the exact kind is the M-tree session engine, which "
+        "DiscEngine::Create builds; it has no graph-mode backend");
   }
-  return Status::InvalidArgument("unknown neighbor backend kind");
+  return std::make_unique<NeighborBackend>(dataset, metric);
 }
 
 }  // namespace disc

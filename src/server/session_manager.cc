@@ -42,7 +42,7 @@ std::string EnginePoolKey(const EngineConfig& config) {
   // matched with M-tree ones (no tree, no zoom).
   if (config.neighbor.kind != NeighborBackendKind::kExact) {
     key += "|";
-    key += NeighborBackendCacheKey(config.neighbor);
+    key += NeighborBackendKindToString(config.neighbor.kind);
   }
   return key;
 }

@@ -22,7 +22,6 @@
 #include "graph/properties.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
-#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -311,15 +310,14 @@ TEST(MTreeBulkLoad, IndexBackedNeighborhoodGraphMatchesDirectBuild) {
     MTreeOptions options;
     options.node_capacity = 16;
     options.build.strategy = strategy;
-    auto backend = ExactMTreeBackend::Create(dataset, metric, options);
-    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-    auto indexed = NeighborhoodGraph::FromBackend(**backend, radius);
-    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-    ASSERT_EQ(indexed->num_vertices(), direct.num_vertices());
-    EXPECT_EQ(indexed->num_edges(), direct.num_edges());
+    MTree tree(dataset, metric, options);
+    const Status built = tree.Build();
+    ASSERT_TRUE(built.ok()) << built.ToString();
+    const CsrAdjacency indexed = tree.BuildNeighborhoods(radius);
+    ASSERT_EQ(indexed.size(), direct.num_vertices());
+    EXPECT_EQ(indexed.num_edges(), direct.num_edges());
     for (ObjectId v = 0; v < direct.num_vertices(); ++v) {
-      EXPECT_TRUE(std::ranges::equal(indexed->neighbors(v),
-                                     direct.neighbors(v)))
+      EXPECT_TRUE(std::ranges::equal(indexed.row(v), direct.neighbors(v)))
           << "strategy=" << BuildStrategyToString(strategy) << " v=" << v;
     }
   }

@@ -1,12 +1,15 @@
-// Property tests for the pluggable neighbor backends (neighbor/backend.h).
+// Property tests for the G_r builders: graph mode's NeighborBackend
+// (neighbor/backend.h) and the index-backed MTree::BuildNeighborhoods.
 //
 // The contracts under test:
-//  * both backends (exact, grid): the adjacency structure is byte-identical
-//    to NeighborhoodGraph's own build paths, at every thread count — the
-//    fan-out may not change a single id;
+//  * both builders: the adjacency structure is byte-identical to
+//    NeighborhoodGraph's direct build, at every thread count — the fan-out
+//    may not change a single id — for insert-built and bulk-built trees;
 //  * the exact-point guardrail: above max_exact_points the slower kind for
 //    the input (exact where the grid applies, grid where it would fall back
 //    to the O(n^2) scan) is refused with InvalidArgument naming the other;
+//    CreateNeighborBackend refuses the exact kind, whose M-tree engine
+//    DiscEngine::Create builds itself;
 //  * stats accounting: a build charges one range_queries unit per object,
 //    with totals identical at every thread count.
 
@@ -22,8 +25,8 @@
 #include "data/generators.h"
 #include "graph/neighborhood.h"
 #include "metric/metric.h"
+#include "mtree/mtree.h"
 #include "neighbor/adjacency.h"
-#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -43,11 +46,19 @@ std::unique_ptr<NeighborBackend> MustCreate(
   return backend.ok() ? std::move(backend).value() : nullptr;
 }
 
-CsrAdjacency BuildLists(const NeighborBackend& backend, double radius,
-                        ThreadPool* pool = nullptr) {
-  auto adjacency = backend.BuildNeighborhoods(radius, pool);
-  EXPECT_TRUE(adjacency.ok()) << adjacency.status().ToString();
-  return adjacency.ok() ? std::move(adjacency).value() : CsrAdjacency();
+/// A built tree over `dataset` with the given construction path and stats
+/// reset, or null (with a failure) when the build fails.
+std::unique_ptr<MTree> MustBuildTree(const Dataset& dataset,
+                                     const DistanceMetric& metric,
+                                     BuildStrategy strategy) {
+  MTreeOptions options;
+  options.build.strategy = strategy;
+  auto tree = std::make_unique<MTree>(dataset, metric, options);
+  const Status built = tree->Build();
+  EXPECT_TRUE(built.ok()) << built.ToString();
+  if (!built.ok()) return nullptr;
+  tree->ResetStats();
+  return tree;
 }
 
 /// The ground-truth adjacency structure, straight from the graph layer.
@@ -92,7 +103,7 @@ Dataset Scaled(const Dataset& dataset, double scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Names and cache keys
+// Names
 // ---------------------------------------------------------------------------
 
 TEST(NeighborBackendTest, KindNamesRoundTripThroughParse) {
@@ -113,18 +124,11 @@ TEST(NeighborBackendTest, KindNamesRoundTripThroughParse) {
   }
 }
 
-TEST(NeighborBackendTest, CacheKeyCarriesEveryResultChangingKnob) {
-  EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kExact)),
-            "exact");
-  EXPECT_EQ(NeighborBackendCacheKey(Options(NeighborBackendKind::kGrid)),
-            "grid");
-}
-
 // ---------------------------------------------------------------------------
-// Both kinds: byte-identical to the graph layer at every thread count
+// Both builders: byte-identical to the graph layer at every thread count
 // ---------------------------------------------------------------------------
 
-TEST(NeighborBackendTest, BothKindsMatchGraphLayerAtEveryThreadCount) {
+TEST(NeighborBackendTest, BothBuildersMatchGraphLayerAtEveryThreadCount) {
   EuclideanMetric metric;
   struct Input {
     std::string name;
@@ -155,79 +159,128 @@ TEST(NeighborBackendTest, BothKindsMatchGraphLayerAtEveryThreadCount) {
     ASSERT_TRUE(oracle == BuildAdjacencyBruteForce(input.dataset, metric,
                                                    input.radius, nullptr))
         << input.name << ": the graph layer differs from brute force";
-    for (NeighborBackendKind kind :
-         {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
-      if (input.dataset.size() == 0 && kind == NeighborBackendKind::kExact) {
-        // The M-tree-backed kind refuses an empty dataset by design.
-        EXPECT_FALSE(
-            CreateNeighborBackend(input.dataset, metric, Options(kind)).ok());
-        continue;
-      }
-      auto backend = MustCreate(input.dataset, metric, Options(kind));
-      ASSERT_NE(backend, nullptr) << input.name;
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        std::unique_ptr<ThreadPool> pool =
-            threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-        CsrAdjacency lists = BuildLists(*backend, input.radius, pool.get());
-        EXPECT_TRUE(lists == oracle)
-            << input.name << ": " << NeighborBackendKindToString(kind)
-            << " at " << threads << " threads diverged from the graph layer";
+    const NeighborBackend backend(input.dataset, metric);
+    std::unique_ptr<MTree> tree;
+    if (input.dataset.size() == 0) {
+      // The M-tree refuses an empty dataset by design.
+      MTree empty(input.dataset, metric);
+      EXPECT_FALSE(empty.Build().ok());
+    } else {
+      tree = MustBuildTree(input.dataset, metric, BuildStrategy::kBulkLoad);
+      ASSERT_NE(tree, nullptr) << input.name;
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      std::unique_ptr<ThreadPool> pool =
+          threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+      EXPECT_TRUE(backend.BuildNeighborhoods(input.radius, pool.get()) ==
+                  oracle)
+          << input.name << ": grid at " << threads
+          << " threads diverged from the graph layer";
+      if (tree != nullptr) {
+        EXPECT_TRUE(tree->BuildNeighborhoods(input.radius, pool.get()) ==
+                    oracle)
+            << input.name << ": M-tree at " << threads
+            << " threads diverged from the graph layer";
       }
     }
   }
 }
 
-TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForBothKinds) {
+TEST(NeighborBackendTest, BothBuildersReproduceTheDirectGraph) {
   const Dataset dataset = MakeUniformDataset(800, 3, 5);
   EuclideanMetric metric;
   const double radius = 0.12;
   NeighborhoodGraph direct(dataset, metric, radius);
 
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
-    auto backend = MustCreate(dataset, metric, Options(kind));
-    ASSERT_NE(backend, nullptr);
-    auto graph = NeighborhoodGraph::FromBackend(*backend, radius);
-    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-    ASSERT_EQ(graph->num_vertices(), direct.num_vertices());
-    EXPECT_EQ(graph->num_edges(), direct.num_edges());
-    EXPECT_TRUE(graph->adjacency() == direct.adjacency())
-        << NeighborBackendKindToString(kind);
+  auto backend =
+      MustCreate(dataset, metric, Options(NeighborBackendKind::kGrid));
+  ASSERT_NE(backend, nullptr);
+  auto graph = NeighborhoodGraph::FromBackend(*backend, radius);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_EQ(graph->num_vertices(), direct.num_vertices());
+  EXPECT_EQ(graph->num_edges(), direct.num_edges());
+  EXPECT_TRUE(graph->adjacency() == direct.adjacency());
+
+  for (BuildStrategy strategy :
+       {BuildStrategy::kInsertAtATime, BuildStrategy::kBulkLoad}) {
+    auto tree = MustBuildTree(dataset, metric, strategy);
+    ASSERT_NE(tree, nullptr);
+    const CsrAdjacency indexed = tree->BuildNeighborhoods(radius);
+    ASSERT_EQ(indexed.size(), direct.num_vertices());
+    EXPECT_EQ(indexed.num_edges(), direct.num_edges());
+    EXPECT_TRUE(indexed == direct.adjacency())
+        << BuildStrategyToString(strategy);
   }
 }
 
-TEST(NeighborBackendTest, ExactKindBulkLoadsThePaperDefaultTree) {
+TEST(NeighborBackendTest, CreateRefusesTheExactKind) {
   const Dataset dataset = MakeClusteredDataset(600, 2, 3);
   EuclideanMetric metric;
-  auto backend =
-      MustCreate(dataset, metric, Options(NeighborBackendKind::kExact));
-  ASSERT_NE(backend, nullptr);
-  const MTree& tree = static_cast<const ExactMTreeBackend&>(*backend).tree();
-  EXPECT_EQ(tree.options().build.strategy, BuildStrategy::kBulkLoad);
-  EXPECT_EQ(tree.options().node_capacity, 50u);
+  auto exact = CreateNeighborBackend(dataset, metric,
+                                     Options(NeighborBackendKind::kExact));
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(exact.status().message().find("M-tree session engine"),
+            std::string::npos)
+      << exact.status().ToString();
+
+  auto grid =
+      MustCreate(dataset, metric, Options(NeighborBackendKind::kGrid));
+  ASSERT_NE(grid, nullptr);
+  EXPECT_STREQ(grid->name(), "grid");
 }
 
 TEST(NeighborBackendTest, BuildChargesOneRangeQueryPerObject) {
   const Dataset dataset = MakeClusteredDataset(600, 2, 3);
   EuclideanMetric metric;
-  for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid}) {
-    auto backend = MustCreate(dataset, metric, Options(kind));
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->stats().range_queries, 0u)
-        << "construction stays out of the accounting";
-    BuildLists(*backend, 0.05);
-    const AccessStats serial = backend->stats();
-    EXPECT_EQ(serial.range_queries, dataset.size())
-        << NeighborBackendKindToString(kind);
+  const NeighborBackend backend(dataset, metric);
+  EXPECT_EQ(backend.stats().range_queries, 0u)
+      << "construction stays out of the accounting";
+  backend.BuildNeighborhoods(0.05, nullptr);
+  const AccessStats serial = backend.stats();
+  EXPECT_EQ(serial.range_queries, dataset.size());
+  EXPECT_GT(serial.distance_computations, 0u);
+
+  backend.ResetStats();
+  ThreadPool pool(4);
+  backend.BuildNeighborhoods(0.05, &pool);
+  EXPECT_TRUE(backend.stats() == serial)
+      << "grid: totals depend on the thread count";
+}
+
+TEST(NeighborBackendTest, TreeBuildChargesOneRangeQueryPerObject) {
+  const Dataset dataset = MakeClusteredDataset(600, 2, 3);
+  EuclideanMetric metric;
+  const double radius = 0.05;
+  for (BuildStrategy strategy :
+       {BuildStrategy::kInsertAtATime, BuildStrategy::kBulkLoad}) {
+    auto tree = MustBuildTree(dataset, metric, strategy);
+    ASSERT_NE(tree, nullptr);
+    const CsrAdjacency serial_rows = tree->BuildNeighborhoods(radius);
+    const AccessStats serial = tree->stats();
+    EXPECT_EQ(serial.range_queries, dataset.size());
+    EXPECT_GT(serial.node_accesses, 0u);
     EXPECT_GT(serial.distance_computations, 0u);
 
-    backend->ResetStats();
-    ThreadPool pool(4);
-    BuildLists(*backend, 0.05, &pool);
-    EXPECT_TRUE(backend->stats() == serial)
-        << NeighborBackendKindToString(kind)
-        << ": totals depend on the thread count";
+    // The counts pass runs the same queries: same degrees, same charge.
+    tree->ResetStats();
+    std::vector<uint32_t> counts;
+    tree->ComputeNeighborCountsPostBuild(radius, &counts);
+    EXPECT_TRUE(tree->stats() == serial) << BuildStrategyToString(strategy);
+    for (ObjectId v = 0; v < dataset.size(); ++v) {
+      ASSERT_EQ(counts[v], serial_rows.degree(v)) << "v=" << v;
+    }
+
+    for (size_t threads : {size_t{2}, size_t{4}}) {
+      tree->ResetStats();
+      ThreadPool pool(threads);
+      EXPECT_TRUE(tree->BuildNeighborhoods(radius, &pool) == serial_rows)
+          << BuildStrategyToString(strategy) << " at " << threads
+          << " threads";
+      EXPECT_TRUE(tree->stats() == serial)
+          << BuildStrategyToString(strategy) << " at " << threads
+          << " threads: totals depend on the thread count";
+    }
   }
 }
 
@@ -235,7 +288,7 @@ TEST(NeighborBackendTest, BuildChargesOneRangeQueryPerObject) {
 // The exact-point cap
 // ---------------------------------------------------------------------------
 
-TEST(NeighborBackendTest, ExactBackendRefusesDatasetsAboveTheCap) {
+TEST(NeighborBackendTest, ExactKindRefusesDatasetsAboveTheCap) {
   const Dataset dataset = MakeUniformDataset(500, 2, 2);
   EuclideanMetric metric;
   NeighborBackendOptions capped = Options(NeighborBackendKind::kExact);
@@ -257,12 +310,13 @@ TEST(NeighborBackendTest, ExactBackendRefusesDatasetsAboveTheCap) {
   // the same cap admits the exact kind.
   const Dataset wide = MakeClusteredDataset(400, 4, 2);
   capped.max_exact_points = 300;
-  auto exact = MustCreate(wide, metric, capped);
-  ASSERT_NE(exact, nullptr);
-  EXPECT_TRUE(BuildLists(*exact, 0.1) == OracleLists(wide, metric, 0.1));
+  EXPECT_TRUE(CheckExactPointCap(wide, metric, capped).ok());
+  auto tree = MustBuildTree(wide, metric, BuildStrategy::kBulkLoad);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_TRUE(tree->BuildNeighborhoods(0.1) == OracleLists(wide, metric, 0.1));
 }
 
-TEST(NeighborBackendTest, GridBackendCapAppliesOnlyWhenGridCannotApply) {
+TEST(NeighborBackendTest, GridKindCapAppliesOnlyWhenGridCannotApply) {
   EuclideanMetric euclidean;
   // 2-D Euclidean: the grid accelerator applies, so the cap is moot.
   const Dataset flat = MakeUniformDataset(600, 2, 4);

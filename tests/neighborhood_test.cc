@@ -12,7 +12,6 @@
 #include "metric/metric.h"
 #include "mtree/mtree.h"
 #include "neighbor/adjacency.h"
-#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -418,14 +417,17 @@ TEST(NeighborhoodGraphTest, GridCellsStaySideRWithAFarOutlier) {
 // Parallel builds: byte-identical to serial for every path and thread count.
 // ---------------------------------------------------------------------------
 
-void ExpectSameGraph(const NeighborhoodGraph& a, const NeighborhoodGraph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+void ExpectSameAdjacency(const CsrAdjacency& a, const CsrAdjacency& b) {
+  ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.num_edges(), b.num_edges());
-  for (ObjectId v = 0; v < a.num_vertices(); ++v) {
-    ASSERT_TRUE(std::ranges::equal(a.neighbors(v), b.neighbors(v)))
-        << "vertex " << v;
+  for (ObjectId v = 0; v < a.size(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(a.row(v), b.row(v))) << "vertex " << v;
   }
-  EXPECT_TRUE(a.adjacency() == b.adjacency());
+  EXPECT_TRUE(a == b);
+}
+
+void ExpectSameGraph(const NeighborhoodGraph& a, const NeighborhoodGraph& b) {
+  ExpectSameAdjacency(a.adjacency(), b.adjacency());
 }
 
 TEST(NeighborhoodGraphParallelTest, BruteForcePathMatchesSerial) {
@@ -467,24 +469,23 @@ TEST(NeighborhoodGraphParallelTest, IndexBackedPathMatchesSerialWithStats) {
   Dataset d = MakeClusteredDataset(600, 2, 31);
   EuclideanMetric metric;
   const double radius = 0.05;
-  MTreeOptions options;  // insert-built, like a default MTree
 
-  auto serial_backend = ExactMTreeBackend::Create(d, metric, options);
-  ASSERT_TRUE(serial_backend.ok()) << serial_backend.status().ToString();
-  auto serial = NeighborhoodGraph::FromBackend(**serial_backend, radius);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  const AccessStats serial_stats = (*serial_backend)->stats();
+  MTree serial_tree(d, metric);  // insert-built, like a default MTree
+  ASSERT_TRUE(serial_tree.Build().ok());
+  serial_tree.ResetStats();
+  const CsrAdjacency serial = serial_tree.BuildNeighborhoods(radius);
+  const AccessStats serial_stats = serial_tree.stats();
 
   for (size_t threads : {2u, 4u}) {
-    auto backend = ExactMTreeBackend::Create(d, metric, options);
-    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    MTree tree(d, metric);
+    ASSERT_TRUE(tree.Build().ok());
+    tree.ResetStats();
     ThreadPool pool(threads);
-    auto parallel = NeighborhoodGraph::FromBackend(**backend, radius, &pool);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectSameGraph(*serial, *parallel);
+    const CsrAdjacency parallel = tree.BuildNeighborhoods(radius, &pool);
+    ExpectSameAdjacency(serial, parallel);
     // Node-access accounting fans out through per-thread sinks and is
     // summed back: totals must be exactly the serial totals.
-    EXPECT_EQ((*backend)->stats(), serial_stats) << "threads " << threads;
+    EXPECT_EQ(tree.stats(), serial_stats) << "threads " << threads;
   }
 }
 
