@@ -43,7 +43,7 @@ void BM_Capacity(benchmark::State& state, size_t capacity) {
     for (double radius : kRadii) {
       TreeWithCounts tc =
           CachedTreeWithCounts(Clustered10k(), Euclidean(), radius, options);
-      GreedyDiscOptions greedy_options;
+      AlgorithmRunOptions greedy_options;
       greedy_options.initial_counts = tc.counts;
       DiscResult result = GreedyDisc(tc.tree, radius, greedy_options);
       row.push_back(std::to_string(result.stats.node_accesses));

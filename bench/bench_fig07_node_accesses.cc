@@ -23,13 +23,13 @@ DiscResult RunBasicPruned(const TreeWithCounts& tc, double r) {
   return BasicDisc(tc.tree, r, true);
 }
 DiscResult RunGreedyUnpruned(const TreeWithCounts& tc, double r) {
-  GreedyDiscOptions options;
+  AlgorithmRunOptions options;
   options.pruned = false;
   options.initial_counts = tc.counts;
   return GreedyDisc(tc.tree, r, options);
 }
 DiscResult RunGreedyPruned(const TreeWithCounts& tc, double r) {
-  GreedyDiscOptions options;
+  AlgorithmRunOptions options;
   options.pruned = true;
   options.initial_counts = tc.counts;
   return GreedyDisc(tc.tree, r, options);

@@ -13,16 +13,15 @@ namespace {
 
 struct Variant {
   const char* name;
-  GreedyVariant greedy;
-  bool basic;
+  Algorithm algorithm;
 };
 
 const Variant kVariants[] = {
-    {"B-DisC (Pruned)", GreedyVariant::kGrey, true},
-    {"Gr-G-DisC (Pruned)", GreedyVariant::kGrey, false},
-    {"Wh-G-DisC (Pruned)", GreedyVariant::kWhite, false},
-    {"L-Gr-G-DisC (Pruned)", GreedyVariant::kLazyGrey, false},
-    {"L-Wh-G-DisC (Pruned)", GreedyVariant::kLazyWhite, false},
+    {"B-DisC (Pruned)", Algorithm::kBasic},
+    {"Gr-G-DisC (Pruned)", Algorithm::kGreedy},
+    {"Wh-G-DisC (Pruned)", Algorithm::kGreedyWhite},
+    {"L-Gr-G-DisC (Pruned)", Algorithm::kLazyGrey},
+    {"L-Wh-G-DisC (Pruned)", Algorithm::kLazyWhite},
 };
 
 std::vector<std::unique_ptr<TableCollector>>& Collectors() {
@@ -38,16 +37,10 @@ void SweepVariants(benchmark::State& state, const Workload& workload,
     for (double radius : workload.radii) {
       TreeWithCounts tc =
           CachedTreeWithCounts(*workload.dataset, *workload.metric, radius);
-      DiscResult result;
-      if (variant.basic) {
-        result = BasicDisc(tc.tree, radius, true);
-      } else {
-        GreedyDiscOptions options;
-        options.variant = variant.greedy;
-        options.pruned = true;
-        options.initial_counts = tc.counts;
-        result = GreedyDisc(tc.tree, radius, options);
-      }
+      AlgorithmRunOptions options;
+      options.initial_counts = tc.counts;
+      DiscResult result =
+          RunAlgorithm(tc.tree, variant.algorithm, radius, options);
       row.push_back(std::to_string(result.stats.node_accesses));
       state.counters["r=" + FormatDouble(radius, 4)] =
           static_cast<double>(result.stats.node_accesses);

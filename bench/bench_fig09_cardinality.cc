@@ -40,7 +40,7 @@ void SweepCardinality(benchmark::State& state, size_t n) {
     for (double radius : kRadii) {
       TreeWithCounts tc =
           CachedTreeWithCounts(Clustered(n, 2), Euclidean(), radius);
-      GreedyDiscOptions options;
+      AlgorithmRunOptions options;
       options.initial_counts = tc.counts;
       DiscResult result = GreedyDisc(tc.tree, radius, options);
       sizes.push_back(std::to_string(result.size()));

@@ -42,7 +42,7 @@ void SweepDimensionality(benchmark::State& state, size_t dim) {
     for (double radius : kRadii) {
       TreeWithCounts tc =
           CachedTreeWithCounts(Clustered(10000, dim), Euclidean(), radius);
-      GreedyDiscOptions options;
+      AlgorithmRunOptions options;
       options.initial_counts = tc.counts;
       DiscResult result = GreedyDisc(tc.tree, radius, options);
       sizes.push_back(std::to_string(result.size()));

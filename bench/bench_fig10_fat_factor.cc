@@ -42,7 +42,7 @@ void SweepPolicy(benchmark::State& state, const Dataset& dataset,
     for (double radius : kRadii) {
       TreeWithCounts tc =
           CachedTreeWithCounts(dataset, Euclidean(), radius, options);
-      GreedyDiscOptions greedy_options;
+      AlgorithmRunOptions greedy_options;
       greedy_options.initial_counts = tc.counts;
       DiscResult result = GreedyDisc(tc.tree, radius, greedy_options);
       row.push_back(std::to_string(result.stats.node_accesses));

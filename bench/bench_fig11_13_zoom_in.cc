@@ -74,7 +74,7 @@ void SweepZoomIn(benchmark::State& state, const ZoomWorkload& workload,
       // tree whose neighborhood counts were computed during its build.
       TreeWithCounts old_tc = CachedTreeWithCounts(
           *workload.dataset, *workload.metric, step.r_old);
-      GreedyDiscOptions base_options;
+      AlgorithmRunOptions base_options;
       base_options.initial_counts = old_tc.counts;
       DiscResult base = GreedyDisc(old_tc.tree, step.r_old, base_options);
 
@@ -82,7 +82,7 @@ void SweepZoomIn(benchmark::State& state, const ZoomWorkload& workload,
       if (method == Method::kScratch) {
         TreeWithCounts new_tc = CachedTreeWithCounts(
             *workload.dataset, *workload.metric, step.r_new);
-        GreedyDiscOptions options;
+        AlgorithmRunOptions options;
         options.initial_counts = new_tc.counts;
         adapted = GreedyDisc(new_tc.tree, step.r_new, options);
       } else {

@@ -76,7 +76,7 @@ void SweepZoomOut(benchmark::State& state, const ZoomWorkload& workload,
     for (const ZoomStep& step : workload.steps) {
       TreeWithCounts old_tc = CachedTreeWithCounts(
           *workload.dataset, *workload.metric, step.r_old);
-      GreedyDiscOptions base_options;
+      AlgorithmRunOptions base_options;
       base_options.initial_counts = old_tc.counts;
       DiscResult base = GreedyDisc(old_tc.tree, step.r_old, base_options);
 
@@ -84,7 +84,7 @@ void SweepZoomOut(benchmark::State& state, const ZoomWorkload& workload,
       if (method.scratch) {
         TreeWithCounts new_tc = CachedTreeWithCounts(
             *workload.dataset, *workload.metric, step.r_new);
-        GreedyDiscOptions options;
+        AlgorithmRunOptions options;
         options.initial_counts = new_tc.counts;
         adapted = GreedyDisc(new_tc.tree, step.r_new, options);
       } else {

@@ -11,41 +11,15 @@ namespace {
 
 struct Algo {
   const char* name;
-  DiscResult (*run)(const TreeWithCounts&, double);
+  Algorithm algorithm;
 };
 
-DiscResult RunBasic(const TreeWithCounts& tc, double r) {
-  return BasicDisc(tc.tree, r, true);
-}
-
-DiscResult RunGreedyVariant(const TreeWithCounts& tc, double r,
-                            GreedyVariant variant) {
-  GreedyDiscOptions options;
-  options.variant = variant;
-  options.initial_counts = tc.counts;
-  return GreedyDisc(tc.tree, r, options);
-}
-
-DiscResult RunGreedy(const TreeWithCounts& tc, double r) {
-  return RunGreedyVariant(tc, r, GreedyVariant::kGrey);
-}
-
-DiscResult RunLazyGrey(const TreeWithCounts& tc, double r) {
-  return RunGreedyVariant(tc, r, GreedyVariant::kLazyGrey);
-}
-
-DiscResult RunLazyWhite(const TreeWithCounts& tc, double r) {
-  return RunGreedyVariant(tc, r, GreedyVariant::kLazyWhite);
-}
-
-DiscResult RunGreedyC(const TreeWithCounts& tc, double r) {
-  return GreedyC(tc.tree, r, tc.counts);
-}
-
 const Algo kAlgos[] = {
-    {"B-DisC", RunBasic},          {"G-DisC", RunGreedy},
-    {"L-Gr-G-DisC", RunLazyGrey},  {"L-Wh-G-DisC", RunLazyWhite},
-    {"G-C", RunGreedyC},
+    {"B-DisC", Algorithm::kBasic},
+    {"G-DisC", Algorithm::kGreedy},
+    {"L-Gr-G-DisC", Algorithm::kLazyGrey},
+    {"L-Wh-G-DisC", Algorithm::kLazyWhite},
+    {"G-C", Algorithm::kGreedyC},
 };
 
 std::vector<std::unique_ptr<TableCollector>>& Collectors() {
@@ -63,7 +37,10 @@ void SweepSizes(benchmark::State& state, const Workload& workload,
     for (double radius : workload.radii) {
       TreeWithCounts tc =
           CachedTreeWithCounts(*workload.dataset, *workload.metric, radius);
-      DiscResult result = algo.run(tc, radius);
+      AlgorithmRunOptions options;
+      options.initial_counts = tc.counts;
+      DiscResult result =
+          RunAlgorithm(tc.tree, algo.algorithm, radius, options);
       row.push_back(std::to_string(result.size()));
       state.counters["r=" + FormatDouble(radius, 4)] =
           static_cast<double>(result.size());

@@ -19,9 +19,6 @@ enum class Color : uint8_t {
   kRed = 3,
 };
 
-/// "white" / "grey" / "black" / "red".
-const char* ColorToString(Color color);
-
 }  // namespace disc
 
 #endif  // DISC_CORE_COLOR_H_

@@ -13,20 +13,6 @@
 
 namespace disc {
 
-const char* GreedyVariantToString(GreedyVariant variant) {
-  switch (variant) {
-    case GreedyVariant::kGrey:
-      return "grey";
-    case GreedyVariant::kWhite:
-      return "white";
-    case GreedyVariant::kLazyGrey:
-      return "lazy-grey";
-    case GreedyVariant::kLazyWhite:
-      return "lazy-white";
-  }
-  return "unknown";
-}
-
 const char* AlgorithmToString(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kBasic:
@@ -68,41 +54,6 @@ bool AlgorithmUsesNeighborCounts(Algorithm algorithm) {
   return algorithm != Algorithm::kBasic;
 }
 
-namespace {
-
-DiscResult RunGreedy(MTree* tree, double radius, GreedyVariant variant,
-                     const AlgorithmRunOptions& options) {
-  GreedyDiscOptions greedy;
-  greedy.variant = variant;
-  greedy.pruned = options.pruned;
-  greedy.initial_counts = options.initial_counts;
-  greedy.pool = options.pool;
-  return GreedyDisc(tree, radius, greedy);
-}
-
-}  // namespace
-
-DiscResult RunAlgorithm(MTree* tree, Algorithm algorithm, double radius,
-                        const AlgorithmRunOptions& options) {
-  switch (algorithm) {
-    case Algorithm::kBasic:
-      return BasicDisc(tree, radius, options.pruned);
-    case Algorithm::kGreedy:
-      return RunGreedy(tree, radius, GreedyVariant::kGrey, options);
-    case Algorithm::kGreedyWhite:
-      return RunGreedy(tree, radius, GreedyVariant::kWhite, options);
-    case Algorithm::kLazyGrey:
-      return RunGreedy(tree, radius, GreedyVariant::kLazyGrey, options);
-    case Algorithm::kLazyWhite:
-      return RunGreedy(tree, radius, GreedyVariant::kLazyWhite, options);
-    case Algorithm::kGreedyC:
-      return GreedyC(tree, radius, options.initial_counts, options.pool);
-    case Algorithm::kFastC:
-      return FastC(tree, radius, options.initial_counts, options.pool);
-  }
-  return DiscResult{};
-}
-
 DiscResult BasicDisc(MTree* tree, double radius, bool pruned) {
   internal::RunScope scope(tree);
   tree->ResetColors();
@@ -130,8 +81,35 @@ DiscResult BasicDisc(MTree* tree, double radius, bool pruned) {
   return scope.Finish(std::move(solution));
 }
 
-DiscResult GreedyDisc(MTree* tree, double radius,
-                      const GreedyDiscOptions& options) {
+namespace {
+
+/// How a Greedy-DisC variant maintains L' (§5.1): the radius of its update
+/// queries, and whether it queries around every newly-grey object (grey
+/// style) or once around the selected object (white style). The lazy
+/// variants deliberately use a smaller radius, leaving distant counts stale
+/// (§6).
+struct GreedyMaintenance {
+  double update_radius;
+  bool grey_style;
+};
+
+GreedyMaintenance MaintenanceFor(Algorithm variant, double radius) {
+  switch (variant) {
+    case Algorithm::kLazyGrey:
+      return {radius / 2.0, true};
+    case Algorithm::kGreedyWhite:
+      return {2.0 * radius, false};
+    case Algorithm::kLazyWhite:
+      return {1.5 * radius, false};
+    default:
+      return {radius, true};
+  }
+}
+
+/// Greedy-DisC in the `variant` Algorithm names (kGreedy, kGreedyWhite,
+/// kLazyGrey or kLazyWhite).
+DiscResult RunGreedyDisc(MTree* tree, double radius, Algorithm variant,
+                         const AlgorithmRunOptions& options) {
   internal::RunScope scope(tree);
   tree->ResetColors();
   const size_t n = tree->size();
@@ -151,25 +129,7 @@ DiscResult GreedyDisc(MTree* tree, double radius,
     heap.Push(id, counts[id]);
   }
 
-  // Update radius for neighborhood-size maintenance: the lazy variants
-  // deliberately use a smaller radius, leaving distant counts stale (§6).
-  double update_radius = radius;
-  switch (options.variant) {
-    case GreedyVariant::kGrey:
-      update_radius = radius;
-      break;
-    case GreedyVariant::kLazyGrey:
-      update_radius = radius / 2.0;
-      break;
-    case GreedyVariant::kWhite:
-      update_radius = 2.0 * radius;
-      break;
-    case GreedyVariant::kLazyWhite:
-      update_radius = 1.5 * radius;
-      break;
-  }
-  const bool grey_style = options.variant == GreedyVariant::kGrey ||
-                          options.variant == GreedyVariant::kLazyGrey;
+  const auto [update_radius, grey_style] = MaintenanceFor(variant, radius);
 
   std::vector<ObjectId> solution;
   std::vector<Neighbor> found, update_found;
@@ -227,6 +187,31 @@ DiscResult GreedyDisc(MTree* tree, double radius,
     }
   }
   return scope.Finish(std::move(solution));
+}
+
+}  // namespace
+
+DiscResult GreedyDisc(MTree* tree, double radius,
+                      const AlgorithmRunOptions& options) {
+  return RunGreedyDisc(tree, radius, Algorithm::kGreedy, options);
+}
+
+DiscResult RunAlgorithm(MTree* tree, Algorithm algorithm, double radius,
+                        const AlgorithmRunOptions& options) {
+  switch (algorithm) {
+    case Algorithm::kBasic:
+      return BasicDisc(tree, radius, options.pruned);
+    case Algorithm::kGreedy:
+    case Algorithm::kGreedyWhite:
+    case Algorithm::kLazyGrey:
+    case Algorithm::kLazyWhite:
+      return RunGreedyDisc(tree, radius, algorithm, options);
+    case Algorithm::kGreedyC:
+      return GreedyC(tree, radius, options.initial_counts, options.pool);
+    case Algorithm::kFastC:
+      return FastC(tree, radius, options.initial_counts, options.pool);
+  }
+  return DiscResult{};
 }
 
 }  // namespace disc

@@ -37,17 +37,6 @@ namespace disc {
 
 class ThreadPool;  // util/parallel.h
 
-/// White-neighborhood maintenance strategy for Greedy-DisC (§5.1).
-enum class GreedyVariant {
-  kGrey,
-  kWhite,
-  kLazyGrey,
-  kLazyWhite,
-};
-
-/// "grey" / "white" / "lazy-grey" / "lazy-white".
-const char* GreedyVariantToString(GreedyVariant variant);
-
 /// Every diversification algorithm the library implements, as a single
 /// dispatchable identity (the greedy variants of §5.1 are distinct values so
 /// a (algorithm, radius) pair fully determines a run's output).
@@ -101,29 +90,34 @@ struct DiscResult {
   size_t size() const { return solution.size(); }
 };
 
-/// Options for GreedyDisc.
-struct GreedyDiscOptions {
-  GreedyVariant variant = GreedyVariant::kGrey;
+/// Options for RunAlgorithm and GreedyDisc, the knobs shared by every
+/// algorithm.
+struct AlgorithmRunOptions {
   /// Enables the §5.1 pruning rule (skip subtrees with no white objects).
   /// Pruned runs require MTree::RecomputeClosestBlackDistances before
   /// zooming (§5.2); unpruned runs keep those distances exact as they go.
+  /// Ignored by Greedy-C / Fast-C (they are never pruned; see GreedyC).
   bool pruned = true;
   /// White-neighborhood sizes computed by MTree::BuildWithNeighborCounts
   /// (either build strategy; the counts are identical for both). When null,
-  /// a post-build counting pass runs (and is charged to stats).
+  /// a post-build counting pass runs (and is charged to stats). Unused by
+  /// Basic-DisC.
   const std::vector<uint32_t>* initial_counts = nullptr;
   /// Parallelizes the initial counting pass (only taken when
-  /// initial_counts is null). The selection loop itself is serial: each
-  /// step's range query depends on the colors the previous step changed.
+  /// initial_counts is null); solutions and stats totals are identical to a
+  /// serial run for every thread count. The selection loop itself is
+  /// serial: each step's range query depends on the colors the previous
+  /// step changed.
   ThreadPool* pool = nullptr;
 };
 
 /// Basic-DisC. `pruned` additionally skips all-grey leaves during the scan.
 DiscResult BasicDisc(MTree* tree, double radius, bool pruned = true);
 
-/// Greedy-DisC in the selected variant.
+/// Greedy-DisC, Grey variant (Algorithm::kGreedy). The other variants run
+/// through RunAlgorithm.
 DiscResult GreedyDisc(MTree* tree, double radius,
-                      const GreedyDiscOptions& options = {});
+                      const AlgorithmRunOptions& options = {});
 
 /// Greedy-C: covering but not necessarily independent (never pruned — grey
 /// subtrees must stay reachable for neighborhood-count maintenance).
@@ -139,17 +133,6 @@ DiscResult GreedyC(MTree* tree, double radius,
 DiscResult FastC(MTree* tree, double radius,
                  const std::vector<uint32_t>* initial_counts = nullptr,
                  ThreadPool* pool = nullptr);
-
-/// Options for RunAlgorithm, the knobs shared by every algorithm. `pruned`
-/// is ignored by Greedy-C / Fast-C (they are never pruned; see GreedyC).
-/// `pool` parallelizes the greedy algorithms' counting pass when
-/// initial_counts is null; solutions and stats totals are identical to a
-/// serial run for every thread count.
-struct AlgorithmRunOptions {
-  bool pruned = true;
-  const std::vector<uint32_t>* initial_counts = nullptr;
-  ThreadPool* pool = nullptr;
-};
 
 /// Runs any Algorithm against the tree — the single dispatch point used by
 /// the engine layer (and available to benches/tools that select algorithms

@@ -38,15 +38,18 @@ std::string CanonicalDouble(double value) {
   return std::string(buf, ptr);
 }
 
+/// The kind name graph-mode messages quote ("grid").
+const char* GraphBackendName() {
+  return NeighborBackendKindToString(NeighborBackendKind::kGrid);
+}
+
 }  // namespace
 
 DiscEngine::DiscEngine(Dataset dataset, std::unique_ptr<DistanceMetric> metric,
-                       MTreeOptions tree_options, size_t threads,
-                       NeighborBackendOptions backend_options)
+                       MTreeOptions tree_options, size_t threads)
     : dataset_(std::move(dataset)),
       metric_(std::move(metric)),
       tree_options_(tree_options),
-      backend_options_(backend_options),
       threads_(threads == 0 ? DefaultThreads() : threads) {}
 
 DiscEngine::~DiscEngine() = default;
@@ -69,7 +72,7 @@ Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
   DISC_RETURN_NOT_OK(CheckExactPointCap(dataset, *metric, config.neighbor));
   std::unique_ptr<DiscEngine> engine(
       new DiscEngine(std::move(dataset), std::move(metric), config.tree,
-                     config.threads, config.neighbor));
+                     config.threads));
   if (config.neighbor.kind == NeighborBackendKind::kExact) {
     // The historical session engine: algorithms run against tree colors,
     // zooming works. Byte-identical to every release before backends existed.
@@ -77,12 +80,9 @@ Result<std::unique_ptr<DiscEngine>> DiscEngine::Create(EngineConfig config) {
         std::make_unique<MTree>(engine->dataset_, *engine->metric_,
                                 config.tree);
     DISC_RETURN_NOT_OK(engine->tree_->Build());
-  } else {
-    // Graph mode: the grid-or-scan builder computes N_r(p); no tree is ever
-    // built (where the grid applies, one global M-tree would not scale).
-    engine->backend_ =
-        std::make_unique<NeighborBackend>(engine->dataset_, *engine->metric_);
   }
+  // Otherwise graph mode: no tree is ever built (where the grid applies, one
+  // global M-tree would not scale); GraphForRadius builds G_{P,r} on demand.
   return engine;
 }
 
@@ -149,7 +149,7 @@ Status DiscEngine::AdoptSession(const SessionCapsule& capsule) {
     // Pool keys segregate backends, so this only fires on caller error.
     return Status::InvalidArgument(
         "capsule carries tree color state but this engine runs the '" +
-        std::string(backend_->name()) + "' neighbor backend in graph mode");
+        std::string(GraphBackendName()) + "' neighbor backend in graph mode");
   }
   session_ = capsule.session;
   if (capsule.has_cache_entry) {
@@ -173,13 +173,20 @@ Result<DiversifyResponse> DiscEngine::AdaptFrom(const SessionCapsule& seed,
 void DiscEngine::SetSession(const CacheKey& key, size_t solution_size,
                             bool distances_exact) {
   session_.has_solution = true;
-  session_.zoomable = IsDiscFamily(key.algorithm);
-  session_.zoom_blocker =
-      session_.zoomable
-          ? ""
-          : std::string(AlgorithmToString(key.algorithm)) +
-                " produces a covering-only (r-C diverse) solution; zooming "
-                "requires an r-DisC solution (basic/greedy family)";
+  session_.zoomable = tree_ != nullptr && IsDiscFamily(key.algorithm);
+  if (tree_ == nullptr) {
+    session_.zoom_blocker =
+        std::string("the '") + GraphBackendName() +
+        "' neighbor backend runs algorithms on the neighborhood graph and "
+        "leaves no tree color state; zooming requires the exact engine";
+  } else if (!session_.zoomable) {
+    session_.zoom_blocker =
+        std::string(AlgorithmToString(key.algorithm)) +
+        " produces a covering-only (r-C diverse) solution; zooming requires "
+        "an r-DisC solution (basic/greedy family)";
+  } else {
+    session_.zoom_blocker.clear();
+  }
   session_.algorithm = key.algorithm;
   session_.radius = key.radius;
   session_.solution_size = solution_size;
@@ -234,7 +241,6 @@ QualityMetrics DiscEngine::ComputeQuality(
 Result<DiversifyResponse> DiscEngine::Diversify(
     const DiversifyRequest& request) {
   DISC_RETURN_NOT_OK(ValidateRadius(request.radius));
-  if (backend_ != nullptr) return DiversifyViaBackend(request);
   const bool disc_family = IsDiscFamily(request.algorithm);
   const CacheKey key{request.algorithm, request.radius,
                      EffectivePruned(request)};
@@ -242,7 +248,11 @@ Result<DiversifyResponse> DiscEngine::Diversify(
   if (CacheEntry* entry = FindCached(key)) {
     Stopwatch watch;
     ++cache_hits_;
-    DISC_RETURN_NOT_OK(tree_->RestoreColorState(entry->state));
+    // Graph-mode entries carry no ColorState: there are no colors to
+    // restore, and the response alone is the whole session outcome.
+    if (tree_ != nullptr) {
+      DISC_RETURN_NOT_OK(tree_->RestoreColorState(entry->state));
+    }
     if (request.compute_quality && !entry->response.quality.has_value()) {
       entry->response.quality =
           ComputeQuality(entry->response.solution, request.radius,
@@ -258,23 +268,13 @@ Result<DiversifyResponse> DiscEngine::Diversify(
   }
 
   Stopwatch watch;
-  const AccessStats before = tree_->stats();
-  AlgorithmRunOptions run_options;
-  run_options.pruned = key.pruned;
-  // Counts come from the cache (parallel inside CountsForRadius) and the
-  // selection loop is serial, so solutions and stats are byte-identical at
-  // any thread count and the cache key stays thread-independent.
-  if (AlgorithmUsesNeighborCounts(request.algorithm)) {
-    run_options.initial_counts = &CountsForRadius(request.radius);
-  }
-  DiscResult run =
-      RunAlgorithm(tree_.get(), request.algorithm, request.radius,
-                   run_options);
+  const AccessStats before = LifetimeStats();
+  DISC_ASSIGN_OR_RETURN(std::vector<ObjectId> solution, Solve(key));
   ++computations_;
 
   DiversifyResponse response;
-  response.solution = std::move(run.solution);
-  response.stats = tree_->stats() - before;
+  response.solution = std::move(solution);
+  response.stats = LifetimeStats() - before;
   response.wall_ms = watch.ElapsedMillis();
   response.radius = request.radius;
   if (request.compute_quality) {
@@ -284,112 +284,71 @@ Result<DiversifyResponse> DiscEngine::Diversify(
 
   // Unpruned DisC runs visit every neighbor of every selected object, so
   // the closest-black distances they record are already exact (§5.2).
-  const bool distances_exact = disc_family && !key.pruned;
+  const bool distances_exact = tree_ != nullptr && disc_family && !key.pruned;
   SetSession(key, response.solution.size(), distances_exact);
   CacheEntry entry;
   entry.key = key;
   entry.response = response;
-  entry.state = tree_->SaveColorState();
+  if (tree_ != nullptr) entry.state = tree_->SaveColorState();
   entry.distances_exact = distances_exact;
   InsertCache(std::move(entry));
   return response;
 }
 
-Result<const NeighborhoodGraph*> DiscEngine::GraphForRadius(double radius) {
-  if (graph_cache_ != nullptr && graph_cache_->radius() == radius) {
-    return static_cast<const NeighborhoodGraph*>(graph_cache_.get());
+Result<std::vector<ObjectId>> DiscEngine::Solve(const CacheKey& key) {
+  if (tree_ != nullptr) {
+    AlgorithmRunOptions run_options;
+    run_options.pruned = key.pruned;
+    // Counts come from the cache (parallel inside CountsForRadius) and the
+    // selection loop is serial, so solutions and stats are byte-identical at
+    // any thread count and the cache key stays thread-independent.
+    if (AlgorithmUsesNeighborCounts(key.algorithm)) {
+      run_options.initial_counts = &CountsForRadius(key.radius);
+    }
+    return RunAlgorithm(tree_.get(), key.algorithm, key.radius, run_options)
+        .solution;
   }
-  // Release the old radius's graph first, so an engine never holds two.
-  graph_cache_.reset();
-  DISC_ASSIGN_OR_RETURN(NeighborhoodGraph graph,
-                        NeighborhoodGraph::FromBackend(*backend_, radius,
-                                                       pool()));
-  graph_cache_ = std::make_unique<NeighborhoodGraph>(std::move(graph));
-  return static_cast<const NeighborhoodGraph*>(graph_cache_.get());
+  if (key.algorithm != Algorithm::kBasic &&
+      key.algorithm != Algorithm::kGreedy &&
+      key.algorithm != Algorithm::kGreedyC) {
+    return Status::Unimplemented(
+        std::string("algorithm '") + AlgorithmToString(key.algorithm) +
+        "' is index-bound; the '" + GraphBackendName() +
+        "' neighbor backend serves the graph-mode algorithms only "
+        "(basic, greedy, greedy-c)");
+  }
+  const NeighborhoodGraph& graph = GraphForRadius(key.radius);
+  if (key.algorithm == Algorithm::kBasic) {
+    // Candidates in id order (graph mode has no leaf chain to mirror); any
+    // fixed order yields a valid maximal independent set.
+    std::vector<ObjectId> order(dataset_.size());
+    std::iota(order.begin(), order.end(), ObjectId{0});
+    return ReferenceBasicDisc(graph, order);
+  }
+  return key.algorithm == Algorithm::kGreedy ? ReferenceGreedyDisc(graph)
+                                             : ReferenceGreedyC(graph);
 }
 
-void DiscEngine::BlockZoomForGraphMode() {
-  session_.zoomable = false;
-  session_.zoom_blocker =
-      std::string("the '") + backend_->name() +
-      "' neighbor backend runs algorithms on the neighborhood graph and "
-      "leaves no tree color state; zooming requires the exact engine";
+const NeighborhoodGraph& DiscEngine::GraphForRadius(double radius) {
+  if (graph_cache_ == nullptr || graph_cache_->radius() != radius) {
+    // Release the old radius's graph first, so an engine never holds two.
+    graph_cache_.reset();
+    graph_cache_ = std::make_unique<NeighborhoodGraph>(
+        dataset_, *metric_, radius, pool(), &graph_stats_);
+  }
+  return *graph_cache_;
 }
 
-Result<DiversifyResponse> DiscEngine::DiversifyViaBackend(
-    const DiversifyRequest& request) {
-  const bool disc_family = IsDiscFamily(request.algorithm);
-  const CacheKey key{request.algorithm, request.radius,
-                     EffectivePruned(request)};
+Status DiscEngine::RequireExactEngine(const char* what) const {
+  if (tree_ != nullptr) return Status::OK();
+  return Status::FailedPrecondition(
+      std::string(what) +
+      " DisC runs on the exact engine only; this engine uses the '" +
+      GraphBackendName() + "' neighbor backend");
+}
 
-  if (CacheEntry* entry = FindCached(key)) {
-    Stopwatch watch;
-    ++cache_hits_;
-    // Graph-mode entries carry no ColorState — there are no colors to
-    // restore; the response alone is the whole session outcome.
-    if (request.compute_quality && !entry->response.quality.has_value()) {
-      entry->response.quality =
-          ComputeQuality(entry->response.solution, request.radius,
-                         /*covering_only=*/!disc_family);
-    }
-    SetSession(key, entry->response.solution.size(),
-               /*distances_exact=*/false);
-    BlockZoomForGraphMode();
-    DiversifyResponse response = entry->response;
-    response.from_cache = true;
-    response.stats = AccessStats{};
-    response.wall_ms = watch.ElapsedMillis();
-    if (!request.compute_quality) response.quality.reset();
-    return response;
-  }
-
-  Stopwatch watch;
-  const AccessStats before = backend_->stats();
-  DISC_ASSIGN_OR_RETURN(const NeighborhoodGraph* graph,
-                        GraphForRadius(request.radius));
-  std::vector<ObjectId> solution;
-  switch (request.algorithm) {
-    case Algorithm::kBasic: {
-      // Candidates in id order (graph mode has no leaf chain to mirror);
-      // any fixed order yields a valid maximal independent set.
-      std::vector<ObjectId> order(dataset_.size());
-      std::iota(order.begin(), order.end(), ObjectId{0});
-      solution = ReferenceBasicDisc(*graph, order);
-      break;
-    }
-    case Algorithm::kGreedy:
-      solution = ReferenceGreedyDisc(*graph);
-      break;
-    case Algorithm::kGreedyC:
-      solution = ReferenceGreedyC(*graph);
-      break;
-    default:
-      return Status::Unimplemented(
-          std::string("algorithm '") + AlgorithmToString(request.algorithm) +
-          "' is index-bound; the '" + backend_->name() +
-          "' neighbor backend serves the graph-mode algorithms only "
-          "(basic, greedy, greedy-c)");
-  }
-  ++computations_;
-
-  DiversifyResponse response;
-  response.solution = std::move(solution);
-  response.stats = backend_->stats() - before;
-  response.wall_ms = watch.ElapsedMillis();
-  response.radius = request.radius;
-  if (request.compute_quality) {
-    response.quality = ComputeQuality(response.solution, request.radius,
-                                      /*covering_only=*/!disc_family);
-  }
-
-  SetSession(key, response.solution.size(), /*distances_exact=*/false);
-  BlockZoomForGraphMode();
-  CacheEntry entry;
-  entry.key = key;
-  entry.response = response;
-  entry.distances_exact = false;
-  InsertCache(std::move(entry));
-  return response;
+AccessStats DiscEngine::LifetimeStats() const {
+  return tree_ != nullptr ? tree_->stats() : graph_stats_;
 }
 
 Result<DiversifyResponse> DiscEngine::Zoom(const ZoomRequest& request) {
@@ -510,12 +469,7 @@ Result<DiversifyResponse> DiscEngine::Zoom(const ZoomRequest& request) {
 
 Result<DiversifyResponse> DiscEngine::WeightedDiversify(
     const WeightedRequest& request) {
-  if (backend_ != nullptr) {
-    return Status::FailedPrecondition(
-        std::string("weighted DisC runs on the exact engine only; this "
-                    "engine uses the '") +
-        backend_->name() + "' neighbor backend");
-  }
+  DISC_RETURN_NOT_OK(RequireExactEngine("weighted"));
   Stopwatch watch;
   DISC_ASSIGN_OR_RETURN(
       std::vector<ObjectId> solution,
@@ -535,12 +489,7 @@ Result<DiversifyResponse> DiscEngine::WeightedDiversify(
 
 Result<DiversifyResponse> DiscEngine::MultiRadiusDiversify(
     const MultiRadiusRequest& request) {
-  if (backend_ != nullptr) {
-    return Status::FailedPrecondition(
-        std::string("multi-radius DisC runs on the exact engine only; this "
-                    "engine uses the '") +
-        backend_->name() + "' neighbor backend");
-  }
+  DISC_RETURN_NOT_OK(RequireExactEngine("multi-radius"));
   Stopwatch watch;
   DISC_ASSIGN_OR_RETURN(
       std::vector<double> radii,
@@ -569,7 +518,8 @@ EngineSnapshot DiscEngine::Snapshot() const {
   snapshot.dim = dataset_.dim();
   snapshot.metric = metric_->kind();
   snapshot.build_strategy = tree_options_.build.strategy;
-  snapshot.backend = backend_options_.kind;
+  snapshot.backend = tree_ != nullptr ? NeighborBackendKind::kExact
+                                      : NeighborBackendKind::kGrid;
   snapshot.tree_nodes = tree_ != nullptr ? tree_->num_nodes() : 0;
   snapshot.tree_height = tree_ != nullptr ? tree_->height() : 0;
   snapshot.has_solution = session_.has_solution;
@@ -586,8 +536,7 @@ EngineSnapshot DiscEngine::Snapshot() const {
   snapshot.adopted_sessions = adopted_sessions_;
   snapshot.threads = threads_;
   snapshot.sessions_served = sessions_served_;
-  snapshot.lifetime_stats =
-      tree_ != nullptr ? tree_->stats() : backend_->stats();
+  snapshot.lifetime_stats = LifetimeStats();
   return snapshot;
 }
 

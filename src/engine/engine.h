@@ -260,8 +260,7 @@ class DiscEngine {
 
  private:
   DiscEngine(Dataset dataset, std::unique_ptr<DistanceMetric> metric,
-             MTreeOptions tree_options, size_t threads,
-             NeighborBackendOptions backend_options);
+             MTreeOptions tree_options, size_t threads);
 
   struct CacheKey {
     Algorithm algorithm;
@@ -369,8 +368,10 @@ class DiscEngine {
   /// Greedy-C / Fast-C are never pruned; normalize the cache key.
   static bool EffectivePruned(const DiversifyRequest& request);
 
-  /// Records that the tree colors now encode the solution a Diversify with
-  /// `key` produced (directly or from cache).
+  /// Records that the session now holds the solution a Diversify with `key`
+  /// produced (directly or from cache), and decides whether it can be
+  /// zoomed: not in graph mode, whose runs leave no tree color state, and
+  /// not for a covering-only algorithm.
   void SetSession(const CacheKey& key, size_t solution_size,
                   bool distances_exact);
 
@@ -379,21 +380,23 @@ class DiscEngine {
   /// threads_ == 1 — every pass then takes its original serial path.
   ThreadPool* pool();
 
-  /// The non-exact-backend Diversify path: algorithms run on the
-  /// neighborhood graph the backend builds (core/reference.h) instead of on
-  /// tree colors. Serves the same solution cache (entries hold no
-  /// ColorState) and leaves the session non-zoomable.
-  Result<DiversifyResponse> DiversifyViaBackend(
-      const DiversifyRequest& request);
+  /// Diversify's solve step for `key`: RunAlgorithm on the tree, or in
+  /// graph mode the core/reference.h solver on G_{P,r}. Graph mode refuses
+  /// an index-bound algorithm with Unimplemented before building anything.
+  Result<std::vector<ObjectId>> Solve(const CacheKey& key);
 
-  /// The backend-built G_{P,r} for `radius`, cached one radius at a time
-  /// (the graph is the dominant memory cost; the solution cache covers
-  /// radius revisits).
-  Result<const NeighborhoodGraph*> GraphForRadius(double radius);
+  /// G_{P,r} for `radius`, cached one radius at a time (the graph is the
+  /// dominant memory cost; the solution cache covers radius revisits). Its
+  /// build is charged to graph_stats_.
+  const NeighborhoodGraph& GraphForRadius(double radius);
 
-  /// Marks the just-set session non-zoomable: graph-mode runs leave no tree
-  /// color state for the adaptive operations to read.
-  void BlockZoomForGraphMode();
+  /// FailedPrecondition in graph mode for the §8 extensions, which run on
+  /// the exact engine only; `what` names the extension.
+  Status RequireExactEngine(const char* what) const;
+
+  /// Index work consumed since construction: the tree's stats, or in graph
+  /// mode the graph builds'.
+  AccessStats LifetimeStats() const;
 
   CacheEntry* FindCached(const CacheKey& key);
   const CacheEntry* FindCached(const CacheKey& key) const;
@@ -411,14 +414,13 @@ class DiscEngine {
   std::unique_ptr<DistanceMetric> metric_;
   /// Index knobs (kept for Snapshot even when no tree exists).
   MTreeOptions tree_options_;
-  /// The session index. Null in graph mode (backend_ set instead) — exactly
-  /// one of tree_ / backend_ is non-null after Create.
+  /// The session index. Null in graph mode, where algorithms run on
+  /// graph_cache_ instead.
   std::unique_ptr<MTree> tree_;
-  NeighborBackendOptions backend_options_;
-  std::unique_ptr<NeighborBackend> backend_;
-  /// One-radius graph cache for DiversifyViaBackend; its radius() is the
-  /// key.
+  /// Graph mode's one-radius G_{P,r} cache; its radius() is the key.
   std::unique_ptr<NeighborhoodGraph> graph_cache_;
+  /// Graph mode's accounting: every graph build's work.
+  AccessStats graph_stats_;
   /// Resolved worker count (EngineConfig::threads, 0 -> hardware).
   size_t threads_ = 1;
   /// Backing storage for pool(); lazily created. The engine remains

@@ -7,9 +7,10 @@ namespace disc {
 
 NeighborhoodGraph::NeighborhoodGraph(const Dataset& dataset,
                                      const DistanceMetric& metric,
-                                     double radius, ThreadPool* pool)
-    : NeighborhoodGraph(radius,
-                        BuildAdjacency(dataset, metric, radius, pool)) {}
+                                     double radius, ThreadPool* pool,
+                                     AccessStats* charge)
+    : NeighborhoodGraph(
+          radius, BuildAdjacency(dataset, metric, radius, pool, charge)) {}
 
 Result<NeighborhoodGraph> NeighborhoodGraph::FromBackend(
     const NeighborBackend& backend, double radius, ThreadPool* pool) {

@@ -9,7 +9,8 @@
 // pass (N_r(p) for all p, §4–§6). Both entry points run the one graph
 // builder, BuildAdjacency (neighbor/backend.h): the uniform-grid accelerator
 // where it applies, else the exact O(n^2) scan. The direct constructor calls
-// it as is; FromBackend calls it through graph mode's NeighborBackend,
+// it as is, charging the caller's AccessStats when given one (graph mode's
+// accounting in DiscEngine); FromBackend calls it through a NeighborBackend,
 // charging the backend's stats(). Either way the graph adopts the
 // CsrAdjacency the builder returns, rows already sorted, and is
 // byte-identical to the serial build for every util/parallel.h thread pool.
@@ -41,13 +42,16 @@ class NeighborhoodGraph {
   /// Builds the graph by computing pairwise distances — exactly once per
   /// unordered pair on both paths. Uses a uniform-grid accelerator for
   /// low-dimensional Minkowski metrics and falls back to the exact O(n^2)
-  /// scan otherwise; both produce identical graphs.
+  /// scan otherwise; both produce identical graphs. When `charge` is
+  /// non-null the build's accounting is added to it (BuildAdjacency
+  /// documents the convention).
   NeighborhoodGraph(const Dataset& dataset, const DistanceMetric& metric,
-                    double radius, ThreadPool* pool = nullptr);
+                    double radius, ThreadPool* pool = nullptr,
+                    AccessStats* charge = nullptr);
 
-  /// Builds the graph through graph mode's NeighborBackend
-  /// (neighbor/backend.h): exactly the graph the constructor above
-  /// produces. Accounting goes to the backend's stats(); never fails.
+  /// Builds the graph through a NeighborBackend (neighbor/backend.h):
+  /// exactly the graph the constructor above produces. Accounting goes to
+  /// the backend's stats(); never fails.
   static Result<NeighborhoodGraph> FromBackend(const NeighborBackend& backend,
                                                double radius,
                                                ThreadPool* pool = nullptr);

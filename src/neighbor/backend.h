@@ -1,14 +1,14 @@
-// The graph builder behind graph mode: the batched G_{P,r} build as a
-// service.
+// The graph builder behind graph mode: the batched G_{P,r} build.
 //
 // Every DisC pass is dominated by computing N_r(p) (§4–§6 of the paper).
-// NeighborBackend does one job — build the full adjacency structure for one
-// radius, with accounting compatible with MTree::AccessStats — through
-// BuildAdjacency, the one grid-or-scan decision: the uniform-grid
-// accelerator where GridCompatible (the million-point path for
-// low-dimensional Minkowski inputs), else the exact O(n^2) scan. Every
-// reported N_r(p) equals the true one. NeighborhoodGraph's direct
-// constructor calls the same function.
+// BuildAdjacency builds the full adjacency structure for one radius, with
+// accounting compatible with MTree::AccessStats, through the one
+// grid-or-scan decision: the uniform-grid accelerator where GridCompatible
+// (the million-point path for low-dimensional Minkowski inputs), else the
+// exact O(n^2) scan. Every reported N_r(p) equals the true one.
+// NeighborhoodGraph's direct constructor calls it, and so does graph mode.
+// NeighborBackend wraps the same call with running stats for perfbench,
+// the tests and bench_neighbor_backends; the engine does not use it.
 //
 // NeighborBackendKind selects the engine mode: kGrid is graph mode over this
 // builder; kExact is the M-tree session engine DiscEngine::Create builds
@@ -43,7 +43,7 @@ class ThreadPool;  // util/parallel.h
 /// workloads.
 enum class NeighborBackendKind {
   kExact,  // the M-tree session engine, one range query per object
-  kGrid,   // graph mode over NeighborBackend (grid, else brute force)
+  kGrid,   // graph mode over BuildAdjacency (grid, else brute force)
 };
 
 /// "exact" / "grid". The kind name is also the engine pool's key component.
@@ -86,8 +86,8 @@ CsrAdjacency BuildAdjacency(const Dataset& dataset,
                             const DistanceMetric& metric, double radius,
                             ThreadPool* pool, AccessStats* charge = nullptr);
 
-/// Graph mode's G_r builder. Immutable after construction; the dataset and
-/// metric must outlive it.
+/// BuildAdjacency bound to one dataset and metric, with running stats.
+/// Immutable after construction; the dataset and metric must outlive it.
 class NeighborBackend {
  public:
   NeighborBackend(const Dataset& dataset, const DistanceMetric& metric)
@@ -96,7 +96,7 @@ class NeighborBackend {
   NeighborBackend(const NeighborBackend&) = delete;
   NeighborBackend& operator=(const NeighborBackend&) = delete;
 
-  /// "grid", the kind name engine messages quote.
+  /// "grid", the kind name.
   const char* name() const {
     return NeighborBackendKindToString(NeighborBackendKind::kGrid);
   }

@@ -20,63 +20,21 @@ namespace {
 // diverse subset (independent + covering, Definition 1) on every workload.
 // ---------------------------------------------------------------------------
 
-enum class Algo {
-  kBasic,
-  kBasicPruned,
-  kGreedyGrey,
-  kGreedyGreyPruned,
-  kGreedyWhite,
-  kGreedyLazyGrey,
-  kGreedyLazyWhite,
+struct Variant {
+  const char* name;
+  Algorithm algorithm;
+  bool pruned;
 };
 
-const char* AlgoName(Algo algo) {
-  switch (algo) {
-    case Algo::kBasic:
-      return "Basic";
-    case Algo::kBasicPruned:
-      return "BasicPruned";
-    case Algo::kGreedyGrey:
-      return "GreedyGrey";
-    case Algo::kGreedyGreyPruned:
-      return "GreedyGreyPruned";
-    case Algo::kGreedyWhite:
-      return "GreedyWhite";
-    case Algo::kGreedyLazyGrey:
-      return "GreedyLazyGrey";
-    case Algo::kGreedyLazyWhite:
-      return "GreedyLazyWhite";
-  }
-  return "?";
-}
-
-DiscResult RunAlgo(Algo algo, MTree* tree, double radius) {
-  GreedyDiscOptions options;
-  switch (algo) {
-    case Algo::kBasic:
-      return BasicDisc(tree, radius, false);
-    case Algo::kBasicPruned:
-      return BasicDisc(tree, radius, true);
-    case Algo::kGreedyGrey:
-      options.variant = GreedyVariant::kGrey;
-      options.pruned = false;
-      return GreedyDisc(tree, radius, options);
-    case Algo::kGreedyGreyPruned:
-      options.variant = GreedyVariant::kGrey;
-      options.pruned = true;
-      return GreedyDisc(tree, radius, options);
-    case Algo::kGreedyWhite:
-      options.variant = GreedyVariant::kWhite;
-      return GreedyDisc(tree, radius, options);
-    case Algo::kGreedyLazyGrey:
-      options.variant = GreedyVariant::kLazyGrey;
-      return GreedyDisc(tree, radius, options);
-    case Algo::kGreedyLazyWhite:
-      options.variant = GreedyVariant::kLazyWhite;
-      return GreedyDisc(tree, radius, options);
-  }
-  return {};
-}
+constexpr Variant kVariants[] = {
+    {"Basic", Algorithm::kBasic, false},
+    {"BasicPruned", Algorithm::kBasic, true},
+    {"GreedyGrey", Algorithm::kGreedy, false},
+    {"GreedyGreyPruned", Algorithm::kGreedy, true},
+    {"GreedyWhite", Algorithm::kGreedyWhite, true},
+    {"GreedyLazyGrey", Algorithm::kLazyGrey, true},
+    {"GreedyLazyWhite", Algorithm::kLazyWhite, true},
+};
 
 struct Workload {
   const char* name;
@@ -113,18 +71,21 @@ Workload MakeWorkload(int index) {
 constexpr int kNumWorkloads = 7;
 
 class DiscValidityTest
-    : public ::testing::TestWithParam<std::tuple<Algo, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Variant, int>> {};
 
 TEST_P(DiscValidityTest, ProducesValidDisCDiverseSubset) {
-  auto [algo, workload_index] = GetParam();
+  auto [variant, workload_index] = GetParam();
   Workload w = MakeWorkload(workload_index);
   MTree tree(w.dataset, *w.metric);
   ASSERT_TRUE(tree.Build().ok());
-  DiscResult result = RunAlgo(algo, &tree, w.radius);
+  AlgorithmRunOptions options;
+  options.pruned = variant.pruned;
+  DiscResult result =
+      RunAlgorithm(&tree, variant.algorithm, w.radius, options);
   EXPECT_FALSE(result.solution.empty());
   Status valid =
       VerifyDisCDiverse(w.dataset, *w.metric, w.radius, result.solution);
-  EXPECT_TRUE(valid.ok()) << AlgoName(algo) << " on " << w.name << ": "
+  EXPECT_TRUE(valid.ok()) << variant.name << " on " << w.name << ": "
                           << valid.ToString();
   // Solutions must also be maximal (Lemma 1: independent + dominating).
   NeighborhoodGraph graph(w.dataset, *w.metric, w.radius);
@@ -133,15 +94,10 @@ TEST_P(DiscValidityTest, ProducesValidDisCDiverseSubset) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgosAllWorkloads, DiscValidityTest,
-    ::testing::Combine(::testing::Values(Algo::kBasic, Algo::kBasicPruned,
-                                         Algo::kGreedyGrey,
-                                         Algo::kGreedyGreyPruned,
-                                         Algo::kGreedyWhite,
-                                         Algo::kGreedyLazyGrey,
-                                         Algo::kGreedyLazyWhite),
+    ::testing::Combine(::testing::ValuesIn(kVariants),
                        ::testing::Range(0, kNumWorkloads)),
-    [](const ::testing::TestParamInfo<std::tuple<Algo, int>>& param_info) {
-      return std::string(AlgoName(std::get<0>(param_info.param))) + "_w" +
+    [](const ::testing::TestParamInfo<std::tuple<Variant, int>>& param_info) {
+      return std::string(std::get<0>(param_info.param).name) + "_w" +
              std::to_string(std::get<1>(param_info.param));
     });
 
@@ -169,10 +125,7 @@ TEST(DiscReferenceEquivalenceTest, GreedyGreyMatchesReferenceExactly) {
   const double radius = 0.07;
   MTree tree(d, metric);
   ASSERT_TRUE(tree.Build().ok());
-  GreedyDiscOptions options;
-  options.variant = GreedyVariant::kGrey;
-  options.pruned = true;
-  DiscResult indexed = GreedyDisc(&tree, radius, options);
+  DiscResult indexed = GreedyDisc(&tree, radius, {});
   NeighborhoodGraph graph(d, metric, radius);
   EXPECT_EQ(indexed.solution, ReferenceGreedyDisc(graph));
 }
@@ -184,12 +137,8 @@ TEST(DiscReferenceEquivalenceTest, WhiteVariantMatchesGreyVariantSolutions) {
   const double radius = 0.08;
   MTree tree(d, metric);
   ASSERT_TRUE(tree.Build().ok());
-  GreedyDiscOptions grey;
-  grey.variant = GreedyVariant::kGrey;
-  GreedyDiscOptions white;
-  white.variant = GreedyVariant::kWhite;
-  EXPECT_EQ(GreedyDisc(&tree, radius, grey).solution,
-            GreedyDisc(&tree, radius, white).solution);
+  EXPECT_EQ(GreedyDisc(&tree, radius, {}).solution,
+            RunAlgorithm(&tree, Algorithm::kGreedyWhite, radius).solution);
 }
 
 TEST(DiscReferenceEquivalenceTest, PruningNeverChangesTheSolution) {
@@ -200,7 +149,7 @@ TEST(DiscReferenceEquivalenceTest, PruningNeverChangesTheSolution) {
     ASSERT_TRUE(tree.Build().ok());
     EXPECT_EQ(BasicDisc(&tree, radius, false).solution,
               BasicDisc(&tree, radius, true).solution);
-    GreedyDiscOptions pruned, unpruned;
+    AlgorithmRunOptions pruned, unpruned;
     pruned.pruned = true;
     unpruned.pruned = false;
     EXPECT_EQ(GreedyDisc(&tree, radius, unpruned).solution,
@@ -215,7 +164,7 @@ TEST(DiscReferenceEquivalenceTest, PrecomputedCountsChangeNothing) {
   MTree tree_a(d, metric);
   std::vector<uint32_t> counts;
   ASSERT_TRUE(tree_a.BuildWithNeighborCounts(radius, &counts).ok());
-  GreedyDiscOptions with_counts;
+  AlgorithmRunOptions with_counts;
   with_counts.initial_counts = &counts;
   DiscResult a = GreedyDisc(&tree_a, radius, with_counts);
 
@@ -291,12 +240,9 @@ TEST(DiscBehaviorTest, LazyVariantsCostNoMoreAccessesThanExact) {
   MTree tree(d, metric);
   ASSERT_TRUE(tree.Build().ok());
   const double radius = 0.05;
-  GreedyDiscOptions grey;
-  grey.variant = GreedyVariant::kGrey;
-  GreedyDiscOptions lazy;
-  lazy.variant = GreedyVariant::kLazyGrey;
-  uint64_t exact_cost = GreedyDisc(&tree, radius, grey).stats.node_accesses;
-  uint64_t lazy_cost = GreedyDisc(&tree, radius, lazy).stats.node_accesses;
+  uint64_t exact_cost = GreedyDisc(&tree, radius, {}).stats.node_accesses;
+  uint64_t lazy_cost =
+      RunAlgorithm(&tree, Algorithm::kLazyGrey, radius).stats.node_accesses;
   EXPECT_LE(lazy_cost, exact_cost);
 }
 

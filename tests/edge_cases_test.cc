@@ -139,7 +139,7 @@ TEST(ErrorPathTest, GreedyOptionsWithWrongSizedCountsAreSafeInRelease) {
   std::vector<uint32_t> counts;
   ASSERT_TRUE(tree.BuildWithNeighborCounts(0.2, &counts).ok());
   ASSERT_EQ(counts.size(), d.size());
-  GreedyDiscOptions options;
+  AlgorithmRunOptions options;
   options.initial_counts = &counts;
   DiscResult result = GreedyDisc(&tree, 0.2, options);
   EXPECT_TRUE(VerifyDisCDiverse(d, metric, 0.2, result.solution).ok());

@@ -110,7 +110,46 @@ TEST(EngineBackendTest, IndexBoundVariantsAnswerUnimplemented) {
     ASSERT_FALSE(response.ok()) << AlgorithmToString(algorithm);
     EXPECT_EQ(response.status().code(), StatusCode::kUnimplemented)
         << response.status().ToString();
+    // The refusal comes before any graph build: nothing is charged.
+    EXPECT_EQ(engine->Snapshot().lifetime_stats, AccessStats{})
+        << AlgorithmToString(algorithm);
   }
+
+  // Nor is a graph left cached: the next greedy at that radius pays the
+  // build exactly as a fresh engine does.
+  auto after_refusals = engine->Diversify(Request(Algorithm::kGreedy, 0.07));
+  ASSERT_TRUE(after_refusals.ok()) << after_refusals.status().ToString();
+  auto fresh = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid));
+  ASSERT_NE(fresh, nullptr);
+  auto on_fresh = fresh->Diversify(Request(Algorithm::kGreedy, 0.07));
+  ASSERT_TRUE(on_fresh.ok()) << on_fresh.status().ToString();
+  EXPECT_GT(on_fresh->stats.range_queries, 0u);
+  EXPECT_EQ(after_refusals->stats, on_fresh->stats);
+  EXPECT_EQ(after_refusals->solution, on_fresh->solution);
+}
+
+TEST(EngineBackendTest, LifetimeStatsSumTheResponsesAcrossGraphRebuilds) {
+  auto engine = MustCreate(GraphModeConfig(NeighborBackendKind::kGrid));
+  ASSERT_NE(engine, nullptr);
+  const double r1 = 0.06;
+  const double r2 = 0.09;
+  AccessStats total;
+  std::vector<AccessStats> charged;
+  for (const DiversifyRequest& request :
+       {Request(Algorithm::kGreedy, r1), Request(Algorithm::kBasic, r2),
+        // Rebuilds r1's graph: the one-radius cache now holds r2's.
+        Request(Algorithm::kGreedyC, r1),
+        // A solution-cache hit.
+        Request(Algorithm::kGreedyC, r1)}) {
+    auto response = engine->Diversify(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    total += response->stats;
+    charged.push_back(response->stats);
+  }
+  EXPECT_EQ(engine->Snapshot().lifetime_stats, total);
+  EXPECT_GT(charged[0].range_queries, 0u);
+  EXPECT_EQ(charged[0], charged[2]);  // both r1 builds cost the same
+  EXPECT_EQ(charged[3], AccessStats{});
 }
 
 TEST(EngineBackendTest, AdaptiveOperationsAnswerFailedPrecondition) {
