@@ -60,49 +60,32 @@ DiscResult BasicDisc(MTree* tree, double radius, bool pruned) {
   // Pruned runs may skip already-grey neighbors, leaving their closest-black
   // distances incomplete; unpruned runs visit every neighbor and keep them
   // exact (see MTree::RecomputeClosestBlackDistances).
-  const QueryFilter filter =
-      pruned ? QueryFilter::kWhiteOnly : QueryFilter::kAll;
-
+  auto is_white = [tree](ObjectId id) {
+    return tree->color(id) == Color::kWhite;
+  };
   std::vector<ObjectId> solution;
-  std::vector<Neighbor> found;
-  tree->ScanLeaves(/*skip_grey_leaves=*/pruned, [&](ObjectId id) {
-    if (tree->color(id) != Color::kWhite) return;
-    tree->SetColor(id, Color::kBlack);
-    solution.push_back(id);
-    found.clear();
-    tree->RangeQueryAround(id, radius, filter, pruned, &found);
-    for (const Neighbor& nb : found) {
-      if (tree->color(nb.id) == Color::kWhite) {
-        tree->SetColor(nb.id, Color::kGrey);
-      }
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-    }
-  });
+  internal::LeafOrderSelect(tree, {radius, pruned}, is_white,
+                            internal::Region{}, &solution);
   return scope.Finish(std::move(solution));
 }
 
 namespace {
 
-/// How a Greedy-DisC variant maintains L' (§5.1): the radius of its update
-/// queries, and whether it queries around every newly-grey object (grey
-/// style) or once around the selected object (white style). The lazy
-/// variants deliberately use a smaller radius, leaving distant counts stale
-/// (§6).
-struct GreedyMaintenance {
-  double update_radius;
-  bool grey_style;
-};
-
-GreedyMaintenance MaintenanceFor(Algorithm variant, double radius) {
+/// How a Greedy-DisC variant maintains L' (§5.1) around selections made
+/// with `select`: its update queries prune as `select` does, at the
+/// variant's update radius, and run grey or white style. The lazy variants
+/// deliberately use a smaller radius, leaving distant counts stale (§6).
+internal::Maintenance MaintenanceFor(Algorithm variant,
+                                     const internal::QuerySpec& select) {
   switch (variant) {
     case Algorithm::kLazyGrey:
-      return {radius / 2.0, true};
+      return {{select.radius / 2.0, select.pruned}, /*grey_style=*/true};
     case Algorithm::kGreedyWhite:
-      return {2.0 * radius, false};
+      return {{2.0 * select.radius, select.pruned}, /*grey_style=*/false};
     case Algorithm::kLazyWhite:
-      return {1.5 * radius, false};
+      return {{1.5 * select.radius, select.pruned}, /*grey_style=*/false};
     default:
-      return {radius, true};
+      return {select, /*grey_style=*/true};
   }
 }
 
@@ -113,8 +96,6 @@ DiscResult RunGreedyDisc(MTree* tree, double radius, Algorithm variant,
   internal::RunScope scope(tree);
   tree->ResetColors();
   const size_t n = tree->size();
-  const QueryFilter filter =
-      options.pruned ? QueryFilter::kWhiteOnly : QueryFilter::kAll;
 
   // L': every (white) object keyed by its white-neighborhood size.
   std::vector<uint32_t> counts;
@@ -129,63 +110,10 @@ DiscResult RunGreedyDisc(MTree* tree, double radius, Algorithm variant,
     heap.Push(id, counts[id]);
   }
 
-  const auto [update_radius, grey_style] = MaintenanceFor(variant, radius);
-
+  const internal::QuerySpec select{radius, options.pruned};
   std::vector<ObjectId> solution;
-  std::vector<Neighbor> found, update_found;
-  std::vector<ObjectId> newly_grey;
-  while (!heap.empty()) {
-    // The heap holds exactly the white objects, so the top is the white
-    // object with the largest (possibly stale, for lazy variants) count.
-    ObjectId pi = heap.PopTop();
-    assert(tree->color(pi) == Color::kWhite);
-    tree->SetColor(pi, Color::kBlack);
-    solution.push_back(pi);
-
-    found.clear();
-    tree->RangeQueryAround(pi, radius, filter, options.pruned, &found);
-    newly_grey.clear();
-    for (const Neighbor& nb : found) {
-      if (tree->color(nb.id) == Color::kWhite) {
-        tree->SetColor(nb.id, Color::kGrey);
-        newly_grey.push_back(nb.id);
-        heap.Remove(nb.id);
-      }
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-    }
-
-    if (grey_style) {
-      // One query per newly-grey object: its white neighbors lost one white
-      // neighborhood member.
-      for (ObjectId pj : newly_grey) {
-        update_found.clear();
-        tree->RangeQueryAround(pj, update_radius, filter, options.pruned,
-                               &update_found);
-        for (const Neighbor& nb : update_found) {
-          if (tree->color(nb.id) == Color::kWhite && heap.contains(nb.id)) {
-            heap.Adjust(nb.id, -1);
-          }
-        }
-      }
-    } else {
-      // White-style: only white objects within 2r of pi can have lost white
-      // neighbors. One query retrieves them; the per-object loss is counted
-      // against the newly-grey list with plain distance computations.
-      update_found.clear();
-      tree->RangeQueryAround(pi, update_radius, filter, options.pruned,
-                             &update_found);
-      for (const Neighbor& nb : update_found) {
-        if (tree->color(nb.id) != Color::kWhite || !heap.contains(nb.id)) {
-          continue;
-        }
-        int64_t lost = 0;
-        for (ObjectId pj : newly_grey) {
-          if (tree->Distance(nb.id, pj) <= radius) ++lost;
-        }
-        if (lost > 0) heap.Adjust(nb.id, -lost);
-      }
-    }
-  }
+  internal::GreedySelect(tree, &heap, select, MaintenanceFor(variant, select),
+                         internal::Region{}, &solution);
   return scope.Finish(std::move(solution));
 }
 

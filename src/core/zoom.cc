@@ -1,6 +1,5 @@
 #include "core/zoom.h"
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -14,110 +13,55 @@ namespace disc {
 
 namespace {
 
-// Restriction of an operation to a subset of objects (local zooming).
-// A null membership vector means "everything" (global zooming).
-struct Region {
-  const std::vector<char>* member = nullptr;
-
-  bool contains(ObjectId id) const {
-    return member == nullptr || (*member)[id] != 0;
-  }
-};
+using internal::Region;
 
 // Shared zoom-in machinery. Candidates are the region's grey objects whose
 // closest black representative is farther than the new (smaller) radius.
 // Returns only the *newly added* objects; callers merge with the kept ones.
 std::vector<ObjectId> ZoomInCore(MTree* tree, double r_new, bool greedy,
-                                 bool observe_all, const Region& region) {
+                                 bool observe_all, Region region) {
+  auto uncovered = [&](ObjectId id) {
+    return tree->color(id) == Color::kGrey && region.contains(id) &&
+           tree->closest_black_dist(id) > r_new;
+  };
+  const internal::QuerySpec all{r_new, /*pruned=*/false};
   std::vector<ObjectId> added;
-  std::vector<Neighbor> found, update_found;
 
   if (!greedy) {
-    // Zoom-In: one pass of the leaf chain. A grey object that lost its
-    // representative turns black on the spot; its range query records it as
-    // the new closest black of everything it now covers, so later objects in
-    // the pass see up-to-date distances.
-    tree->ScanLeaves(/*skip_grey_leaves=*/false, [&](ObjectId id) {
-      if (tree->color(id) != Color::kGrey || !region.contains(id)) return;
-      if (tree->closest_black_dist(id) <= r_new) return;
-      tree->SetColor(id, Color::kBlack);
-      added.push_back(id);
-      found.clear();
-      tree->RangeQueryAround(id, r_new, QueryFilter::kAll, /*pruned=*/false,
-                             &found);
-      for (const Neighbor& nb : found) {
-        tree->ObserveBlackNeighbor(nb.id, nb.dist);
-      }
-    });
+    // Zoom-In: Basic-DisC's pass over the candidates. A grey object that
+    // lost its representative turns black on the spot; its unpruned query
+    // records it as the new closest black of everything it now covers, so
+    // later objects in the pass see up-to-date distances.
+    internal::LeafOrderSelect(tree, all, uncovered, region, &added);
     return added;
   }
 
-  // Greedy-Zoom-In (Algorithm 2): whiten the uncovered objects, then run the
-  // greedy selection over them, maintaining white-neighborhood counts with
-  // grey-style updates. All queries can use the pruning rule because white
-  // counters are live again.
+  // Greedy-Zoom-In (Algorithm 2): whiten the uncovered objects, then run
+  // Greedy-DisC's selection over them, maintaining white-neighborhood counts
+  // with grey-style updates. All queries can use the pruning rule because
+  // white counters are live again.
   std::vector<ObjectId> whitened;
   tree->ScanLeaves(/*skip_grey_leaves=*/false, [&](ObjectId id) {
-    if (tree->color(id) != Color::kGrey || !region.contains(id)) return;
-    if (tree->closest_black_dist(id) <= r_new) return;
+    if (!uncovered(id)) return;
     tree->SetColor(id, Color::kWhite);
     whitened.push_back(id);
   });
-
-  IndexedMaxHeap heap(tree->size());
-  for (ObjectId w : whitened) {
-    found.clear();
-    tree->RangeQueryAround(w, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
-                           &found);
-    heap.Push(w, static_cast<int64_t>(found.size()));
-  }
-
-  std::vector<ObjectId> newly_grey;
-  while (!heap.empty()) {
-    ObjectId pi = heap.PopTop();
-    assert(tree->color(pi) == Color::kWhite);
-    tree->SetColor(pi, Color::kBlack);
-    added.push_back(pi);
-
-    // observe_all widens the selection query from pruned/white-only to
-    // unpruned/all-colors: same whites found (so the same selection
-    // sequence and the same heap maintenance), but already-grey neighbors
-    // of the new black also observe their exact distance instead of
-    // keeping an upper bound from some earlier black (see ZoomIn).
-    found.clear();
-    if (observe_all) {
-      tree->RangeQueryAround(pi, r_new, QueryFilter::kAll, /*pruned=*/false,
-                             &found);
-    } else {
-      tree->RangeQueryAround(pi, r_new, QueryFilter::kWhiteOnly,
-                             /*pruned=*/true, &found);
-    }
-    newly_grey.clear();
-    for (const Neighbor& nb : found) {
-      if (tree->color(nb.id) == Color::kWhite) {
-        tree->SetColor(nb.id, Color::kGrey);
-        newly_grey.push_back(nb.id);
-        if (heap.contains(nb.id)) heap.Remove(nb.id);
-      }
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-    }
-    for (ObjectId pj : newly_grey) {
-      update_found.clear();
-      tree->RangeQueryAround(pj, r_new, QueryFilter::kWhiteOnly,
-                             /*pruned=*/true, &update_found);
-      for (const Neighbor& nb : update_found) {
-        if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-      }
-    }
-  }
+  IndexedMaxHeap heap = internal::SeedWhiteCounts(tree, r_new, whitened);
+  // observe_all widens the selection query from pruned/white-only to
+  // unpruned/all-colors: same whites found (so the same selection sequence
+  // and the same heap maintenance), but already-grey neighbors of the new
+  // black also observe their exact distance instead of keeping an upper
+  // bound from some earlier black (see ZoomIn).
+  const internal::QuerySpec white{r_new, /*pruned=*/true};
+  internal::GreedySelect(tree, &heap, observe_all ? all : white,
+                         {white, /*grey_style=*/true}, region, &added);
   return added;
 }
 
 // Shared zoom-out machinery (Algorithm 3). Returns the region's new
 // solution; callers merge with any out-of-region selection.
 std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
-                                  ZoomOutVariant variant,
-                                  const Region& region) {
+                                  ZoomOutVariant variant, Region region) {
   const size_t n = tree->size();
 
   // Recolor: black -> red (awaiting confirmation), grey -> white. Old
@@ -135,7 +79,7 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
   }
 
   std::vector<ObjectId> solution;
-  std::vector<Neighbor> found, update_found;
+  std::vector<Neighbor> found;
 
   // ---- Pass 1: confirm or drop the old selection -----------------------
   // `alive[i]` tracks which reds are still undecided.
@@ -173,9 +117,7 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
       // A white-count query per red object: this is what makes variant (c)
       // expensive (Figure 15).
       for (size_t i = 0; i < reds.size(); ++i) {
-        found.clear();
-        tree->RangeQueryAround(reds[i], r_new, QueryFilter::kWhiteOnly,
-                               /*pruned=*/true, &found);
+        internal::QueryAround(*tree, reds[i], {r_new, /*pruned=*/true}, &found);
         red_heap.Push(i, static_cast<int64_t>(found.size()));
       }
       break;
@@ -187,9 +129,7 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
     alive[i] = 0;
     tree->SetColor(pi, Color::kBlack);
     solution.push_back(pi);
-    found.clear();
-    tree->RangeQueryAround(pi, r_new, QueryFilter::kAll, /*pruned=*/false,
-                           &found);
+    internal::QueryAround(*tree, pi, {r_new, /*pruned=*/false}, &found);
     for (const Neighbor& nb : found) {
       if (!region.contains(nb.id)) continue;
       Color c = tree->color(nb.id);
@@ -241,24 +181,15 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
 
   // ---- Pass 2: cover the newly exposed areas ---------------------------
   if (variant == ZoomOutVariant::kArbitrary) {
-    tree->ScanLeaves(/*skip_grey_leaves=*/false, [&](ObjectId id) {
-      if (tree->color(id) != Color::kWhite || !region.contains(id)) return;
-      tree->SetColor(id, Color::kBlack);
-      solution.push_back(id);
-      found.clear();
-      tree->RangeQueryAround(id, r_new, QueryFilter::kAll, /*pruned=*/false,
-                             &found);
-      for (const Neighbor& nb : found) {
-        if (region.contains(nb.id) && tree->color(nb.id) == Color::kWhite) {
-          tree->SetColor(nb.id, Color::kGrey);
-        }
-        tree->ObserveBlackNeighbor(nb.id, nb.dist);
-      }
-    });
+    auto exposed = [&](ObjectId id) {
+      return tree->color(id) == Color::kWhite && region.contains(id);
+    };
+    internal::LeafOrderSelect(tree, {r_new, /*pruned=*/false}, exposed,
+                              region, &solution);
     return solution;
   }
 
-  // Greedy second pass (Algorithm 3 lines 12-19): standard greedy selection
+  // Greedy second pass (Algorithm 3 lines 12-19): Greedy-DisC's selection
   // over the remaining whites.
   std::vector<ObjectId> whites;
   for (ObjectId id = 0; id < n; ++id) {
@@ -266,38 +197,10 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
       whites.push_back(id);
     }
   }
-  IndexedMaxHeap heap(n);
-  for (ObjectId w : whites) {
-    found.clear();
-    tree->RangeQueryAround(w, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
-                           &found);
-    heap.Push(w, static_cast<int64_t>(found.size()));
-  }
-  std::vector<ObjectId> newly_grey;
-  while (!heap.empty()) {
-    ObjectId pi = heap.PopTop();
-    tree->SetColor(pi, Color::kBlack);
-    solution.push_back(pi);
-    found.clear();
-    tree->RangeQueryAround(pi, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
-                           &found);
-    newly_grey.clear();
-    for (const Neighbor& nb : found) {
-      if (!region.contains(nb.id)) continue;
-      tree->SetColor(nb.id, Color::kGrey);
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-      newly_grey.push_back(nb.id);
-      if (heap.contains(nb.id)) heap.Remove(nb.id);
-    }
-    for (ObjectId pj : newly_grey) {
-      update_found.clear();
-      tree->RangeQueryAround(pj, r_new, QueryFilter::kWhiteOnly,
-                             /*pruned=*/true, &update_found);
-      for (const Neighbor& nb : update_found) {
-        if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-      }
-    }
-  }
+  IndexedMaxHeap heap = internal::SeedWhiteCounts(tree, r_new, whites);
+  const internal::QuerySpec white{r_new, /*pruned=*/true};
+  internal::GreedySelect(tree, &heap, white, {white, /*grey_style=*/true},
+                         region, &solution);
   return solution;
 }
 
@@ -341,8 +244,8 @@ DiscResult LocalZoom(MTree* tree, ObjectId center, double old_radius,
   std::vector<char> member(tree->size(), 0);
   member[center] = 1;
   std::vector<Neighbor> in_region;
-  tree->RangeQueryAround(center, old_radius, QueryFilter::kAll,
-                         /*pruned=*/false, &in_region);
+  internal::QueryAround(*tree, center, {old_radius, /*pruned=*/false},
+                        &in_region);
   for (const Neighbor& nb : in_region) member[nb.id] = 1;
   Region region{&member};
 

@@ -7,6 +7,12 @@
 // This preserves most of the previously-seen result (low Jaccard distance,
 // Figures 13/16) at a fraction of the node accesses (Figures 12/15).
 //
+// Selection reuses §5.1's two passes over the objects a zoom left uncovered
+// (core/internal.h): Greedy-Zoom-In (Algorithm 2) and the greedy Zoom-Out's
+// second pass (Algorithm 3, lines 12-19) run Greedy-DisC's L' loop; plain
+// Zoom-In and the arbitrary Zoom-Out's second pass run Basic-DisC's
+// leaf-order pass. Only Zoom-Out's first pass has a loop of its own.
+//
 // Precondition for the operations that *read* closest-black distances
 // (ZoomIn, and LocalZoom when it zooms in): the tree's colors encode a
 // valid r-DisC solution for the *old* radius, and closest-black distances

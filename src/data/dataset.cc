@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "metric/metric.h"
 #include "util/csv.h"
 
 namespace disc {
@@ -66,28 +65,6 @@ void Dataset::BoundingBox(std::vector<double>* mins,
       (*maxs)[d] = std::max((*maxs)[d], p[d]);
     }
   }
-}
-
-double Dataset::DiameterEstimate(const DistanceMetric& metric) const {
-  if (points_.size() < 2) return 0.0;
-  // Double sweep: farthest point from points_[0], then farthest from that.
-  auto farthest_from = [&](ObjectId from) {
-    ObjectId best = from;
-    double best_dist = -1.0;
-    for (ObjectId i = 0; i < points_.size(); ++i) {
-      double d = metric.Distance(points_[from], points_[i]);
-      if (d > best_dist) {
-        best_dist = d;
-        best = i;
-      }
-    }
-    return std::make_pair(best, best_dist);
-  };
-  auto [a, unused] = farthest_from(0);
-  (void)unused;
-  auto [b, diameter] = farthest_from(a);
-  (void)b;
-  return diameter;
 }
 
 Result<Dataset> LoadPointsCsv(const std::string& path) {

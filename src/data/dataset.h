@@ -57,10 +57,6 @@ class Dataset {
   /// Per-dimension [min, max] over all points. Requires a non-empty dataset.
   void BoundingBox(std::vector<double>* mins, std::vector<double>* maxs) const;
 
-  /// Largest pairwise distance estimate via the double-sweep heuristic
-  /// (exact for our use: choosing the initial radius scale in examples).
-  double DiameterEstimate(const class DistanceMetric& metric) const;
-
  private:
   size_t dim_ = 0;
   std::vector<Point> points_;

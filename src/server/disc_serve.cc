@@ -11,7 +11,7 @@
 // Usage:
 //   disc_serve [--host=127.0.0.1] [--port=4817] [--workers=4]
 //              [--max-engines=8] [--threads=0] [--prewarm=<ds>[,<ds>...]]
-//              [--max-pending=64] [--max-inflight=0]
+//              [--max-pending=64]
 //              [--neighbor-backend=exact|grid]
 //              [--max-exact-points=262144] [--help]
 //
@@ -42,7 +42,7 @@ constexpr const char* kUsage =
     "usage: disc_serve [--host=<ipv4>] [--port=<port>] [--workers=<count>]\n"
     "                  [--max-engines=<count>] [--threads=<count>]\n"
     "                  [--prewarm=<dataset>[,<dataset>...]]\n"
-    "                  [--max-pending=<count>] [--max-inflight=<count>]\n"
+    "                  [--max-pending=<count>]\n"
     "                  [--neighbor-backend=exact|grid]\n"
     "                  [--max-exact-points=<count>] [--help]\n"
     "\n"
@@ -66,10 +66,9 @@ constexpr const char* kUsage =
     "           coalesces identical requests and auto-detects HTTP/1.1 per\n"
     "           connection (POST /open, /diversify, /zoom, /close, /batch;\n"
     "           GET or POST /stats; see docs/PROTOCOL.md).\n"
-    "--max-pending:  compute requests (OPEN builds included) queued beyond\n"
-    "           the executing ones before new requests get a BUSY error.\n"
-    "--max-inflight: computations executing concurrently\n"
-    "           (0 = one per worker thread).\n"
+    "--max-pending: compute requests (OPEN builds included) queued beyond\n"
+    "           the ones executing (one per worker thread) before new\n"
+    "           requests get a BUSY error.\n"
     "\n"
     "Line protocol (one command per line, one JSON response per line):\n"
     "  OPEN dataset=uniform|clustered|cities|cameras|csv:<path>\n"
@@ -103,8 +102,7 @@ int main(int argc, char** argv) {
   auto flags_or = ParseFlagArgs(
       argc, argv,
       {"host", "port", "workers", "max-engines", "threads", "prewarm",
-       "max-pending", "max-inflight", "neighbor-backend",
-       "max-exact-points", "help"});
+       "max-pending", "neighbor-backend", "max-exact-points", "help"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n%s", flags_or.status().message().c_str(),
                  kUsage);
@@ -123,13 +121,11 @@ int main(int argc, char** argv) {
                               options.max_idle_engines);
   auto threads = FlagUint(flags, "threads", options.engine_threads);
   auto max_pending = FlagUint(flags, "max-pending", options.max_pending);
-  auto max_inflight = FlagUint(flags, "max-inflight", options.max_inflight);
   auto max_exact = FlagUint(flags, "max-exact-points",
                             options.max_exact_points);
   for (const Status& status :
        {port.status(), workers.status(), max_engines.status(),
-        threads.status(), max_pending.status(), max_inflight.status(),
-        max_exact.status()}) {
+        threads.status(), max_pending.status(), max_exact.status()}) {
     if (!status.ok()) Fail(status.ToString());
   }
   options.host = FlagOr(flags, "host", options.host);
@@ -138,7 +134,6 @@ int main(int argc, char** argv) {
   options.max_idle_engines = *max_engines;
   options.engine_threads = *threads;
   options.max_pending = *max_pending;
-  options.max_inflight = *max_inflight;
   options.max_exact_points = *max_exact;
   if (flags.count("neighbor-backend")) {
     auto backend = ParseNeighborBackendKind(flags.at("neighbor-backend"));

@@ -29,7 +29,7 @@
 // coalesces instead of recomputing.
 //
 // Backpressure, outermost first:
-//  * admission control: at most max_inflight executing + max_pending
+//  * admission control: at most `workers` executing + max_pending
 //    queued jobs; beyond that a request that would compute is answered
 //    with a BUSY error line. A request holds a slot from arrival to
 //    completion exactly when it computes — a rider included, from the
@@ -129,9 +129,7 @@ class EventLoopServer final : public DiscServer {
   explicit EventLoopServer(ServerOptions options)
       : DiscServer(std::move(options)),
         ctx_{&manager_, options_.engine_threads, options_.default_backend,
-             options_.max_exact_points},
-        max_inflight_(options_.max_inflight == 0 ? options_.workers
-                                                 : options_.max_inflight) {
+             options_.max_exact_points} {
     manager_.SetEngineDisposer([this](std::unique_ptr<DiscEngine> engine) {
       Dispose(std::move(engine));
     });
@@ -747,7 +745,7 @@ class EventLoopServer final : public DiscServer {
   /// Admission check: executing + queued jobs against the configured
   /// budget. Loop-thread only.
   bool Admit() {
-    return jobs_in_system_ < max_inflight_ + options_.max_pending;
+    return jobs_in_system_ < options_.workers + options_.max_pending;
   }
 
   std::string BusyLine(const char* cmd) {
@@ -945,21 +943,12 @@ class EventLoopServer final : public DiscServer {
       Job job;
       {
         std::unique_lock<std::mutex> lock(work_mutex_);
-        work_cv_.wait(lock, [this] {
-          return (workers_stop_ && jobs_.empty()) ||
-                 (!jobs_.empty() && executing_ < max_inflight_);
-        });
+        work_cv_.wait(lock, [this] { return workers_stop_ || !jobs_.empty(); });
         if (jobs_.empty()) return;  // stop requested and fully drained
         job = std::move(jobs_.front());
         jobs_.pop_front();
-        ++executing_;
       }
       ExecuteJob(job);
-      {
-        std::lock_guard<std::mutex> lock(work_mutex_);
-        --executing_;
-      }
-      work_cv_.notify_all();
     }
   }
 
@@ -1090,7 +1079,6 @@ class EventLoopServer final : public DiscServer {
   }
 
   const CommandContext ctx_;
-  const size_t max_inflight_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -1106,7 +1094,6 @@ class EventLoopServer final : public DiscServer {
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
   std::deque<Job> jobs_;
-  size_t executing_ = 0;
   bool workers_stop_ = false;
 
   // Completion queue (workers -> loop).

@@ -11,9 +11,10 @@
 // in-flight cold solves of the same family — seeds the answer through the
 // engine's §5.2 zoom adaptation, run as the request's own job
 // (docs/PROTOCOL.md §6). Admission control bounds the work the loop will
-// queue (max_pending / max_inflight); excess requests that would compute —
-// OPEN builds and adapting riders included — are answered with a BUSY
-// error line instead of growing an unbounded backlog. The loop speaks the line protocol and HTTP/1.1
+// queue (max_pending beyond one executing job per worker); excess requests
+// that would compute — OPEN builds and adapting riders included — are
+// answered with a BUSY error line instead of growing an unbounded backlog.
+// The loop speaks the line protocol and HTTP/1.1
 // (server/http.h), auto-detected per connection: one POST per command,
 // same JSON per response body, BUSY as 503 + Retry-After. A BATCH frame is
 // framing only: its slots run through the same per-command path.
@@ -64,16 +65,14 @@ struct ServerOptions {
   std::vector<EngineConfig> prewarm;
   /// Admission control: compute jobs (OPEN builds and leader
   /// DIVERSIFY/ZOOM computations) the loop will hold beyond the ones
-  /// currently executing. A request arriving with max_inflight executing
-  /// and max_pending queued is answered with a BUSY error line. Followers
+  /// currently executing, at most one per worker. A request arriving with
+  /// `workers` executing and max_pending queued is answered with a BUSY
+  /// error line. Followers
   /// joining an in-flight computation and memo hits are exempt — they
   /// consume no compute slot; a request adapting from an in-flight seed
   /// computes, so it holds one from arrival. A BATCH slot is admitted like
   /// a single command.
   size_t max_pending = 64;
-  /// Computations allowed to execute concurrently; 0 means
-  /// `workers` (one per worker thread).
-  size_t max_inflight = 0;
   /// The neighbor backend applied to OPENs that carry no backend= key
   /// (disc_serve --neighbor-backend=). Part of the pool key off the
   /// default: M-tree and graph-mode engines never share memoized results.

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "metric/metric.h"
 #include "util/csv.h"
 
 namespace disc {
@@ -95,13 +94,6 @@ TEST(DatasetTest, BoundingBox) {
   EXPECT_DOUBLE_EQ(maxs[0], 1.0);
   EXPECT_DOUBLE_EQ(mins[1], 5.0);
   EXPECT_DOUBLE_EQ(maxs[1], 7.0);
-}
-
-TEST(DatasetTest, DiameterEstimateOnLine) {
-  Dataset d;
-  for (double x : {0.0, 0.3, 0.9, 1.0}) ASSERT_TRUE(d.Add(Point{x}).ok());
-  EuclideanMetric metric;
-  EXPECT_DOUBLE_EQ(d.DiameterEstimate(metric), 1.0);
 }
 
 class DatasetCsvTest : public ::testing::Test {

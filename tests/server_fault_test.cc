@@ -364,7 +364,6 @@ TEST(ServerFaultTest, HttpGarbageGetsA400AndTheConnectionCloses) {
 TEST(ServerFaultTest, OverloadIsAnsweredWithBusyNotABacklog) {
   ServerOptions options;
   options.workers = 1;
-  options.max_inflight = 1;
   options.max_pending = 0;  // one computation in the system, zero queued
   auto server = StartFaultServer(std::move(options));
 

@@ -713,7 +713,6 @@ TEST(ServerCoalescingTest, MemoHitsReleaseTheirAdmissionSlot) {
   ServerOptions options;
   options.port = 0;
   options.workers = 1;
-  options.max_inflight = 1;
   options.max_pending = 1;
   auto server_or = DiscServer::Start(std::move(options));
   ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
@@ -1166,7 +1165,6 @@ TEST(ServerAdaptTest, RidersHoldAnAdmissionSlot) {
   ServerOptions options;
   options.port = 0;
   options.workers = 1;
-  options.max_inflight = 1;
   options.max_pending = 1;
   auto server_or = DiscServer::Start(std::move(options));
   ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
@@ -1318,7 +1316,6 @@ TEST(ServerHttpTest, BusyRejectionIsA503WithRetryAfter) {
   ServerOptions options;
   options.port = 0;
   options.workers = 1;
-  options.max_inflight = 1;
   options.max_pending = 0;  // one computation in the system, zero queued
   auto server_or = DiscServer::Start(std::move(options));
   ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
